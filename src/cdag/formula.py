@@ -15,6 +15,7 @@ normal form.
 
 import itertools
 import json
+from collections import Counter
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -278,6 +279,8 @@ def _simplify(node):
         # Normalization: a factor P(t|g) whose targets are bound here and
         # occur nowhere else in the body sums to one and can be dropped.
         factors = list(body.factors) if isinstance(body, Product) else [body]
+        fvs = [free_vars(f) for f in factors]
+        uses = Counter(v for fv in fvs for v in fv)
         changed = True
         while changed:
             changed = False
@@ -287,25 +290,18 @@ def _simplify(node):
                 targets = set(f.target)
                 if not targets <= set(bound):
                     continue
-                if targets & set(f.given):
-                    continue
-                elsewhere = set()
-                for j, other in enumerate(factors):
-                    if j != i:
-                        elsewhere |= free_vars(other)
-                if targets & elsewhere:
+                # f holds each of its targets once, so a count above one
+                # means the target occurs in a sibling.
+                if any(uses[t] > 1 for t in targets):
                     continue
                 factors.pop(i)
+                uses.subtract(fvs.pop(i))
                 bound = [v for v in bound if v not in targets]
                 changed = True
                 break
         body = product_of(factors)
         if not bound:
             return body
-        if body is ONE:
-            # Sum over variables of a constant body cannot be collapsed
-            # without cardinalities; it never arises from identification.
-            return Sum(bound, body)
         return Sum(bound, body)
     raise TypeError(f"not a ProbExpr: {node!r}")
 

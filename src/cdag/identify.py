@@ -5,14 +5,18 @@ P(y|do(x)) is computable from the observational distribution over the
 clusters, and produce either a symbolic formula or a witness of
 non-identifiability.
 
-The engine reduces to the ancestors of Y outside X, splits the reduced
-graph into c-components, and identifies each c-factor from the factor of
-its enclosing c-component by alternating ancestral marginalization with
+The engine first restricts the cluster graph to An(Y), the ancestors of
+Y, and drops the treatments outside it (line 2 of Shpitser and Pearl's
+ID): the other clusters cannot change P(y|do(x)).  It then reduces to
+the ancestors of Y outside X, splits the reduced graph into
+c-components, and identifies each c-factor from the factor of its
+enclosing c-component by alternating ancestral marginalization with
 c-component refinement.  Failure of that recursion yields a pair of
 root-set-rooted c-forests, one containing intervened clusters and one
-avoiding them; expanding every cluster into a chain with parallel
-confounding and fully wiring cross-cluster pairs turns the witness into
-a concrete variable-level graph where the same query fails.
+avoiding them, validated against the full graph and the full X;
+expanding every cluster into a chain with parallel confounding and
+fully wiring cross-cluster pairs turns the witness into a concrete
+variable-level graph where the same query fails.
 """
 
 from dataclasses import dataclass
@@ -180,6 +184,11 @@ def _identify_component(graph: Admg, order: Tuple[str, ...],
 
 
 def _run(c: ClusterDag, x: FrozenSet[str], y: FrozenSet[str]) -> ProbExpr:
+    # Line 2 of ID: only the ancestors of Y matter.  Kahn's lexicographic
+    # order on an ancestral set is the restriction of the full order, so
+    # the chain factors below only lose conditioning on non-ancestors.
+    c = ClusterDag(c.graph.induced(c.graph.ancestral_closure(y)))
+    x = x & frozenset(c.graph.nodes)
     graph = c.graph
     order = graph.topological_order()
     reduced = ancestral_reduce(c, x, y)

@@ -31,7 +31,14 @@ class StateSpaceCapError(ValueError):
 
 
 def _cap() -> int:
-    return int(os.environ.get("CDAG_STATE_CAP", 2 ** 22))
+    raw = os.environ.get("CDAG_STATE_CAP", str(2 ** 22))
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"CDAG_STATE_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 _POSITIVE_FLOOR = 1e-6

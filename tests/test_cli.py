@@ -236,6 +236,18 @@ def test_simulate_byte_identical(capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_simulate_bad_state_cap_is_input_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("CDAG_STATE_CAP", value)
+    code, out, err = run_cli(capsys, "simulate", path("backdoor.cdag"),
+                             "-x", "X", "-y", "Y", "--sizes", "Z=2",
+                             "--diagrams", "1", "--datasets", "1",
+                             "--n", "100", "--seed", "5")
+    assert code == 3
+    assert out == ""
+    assert err == f"error: CDAG_STATE_CAP must be a positive integer, got '{value}'\n"
+
+
 def test_console_entry_point():
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(

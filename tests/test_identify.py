@@ -1,6 +1,8 @@
 import itertools
+import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdag import (Admg, ClusterDag, CondProb, EmptyInterventionError, Identified,
                   NonIdentified, Product, Sum, ancestral_reduce, equivalent_on,
@@ -8,6 +10,7 @@ from cdag import (Admg, ClusterDag, CondProb, EmptyInterventionError, Identified
                   interventional_distribution, joint_distribution,
                   observational_marginal, q_factor, random_cbn, render,
                   singleton_cdag)
+from cdag.cli import main
 from cdag.graphs import GraphError
 
 from randutil import random_admg, rng_for
@@ -156,6 +159,18 @@ def test_bow_not_identifiable(bow_cdag):
     assert not h.forest_fprime.directed and not h.forest_fprime.bidirected
 
 
+def test_hedge_validates_with_treatment_outside_ancestors(confounded_cdag):
+    # W is a child of Y confounded with X, so it is not an ancestor of Y;
+    # the hedge is found on An(Y) and still validated on the full graph.
+    g = confounded_cdag.graph
+    c = ClusterDag(Admg(g.nodes + ("W",), g.directed | {("Y", "W")},
+                        g.bidirected | {("W", "X")}))
+    result = identify(c, ["X", "W"], ["Y"])
+    assert isinstance(result, NonIdentified)
+    assert result.hedge == find_hedge(confounded_cdag, ["X"], ["Y"])
+    assert result.hedge.intersected_x == {"X"}
+
+
 def test_find_hedge_requires_failure(backdoor_cdag, confounded_cdag):
     with pytest.raises(ValueError):
         find_hedge(backdoor_cdag, ["X"], ["Y"])
@@ -263,6 +278,55 @@ def test_invalid_queries(backdoor_cdag):
         identify(backdoor_cdag, ["X"], [])
     with pytest.raises(GraphError):
         identify(backdoor_cdag, ["Q"], ["Y"])
+
+
+@pytest.mark.parametrize("x", ["X", "Y"])
+def test_treatment_outside_ancestors_is_marginal(capsys, x):
+    # In graphs/confounded.cdag neither X nor Y is an ancestor of Z.
+    confounded = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                              "graphs", "confounded.cdag")
+    assert main(["identify", confounded, "-x", x, "-y", "Z"]) == 0
+    assert capsys.readouterr().out == "P(z)\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6))
+def test_non_ancestors_do_not_change_identification(seed):
+    # Clusters W1.. hang below An(Y): edges leave An(Y) but never enter
+    # it, and bidirected edges join them to An(Y) and to each other.
+    rng = rng_for(seed)
+    g = random_admg(rng, int(rng.integers(2, 7)), p_dir=0.5, p_bi=0.3)
+    y = g.topological_order()[-1]
+    core = g.induced(g.ancestral_closure([y]))
+    candidates = [v for v in core.nodes if v != y]
+    if not candidates:
+        return
+    x = {v for v in candidates if rng.random() < 0.5} or {candidates[0]}
+    extra = [f"W{i}" for i in range(1, int(rng.integers(1, 5)) + 1)]
+    directed = set(core.directed)
+    bidirected = set(core.bidirected) | {(extra[0], str(rng.choice(core.nodes)))}
+    for i, w in enumerate(extra):
+        for v in core.nodes:
+            if rng.random() < 0.4:
+                directed.add((v, w))
+            if rng.random() < 0.4:
+                bidirected.add((w, v))
+        for u in extra[:i]:
+            if rng.random() < 0.4:
+                directed.add((u, w))
+            if rng.random() < 0.3:
+                bidirected.add((u, w))
+    full = Admg(core.nodes + tuple(extra), directed, bidirected)
+    assert full.ancestral_closure([y]) == set(core.nodes)
+    x_extra = {w for w in extra if rng.random() < 0.3}
+
+    want = identify(ClusterDag(core), x, [y])
+    got = identify(ClusterDag(full), x | x_extra, [y])
+    assert type(got) is type(want)
+    if isinstance(want, Identified):
+        assert render(got.expr) == render(want.expr)
+    else:
+        assert got.hedge == want.hedge
 
 
 def test_singleton_consistency_with_admg_engine():
