@@ -359,11 +359,27 @@ def _derive(seed: int, *key: int) -> int:
                .generate_state(1, np.uint64)[0])
 
 
+def _sample_sizes(text: str) -> List[int]:
+    error = ValueError(f"--n needs comma-separated sample sizes of at least 1, "
+                       f"got {text!r}")
+    try:
+        ns = [int(v) for v in text.split(",")] if text else []
+    except ValueError:
+        raise error from None
+    if any(n < 1 for n in ns):
+        raise error
+    return ns
+
+
 def _cmd_simulate(args) -> int:
+    ns = _sample_sizes(args.n)
+    if args.diagrams < 1:
+        raise ValueError(f"--diagrams must be at least 1, got {args.diagrams}")
+    if args.datasets < 0:
+        raise ValueError(f"--datasets must be at least 0, got {args.datasets}")
     parsed = _load(args.file)
     cdag = parsed.cdag
     sizes = _parse_sizes(args.sizes, parsed)
-    ns = [int(v) for v in args.n.split(",")] if args.n else []
     spec = ExpansionSpec(sizes=sizes, internal=_internal_policy(args),
                          cross=_cross_policy(args), seed=args.seed)
 

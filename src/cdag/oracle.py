@@ -16,6 +16,7 @@ noise, keeping the noise cardinality equal to the variable's own.
 """
 
 import itertools
+import math
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -44,10 +45,14 @@ def _cap() -> int:
 _POSITIVE_FLOOR = 1e-6
 
 
-def _positive_dirichlet(rng: np.random.Generator, size: int) -> np.ndarray:
-    row = rng.dirichlet(np.ones(size))
-    row = np.clip(row, _POSITIVE_FLOOR, None)
-    return row / row.sum()
+def _positive_dirichlet(rng: np.random.Generator, size: int,
+                        rows: Optional[int] = None) -> np.ndarray:
+    # One flat Dirichlet draw of ``size`` outcomes, or ``rows`` of them in
+    # one call (the same gamma stream, row after row), each clipped away
+    # from zero and renormalized.
+    draw = rng.dirichlet(np.ones(size), size=rows)
+    draw = np.clip(draw, _POSITIVE_FLOOR, None)
+    return draw / draw.sum(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +193,14 @@ class DiscreteCbn:
         self.exo_names = tuple(sorted(exo_cards))
         for name in self.exo_names:
             dist = self.exo_dists[name]
-            if dist.shape != (self.exo_cards[name],) or np.any(dist <= 0):
+            if dist.shape != (self.exo_cards[name],) or np.any(dist <= 0) or \
+                    not np.isclose(dist.sum(), 1.0, atol=1e-12):
                 raise GraphError(f"exogenous {name!r} needs a strictly positive "
-                                 "distribution of matching cardinality")
+                                 "distribution of matching cardinality summing to 1")
         for v, mech in mechanisms.items():
             rows = mech.cpt.reshape(-1, self.cards[v])
-            if not np.allclose(rows.sum(axis=1), 1.0, atol=1e-12):
-                raise GraphError(f"CPT rows of {v!r} do not sum to 1")
+            if np.any(rows < 0) or not np.allclose(rows.sum(axis=1), 1.0, atol=1e-12):
+                raise GraphError(f"CPT rows of {v!r} must be nonnegative and sum to 1")
         self._solve_tables: Optional[Dict[str, np.ndarray]] = None
 
     def _card_of(self, name: str) -> int:
@@ -262,10 +268,12 @@ def random_cbn(g: Admg, cards: Dict[str, int], seed: int,
 
     Stochastic mode draws every CPT row from a symmetric Dirichlet,
     clipped away from zero and renormalized, so the joint distribution
-    has full support.  Deterministic mode keeps the same row
-    distributions but realizes them as per-row permutations of each
-    variable's private noise, making every mechanism a function of its
-    parents and noise.
+    has full support.  Each table takes all its rows in one batched draw,
+    which consumes the generator exactly as row-by-row draws would, so a
+    seed gives the same model bit for bit.  Deterministic mode keeps the
+    same row distributions but realizes them as per-row permutations of
+    each variable's private noise, making every mechanism a function of
+    its parents and noise.
     """
     for v in g.nodes:
         if cards.get(v, 0) < 2:
@@ -320,10 +328,7 @@ def random_cbn(g: Admg, cards: Dict[str, int], seed: int,
             cpt = np.transpose(cpt, perm_axes)
         else:
             dims = tuple(cards[p] for p in endo) + tuple(exo_cards[u] for u in exo)
-            cpt = np.zeros(dims + (m,))
-            flat = cpt.reshape(-1, m)
-            for i in range(flat.shape[0]):
-                flat[i] = _positive_dirichlet(rng, m)
+            cpt = _positive_dirichlet(rng, m, math.prod(dims)).reshape(dims + (m,))
         mechanisms[v] = Mechanism(endo, exo, cpt)
 
     return DiscreteCbn(g, cards, exo_cards, exo_dists, mechanisms, deterministic)
@@ -379,22 +384,43 @@ def interventional_distribution(m: DiscreteCbn, x: Dict[str, int]) -> JointTable
 
 def sample_dataset(m: DiscreteCbn, n: int, seed: int) -> np.ndarray:
     """``n`` ancestral forward samples; rows are joint assignments in
-    ``m.graph.nodes`` column order."""
+    ``m.graph.nodes`` column order.
+
+    Each variable is drawn as a whole column by inverse CDF from one
+    ``rng.random(n)``: exogenous variables first, in ``m.exo_names`` order
+    and exactly as ``Generator.choice(p=...)`` maps its draws, then
+    endogenous ones in topological order, each taking the first value whose
+    cumulative CPT row exceeds the draw (0 if none does).  Every seed gives
+    the same dataset, bit for bit, as drawing the rows one at a time.
+    """
     rng = np.random.default_rng(seed)
     nodes = m.graph.nodes
-    if n == 0:
-        return np.zeros((0, len(nodes)), dtype=np.int64)
-    exo_values = {name: rng.choice(m.exo_cards[name], size=n, p=m.exo_dists[name])
-                  for name in m.exo_names}
+    columns = np.zeros((len(nodes), n), dtype=np.int64)
     values: Dict[str, np.ndarray] = {}
+    for name in m.exo_names:
+        cdf = m.exo_dists[name].cumsum()
+        cdf /= cdf[-1]
+        u = rng.random(n)
+        values[name] = value = np.zeros(n, dtype=np.int64)
+        for level in cdf[:-1]:
+            value += level <= u
     for v in m.graph.topological_order():
         mech = m.mechanisms[v]
-        cols = tuple(values[p] for p in mech.endo_parents) + \
-            tuple(exo_values[u] for u in mech.exo_parents)
-        rows = mech.cpt[cols] if cols else np.broadcast_to(mech.cpt, (n, m.cards[v]))
+        # levels[j] holds every CPT row's cumulative sum up to value j; the
+        # rows are nondecreasing, so the first level above u is the count
+        # of levels at or below it.
+        levels = mech.cpt.cumsum(axis=-1).reshape(-1, m.cards[v]).T.copy()
+        row = np.zeros(n, dtype=np.int64)
+        for p, dim in zip(mech.endo_parents + mech.exo_parents, mech.cpt.shape):
+            row *= dim
+            row += values[p]
         u = rng.random(n)
-        values[v] = (rows.cumsum(axis=1) > u[:, None]).argmax(axis=1)
-    return np.column_stack([values[v] for v in nodes])
+        values[v] = value = columns[nodes.index(v)]
+        for level in levels[:-1]:
+            value += level[row] <= u
+        if n and levels[-1].min() <= u.max():
+            value[levels[-1][row] <= u] = 0
+    return columns.T.copy()
 
 
 def empirical_table(m_nodes: Sequence[str], cards: Sequence[int],

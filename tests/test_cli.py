@@ -236,6 +236,49 @@ def test_simulate_byte_identical(capsys):
     assert a == b
 
 
+# Captured before the dataset and CPT draws were vectorized: the same seed
+# must keep giving the same bytes across versions.
+GOLDEN_SIMULATE = """\
+metric,n,value,std_error
+effect_diff,500,0.0058714307777494494,0.002836822541398726
+effect_diff,1000,0.0016640164541673237,0.0009389051925805998
+effect_diff_exact,,1.1102230246251565e-16,
+identifiable_fraction,,1.0,
+"""
+
+
+def test_simulate_golden_bytes(capsys):
+    assert run_cli(capsys, "simulate", path("backdoor.cdag"), "-x", "X", "-y", "Y",
+                   "--sizes", "Z=3", "--diagrams", "3", "--datasets", "2",
+                   "--n", "500,1000", "--seed", "5") == (0, GOLDEN_SIMULATE, "")
+
+
+def run_simulate_counts(capsys, *counts):
+    return run_cli(capsys, "simulate", path("backdoor.cdag"), "-x", "X", "-y", "Y",
+                   "--sizes", "Z=2", "--seed", "5", *counts)
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "100,0", "abc"])
+def test_simulate_bad_sample_size_is_input_error(capsys, value):
+    code, out, err = run_simulate_counts(capsys, "--n", value)
+    assert (code, out) == (3, "")
+    assert err == ("error: --n needs comma-separated sample sizes of at least 1, "
+                   f"got '{value}'\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_simulate_bad_diagram_count_is_input_error(capsys, value):
+    code, out, err = run_simulate_counts(capsys, "--diagrams", value)
+    assert (code, out) == (3, "")
+    assert err == f"error: --diagrams must be at least 1, got {value}\n"
+
+
+def test_simulate_bad_dataset_count_is_input_error(capsys):
+    code, out, err = run_simulate_counts(capsys, "--datasets", "-1")
+    assert (code, out) == (3, "")
+    assert err == "error: --datasets must be at least 0, got -1\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])
 def test_simulate_bad_state_cap_is_input_error(capsys, monkeypatch, value):
     monkeypatch.setenv("CDAG_STATE_CAP", value)

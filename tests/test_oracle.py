@@ -163,6 +163,16 @@ def xor_model():
     return DiscreteCbn(g, cards, exo_cards, exo_dists, mechanisms, deterministic=True)
 
 
+def test_model_rejects_negative_cpt_entries_and_unnormalized_noise():
+    g = Admg(["V"])
+    mech = {"V": Mechanism((), ("U",), np.array([[1.5, -0.5], [0.5, 0.5]]))}
+    with pytest.raises(GraphError, match="nonnegative"):
+        DiscreteCbn(g, {"V": 2}, {"U": 2}, {"U": np.array([0.5, 0.5])}, mech, False)
+    mech = {"V": Mechanism((), ("U",), np.full((2, 2), 0.5))}
+    with pytest.raises(GraphError, match="summing to 1"):
+        DiscreteCbn(g, {"V": 2}, {"U": 2}, {"U": np.array([0.5, 0.6])}, mech, False)
+
+
 def test_solve_requires_deterministic(med_admg):
     m = random_cbn(med_admg, binary_cards(med_admg), seed=22)
     with pytest.raises(GraphError):
