@@ -17,7 +17,6 @@ from .cluster import (
     InadmissibleError,
     Partition,
     PartitionError,
-    as_admg,
     build_cdag,
     cdag_d_separated,
     is_compatible,
@@ -72,8 +71,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Admg", "CycleError", "GraphError", "UnknownNodeError",
     "ClusterDag", "InadmissibleError", "Partition", "PartitionError",
-    "as_admg", "build_cdag", "cdag_d_separated", "is_compatible",
-    "mutilate_cdag", "singleton_cdag",
+    "build_cdag", "cdag_d_separated", "is_compatible", "mutilate_cdag",
+    "singleton_cdag",
     "CondProb", "Fraction", "JointTable", "ONE", "ProbExpr", "Product",
     "Sum", "ZeroConditioningMass", "equivalent_on", "evaluate",
     "parse_formula_json", "render", "simplify",

@@ -335,7 +335,10 @@ def _cmd_eval(args) -> int:
         if "=" not in piece:
             raise FormulaError(f"bad --at entry {piece!r}; expected NAME=VALUE")
         name, value = piece.split("=", 1)
-        assignment[name.strip()] = int(value)
+        name = name.strip()
+        if name in assignment:
+            raise FormulaError(f"--at names {name!r} twice")
+        assignment[name] = int(value)
     print(repr(evaluate(expr, table, assignment)))
     return 0
 

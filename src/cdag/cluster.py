@@ -191,11 +191,6 @@ def is_compatible(g: Admg, c: ClusterDag, p: Partition) -> bool:
     return quotient.graph == c.graph
 
 
-def as_admg(c: ClusterDag) -> Admg:
-    """The cluster-level graph as a plain Admg (one node per cluster)."""
-    return c.graph
-
-
 def singleton_cdag(g: Admg) -> ClusterDag:
     """Wrap an Admg as the cluster DAG with one variable per cluster."""
     return ClusterDag(g, Partition.singletons(g.nodes))

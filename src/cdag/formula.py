@@ -8,15 +8,17 @@ e.g. ``Sum_s P(s|x) Sum_{x'} P(y|x',s) P(x')``.
 
 Expression variables may name clusters; at evaluation time a cluster
 name expands to the joint assignment of its member variables in the
-table (pass the partition's cluster map).  Equivalence of expressions is
-decided numerically on full-support tables rather than by a symbolic
-normal form.
+table (pass the partition's cluster map).  :func:`tabulate` is the one
+evaluator: it computes an expression at every free-variable assignment
+at once, and :func:`evaluate` and :func:`equivalent_on` read its arrays.
+Equivalence of expressions is decided numerically on full-support
+tables rather than by a symbolic normal form.
 """
 
 import itertools
 import json
 from collections import Counter
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -408,121 +410,22 @@ class JointTable:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _resolver(table: JointTable, clusters: Optional[Dict[str, Sequence[str]]]):
+def _tabulate(e, t, clusters, zero_division):
+    # The values of ``e`` at every free-variable assignment; in "raise"
+    # mode a cell whose value needs a zero-mass conditioning event is NaN.
+    if zero_division not in ("raise", "zero"):
+        raise FormulaError(f"bad zero_division mode {zero_division!r}")
     clusters = clusters or {}
+    fill = 0.0 if zero_division == "zero" else np.nan
 
     def resolve(name):
         base = _base_name(name)
-        if base in table._index:
+        if base in t._index:
             return (base,)
         if base in clusters:
             return tuple(clusters[base])
         raise UnknownVariableError(f"variable {name!r} is neither a table variable "
                                    "nor a known cluster")
-
-    return resolve
-
-
-def evaluate(e: ProbExpr, t: JointTable, assignment: Dict[str, int],
-             clusters: Optional[Dict[str, Sequence[str]]] = None,
-             zero_division: str = "raise") -> float:
-    """Evaluate ``e`` on the joint table at the given free-variable values.
-
-    ``assignment`` maps table variables to state indices and must cover
-    the member variables of every free expression variable.  Cluster
-    names resolve through ``clusters`` to their member variables; bound
-    cluster variables are enumerated over the members' joint state space.
-
-    ``zero_division`` controls conditionals with zero conditioning mass:
-    ``"raise"`` raises :class:`ZeroConditioningMass` (full-support tables
-    never trigger it), ``"zero"`` uses the plug-in convention 0/0 = 0 for
-    empirical tables.
-    """
-    if zero_division not in ("raise", "zero"):
-        raise FormulaError(f"bad zero_division mode {zero_division!r}")
-    resolve = _resolver(t, clusters)
-    context: Dict[str, Tuple[int, ...]] = {}
-    for name in sorted(free_vars(e)):
-        group = resolve(name)
-        try:
-            context[name] = tuple(assignment[v] for v in group)
-        except KeyError as err:
-            raise FormulaError(f"assignment is missing variable {err.args[0]!r} "
-                               f"needed by {name!r}") from None
-
-    def cond_value(node):
-        pairs = {}
-        for name in node.target + node.given:
-            for var, val in zip(resolve(name), context[name]):
-                if var in pairs:
-                    raise FormulaError(f"variable {var!r} indexed twice in P({node})")
-                pairs[var] = val
-        given_pairs = {}
-        for name in node.given:
-            for var, val in zip(resolve(name), context[name]):
-                given_pairs[var] = val
-        denom = t.prob_of(given_pairs) if given_pairs else 1.0
-        if denom <= 0.0:
-            if zero_division == "zero":
-                return 0.0
-            raise ZeroConditioningMass(
-                f"conditioning event has zero probability in P({render(node, 'text')})")
-        return t.prob_of(pairs) / denom
-
-    def walk(node):
-        if isinstance(node, _One):
-            return 1.0
-        if isinstance(node, CondProb):
-            return cond_value(node)
-        if isinstance(node, Product):
-            out = 1.0
-            for f in node.factors:
-                out *= walk(f)
-                if out == 0.0:
-                    return 0.0
-            return out
-        if isinstance(node, Fraction):
-            den = walk(node.denominator)
-            if den == 0.0:
-                if zero_division == "zero":
-                    return 0.0
-                raise ZeroConditioningMass("fraction denominator evaluated to zero")
-            return walk(node.numerator) / den
-        if isinstance(node, Sum):
-            groups = [resolve(v) for v in node.bound]
-            spaces = [tuple(itertools.product(*(range(t.card(m)) for m in grp)))
-                      for grp in groups]
-            saved = {v: context.get(v) for v in node.bound}
-            total = 0.0
-            for combo in itertools.product(*spaces):
-                for v, val in zip(node.bound, combo):
-                    context[v] = val
-                total += walk(node.body)
-            for v, old in saved.items():
-                if old is None:
-                    context.pop(v, None)
-                else:
-                    context[v] = old
-            return total
-        raise TypeError(f"not a ProbExpr: {node!r}")
-
-    return walk(e)
-
-
-def tabulate(e: ProbExpr, t: JointTable,
-             clusters: Optional[Dict[str, Sequence[str]]] = None,
-             zero_division: str = "raise"):
-    """Evaluate ``e`` at every free-variable assignment in one pass.
-
-    Returns ``(variables, array)`` where ``variables`` are the member
-    variables of the free expression names and the array carries one
-    value per joint assignment, axes in that order.  Agreement with the
-    pointwise :func:`evaluate` is part of the test suite; this path is
-    what the simulation harness uses for bulk evaluation.
-    """
-    if zero_division not in ("raise", "zero"):
-        raise FormulaError(f"bad zero_division mode {zero_division!r}")
-    resolve = _resolver(t, clusters)
 
     # Axes are (expression name, member variable) pairs so that a bound
     # primed name never collides with the free name sharing its base.
@@ -541,12 +444,16 @@ def tabulate(e: ProbExpr, t: JointTable,
         return axes, view(a_axes, a_arr) * view(b_axes, b_arr)
 
     def divide(num, den):
-        if zero_division == "zero":
-            return np.divide(num, den, out=np.zeros(np.broadcast_shapes(
-                num.shape, den.shape)), where=den > 0)
-        if np.any(den <= 0.0):
-            raise ZeroConditioningMass("conditioning event with zero probability")
-        return num / den
+        # NaN (0 in "zero" mode) where the denominator has no mass; NaN
+        # then survives every product, sum and fraction above it.  With
+        # no such cell, "raise" mode divides plainly: numpy then picks the
+        # output's memory layout, which fixes the order in which later
+        # sums add and so the last bits of the result.
+        positive = den > 0
+        if zero_division == "raise" and positive.all():
+            return num / den
+        return np.divide(num, den, out=np.full(np.broadcast_shapes(
+            num.shape, den.shape), fill), where=positive)
 
     def walk(node):
         if isinstance(node, _One):
@@ -588,36 +495,73 @@ def tabulate(e: ProbExpr, t: JointTable,
         raise TypeError(f"not a ProbExpr: {node!r}")
 
     axes, arr = walk(e)
-    variables = tuple(m for _, m in axes)
+    return tuple(m for _, m in axes), arr
+
+
+def tabulate(e: ProbExpr, t: JointTable,
+             clusters: Optional[Dict[str, Sequence[str]]] = None,
+             zero_division: str = "raise"):
+    """Evaluate ``e`` at every free-variable assignment in one pass.
+
+    Returns ``(variables, array)`` where ``variables`` are the table
+    variables behind the free expression names (a cluster name stands for
+    its members) and the array carries one value per joint assignment,
+    axes in that order.  Cluster names resolve through ``clusters``;
+    bound cluster variables range over the members' joint state space.
+
+    ``zero_division`` controls conditionals with zero conditioning mass:
+    ``"raise"`` raises :class:`ZeroConditioningMass` if any value needs
+    one (full-support tables never do), ``"zero"`` uses the plug-in
+    convention 0/0 = 0 for empirical tables.
+    """
+    variables, arr = _tabulate(e, t, clusters, zero_division)
+    if np.isnan(arr).any():
+        raise ZeroConditioningMass("conditioning event with zero probability")
     return variables, arr
 
 
-def evaluate_all(e: ProbExpr, t: JointTable,
-                 clusters: Optional[Dict[str, Sequence[str]]] = None,
-                 zero_division: str = "raise"):
-    """Dict from free-variable assignments to values, via :func:`tabulate`."""
-    variables, arr = tabulate(e, t, clusters, zero_division)
-    out = {}
-    for state in itertools.product(*(range(t.card(v)) for v in variables)):
-        out[tuple(zip(variables, state))] = float(arr[state]) if variables else float(arr)
-    return out
+def evaluate(e: ProbExpr, t: JointTable, assignment: Dict[str, int],
+             clusters: Optional[Dict[str, Sequence[str]]] = None,
+             zero_division: str = "raise") -> float:
+    """The value of ``e`` at one assignment: a cell of :func:`tabulate`.
+
+    ``assignment`` maps table variables to state indices and must cover
+    the member variables of every free expression variable.  In
+    ``"raise"`` mode it raises :class:`ZeroConditioningMass` exactly when
+    this value depends on a conditioning event of zero mass.
+    """
+    variables, arr = _tabulate(e, t, clusters, zero_division)
+    index = []
+    for v in variables:
+        if v not in assignment:
+            raise FormulaError(f"assignment is missing variable {v!r}")
+        state = assignment[v]
+        if not 0 <= state < t.card(v):
+            raise FormulaError(f"state {state} of {v!r} is outside 0..{t.card(v) - 1}")
+        index.append(state)
+    value = float(arr[tuple(index)])
+    if np.isnan(value):
+        raise ZeroConditioningMass("conditioning event with zero probability")
+    return value
 
 
 def equivalent_on(e1: ProbExpr, e2: ProbExpr, t: JointTable,
                   clusters: Optional[Dict[str, Sequence[str]]] = None,
                   tol: float = 1e-9) -> bool:
     """True iff the expressions agree within ``tol`` at every assignment
-    of their (shared) free variables."""
-    names = sorted(free_vars(e1) | free_vars(e2))
-    resolve = _resolver(t, clusters)
-    table_vars = sorted({v for n in names for v in resolve(n)})
-    for state in itertools.product(*(range(t.card(v)) for v in table_vars)):
-        assignment = dict(zip(table_vars, state))
-        v1 = evaluate(e1, t, assignment, clusters)
-        v2 = evaluate(e2, t, assignment, clusters)
-        if abs(v1 - v2) > tol:
-            return False
-    return True
+    of their free variables (one missing a variable is constant in it)."""
+
+    def over_table(variables, arr):
+        # axes in table order, size 1 for the variables arr does not use;
+        # a variable behind two free names (X and X') keeps its diagonal
+        axes = [t._index[v] for v in variables]
+        used = sorted(set(axes))
+        shape = [c if i in used else 1 for i, c in enumerate(t.cards)]
+        return np.einsum(arr, axes, used).reshape(shape)
+
+    a1 = over_table(*tabulate(e1, t, clusters))
+    a2 = over_table(*tabulate(e2, t, clusters))
+    return bool(np.all(np.abs(a1 - a2) <= tol))
 
 
 # ---------------------------------------------------------------------------

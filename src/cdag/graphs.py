@@ -247,12 +247,6 @@ class Admg:
         comps.sort(key=lambda c: min(c))
         return tuple(comps)
 
-    def c_component_of(self, v: str) -> FrozenSet[str]:
-        for comp in self.c_components():
-            if v in comp:
-                return comp
-        raise UnknownNodeError(f"unknown node: {v}")
-
     # -- separation -------------------------------------------------------
 
     def m_separated(self, x: Iterable[str], y: Iterable[str], z: Iterable[str] = ()) -> bool:
@@ -328,59 +322,3 @@ class Admg:
                     if push(sib, True):
                         return False
         return True
-
-
-def m_separated_brute_force(g: Admg, x, y, z=()) -> bool:
-    """Exhaustive path-enumeration test of m-separation.
-
-    Enumerates every node-simple path between ``x`` and ``y`` (including
-    the choice between parallel directed and bidirected edges) and checks
-    the active-vertex rules directly.  Exponential; intended as an
-    independent oracle for small graphs.
-    """
-    x = g._check_members(x)
-    y = g._check_members(y)
-    z = g._check_members(z)
-    if x & y or x & z or y & z:
-        raise GraphError("query sets must be pairwise disjoint")
-    collider_open = z | g.ancestors(z)
-
-    # Each step is (node, head_at_prev, head_at_node) for the edge walked.
-    def edges_from(v):
-        for ch in sorted(g._children[v]):
-            yield ch, False, True
-        for pa in sorted(g._parents[v]):
-            yield pa, True, False
-        for sib in sorted(g._siblings[v]):
-            yield sib, True, True
-
-    def active_interior(v, head_in, head_out):
-        if head_in and head_out:
-            return v in collider_open
-        return v not in z
-
-    def dfs(v, head_at_v, on_path):
-        for w, head_back, head_fwd in edges_from(v):
-            if w in on_path:
-                continue
-            # v is interior here: arrived with head_at_v, leaving with
-            # an edge whose v-end is a head iff head_back
-            if not active_interior(v, head_at_v, head_back):
-                continue
-            if w in y:
-                return True
-            if w in x or w in on_path:
-                continue
-            if dfs(w, head_fwd, on_path | {w}):
-                return True
-        return False
-
-    for s in sorted(x):
-        for w, _, head_fwd in edges_from(s):
-            if w in y:
-                return False
-            if w in x:
-                continue
-            if dfs(w, head_fwd, frozenset({s, w})):
-                return False
-    return True

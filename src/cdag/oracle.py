@@ -203,9 +203,6 @@ class DiscreteCbn:
                 raise GraphError(f"CPT rows of {v!r} must be nonnegative and sum to 1")
         self._solve_tables: Optional[Dict[str, np.ndarray]] = None
 
-    def _card_of(self, name: str) -> int:
-        return self.cards[name] if name in self.cards else self.exo_cards[name]
-
     def _variable_factor(self, v: str, collapse_private: bool) -> _Factor:
         mech = self.mechanisms[v]
         names = mech.endo_parents + mech.exo_parents + (v,)
@@ -427,9 +424,8 @@ def empirical_table(m_nodes: Sequence[str], cards: Sequence[int],
                     data: np.ndarray) -> JointTable:
     """Empirical joint frequencies of a dataset as a JointTable."""
     cards = tuple(cards)
-    flat_index = np.zeros(len(data), dtype=np.int64)
-    for i, c in enumerate(cards):
-        flat_index = flat_index * c + data[:, i]
+    # raises ValueError on a state outside its variable's range
+    flat_index = np.ravel_multi_index(data.T, cards)
     counts = np.bincount(flat_index, minlength=int(np.prod(cards)))
     probs = counts.reshape(cards) / len(data)
     return JointTable(tuple(m_nodes), probs)

@@ -1,0 +1,177 @@
+"""Reference implementations that the tests compare the library against.
+
+Both are deliberately naive and independent of the code they check:
+
+* :func:`evaluate` walks an expression pointwise, looping over every
+  joint value of each bound variable; the library evaluates through the
+  vectorized :func:`cdag.formula.tabulate`.
+* :func:`m_separated_brute_force` enumerates every path; the library's
+  :meth:`cdag.graphs.Admg.m_separated` is a reachability search.
+
+They are exponential and meant for small inputs only.
+"""
+
+import itertools
+from typing import Dict, Optional, Sequence, Tuple
+
+from cdag.formula import (CondProb, Fraction, FormulaError, JointTable, ProbExpr,
+                          Product, Sum, UnknownVariableError, ZeroConditioningMass,
+                          _base_name, _One, free_vars, render)
+from cdag.graphs import Admg, GraphError
+
+
+def _resolver(table: JointTable, clusters: Optional[Dict[str, Sequence[str]]]):
+    clusters = clusters or {}
+
+    def resolve(name):
+        base = _base_name(name)
+        if base in table._index:
+            return (base,)
+        if base in clusters:
+            return tuple(clusters[base])
+        raise UnknownVariableError(f"variable {name!r} is neither a table variable "
+                                   "nor a known cluster")
+
+    return resolve
+
+
+def evaluate(e: ProbExpr, t: JointTable, assignment: Dict[str, int],
+             clusters: Optional[Dict[str, Sequence[str]]] = None,
+             zero_division: str = "raise") -> float:
+    """Evaluate ``e`` on the joint table at the given free-variable values.
+
+    ``assignment`` maps table variables to state indices and must cover
+    the member variables of every free expression variable.  Cluster
+    names resolve through ``clusters`` to their member variables; bound
+    cluster variables are enumerated over the members' joint state space.
+
+    ``zero_division`` controls conditionals with zero conditioning mass:
+    ``"raise"`` raises :class:`ZeroConditioningMass` (full-support tables
+    never trigger it), ``"zero"`` uses the plug-in convention 0/0 = 0 for
+    empirical tables.
+    """
+    if zero_division not in ("raise", "zero"):
+        raise FormulaError(f"bad zero_division mode {zero_division!r}")
+    resolve = _resolver(t, clusters)
+    context: Dict[str, Tuple[int, ...]] = {}
+    for name in sorted(free_vars(e)):
+        group = resolve(name)
+        try:
+            context[name] = tuple(assignment[v] for v in group)
+        except KeyError as err:
+            raise FormulaError(f"assignment is missing variable {err.args[0]!r} "
+                               f"needed by {name!r}") from None
+
+    def cond_value(node):
+        pairs = {}
+        for name in node.target + node.given:
+            for var, val in zip(resolve(name), context[name]):
+                if var in pairs:
+                    raise FormulaError(f"variable {var!r} indexed twice in P({node})")
+                pairs[var] = val
+        given_pairs = {}
+        for name in node.given:
+            for var, val in zip(resolve(name), context[name]):
+                given_pairs[var] = val
+        denom = t.prob_of(given_pairs) if given_pairs else 1.0
+        if denom <= 0.0:
+            if zero_division == "zero":
+                return 0.0
+            raise ZeroConditioningMass(
+                f"conditioning event has zero probability in P({render(node, 'text')})")
+        return t.prob_of(pairs) / denom
+
+    def walk(node):
+        if isinstance(node, _One):
+            return 1.0
+        if isinstance(node, CondProb):
+            return cond_value(node)
+        if isinstance(node, Product):
+            out = 1.0
+            for f in node.factors:
+                out *= walk(f)
+                if out == 0.0:
+                    return 0.0
+            return out
+        if isinstance(node, Fraction):
+            den = walk(node.denominator)
+            if den == 0.0:
+                if zero_division == "zero":
+                    return 0.0
+                raise ZeroConditioningMass("fraction denominator evaluated to zero")
+            return walk(node.numerator) / den
+        if isinstance(node, Sum):
+            groups = [resolve(v) for v in node.bound]
+            spaces = [tuple(itertools.product(*(range(t.card(m)) for m in grp)))
+                      for grp in groups]
+            saved = {v: context.get(v) for v in node.bound}
+            total = 0.0
+            for combo in itertools.product(*spaces):
+                for v, val in zip(node.bound, combo):
+                    context[v] = val
+                total += walk(node.body)
+            for v, old in saved.items():
+                if old is None:
+                    context.pop(v, None)
+                else:
+                    context[v] = old
+            return total
+        raise TypeError(f"not a ProbExpr: {node!r}")
+
+    return walk(e)
+
+
+def m_separated_brute_force(g: Admg, x, y, z=()) -> bool:
+    """Exhaustive path-enumeration test of m-separation.
+
+    Enumerates every node-simple path between ``x`` and ``y`` (including
+    the choice between parallel directed and bidirected edges) and checks
+    the active-vertex rules directly.  Exponential; intended as an
+    independent oracle for small graphs.
+    """
+    x = g._check_members(x)
+    y = g._check_members(y)
+    z = g._check_members(z)
+    if x & y or x & z or y & z:
+        raise GraphError("query sets must be pairwise disjoint")
+    collider_open = z | g.ancestors(z)
+
+    # Each step is (node, head_at_prev, head_at_node) for the edge walked.
+    def edges_from(v):
+        for ch in sorted(g._children[v]):
+            yield ch, False, True
+        for pa in sorted(g._parents[v]):
+            yield pa, True, False
+        for sib in sorted(g._siblings[v]):
+            yield sib, True, True
+
+    def active_interior(v, head_in, head_out):
+        if head_in and head_out:
+            return v in collider_open
+        return v not in z
+
+    def dfs(v, head_at_v, on_path):
+        for w, head_back, head_fwd in edges_from(v):
+            if w in on_path:
+                continue
+            # v is interior here: arrived with head_at_v, leaving with
+            # an edge whose v-end is a head iff head_back
+            if not active_interior(v, head_at_v, head_back):
+                continue
+            if w in y:
+                return True
+            if w in x or w in on_path:
+                continue
+            if dfs(w, head_fwd, on_path | {w}):
+                return True
+        return False
+
+    for s in sorted(x):
+        for w, _, head_fwd in edges_from(s):
+            if w in y:
+                return False
+            if w in x:
+                continue
+            if dfs(w, head_fwd, frozenset({s, w})):
+                return False
+    return True

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from cdag import JointTable, random_cbn, joint_distribution
+from cdag import CondProb, JointTable, random_cbn, joint_distribution, render
 from cdag.cli import ParseError, main, parse_graph, render_graph_file
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -209,6 +209,19 @@ def test_eval_command(capsys, tmp_path):
     from cdag import evaluate, interventional_distribution
     want = interventional_distribution(m, {"X": 1}).prob_of({"Y": 1})
     assert float(out.strip()) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("at", ["X=5,Y=1", "X=-1,Y=1", "X=1,X=0,Y=1"])
+def test_eval_rejects_bad_assignment(capsys, tmp_path, at):
+    formula_file = tmp_path / "f.json"
+    formula_file.write_text(render(CondProb(["Y"], ["X"]), "json"))
+    table_file = tmp_path / "t.csv"
+    table_file.write_text(JointTable(("X", "Y"), np.full((2, 2), 0.25)).to_csv())
+    code, out, err = run_cli(capsys, "eval", str(formula_file), str(table_file),
+                             "--at", at)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_simulate_smoke(capsys):

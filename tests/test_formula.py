@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdag import (CondProb, Fraction, JointTable, ONE, Product, Sum,
-                  ZeroConditioningMass, equivalent_on, evaluate,
-                  parse_formula_json, render, simplify)
-from cdag.formula import FormulaError, free_vars, sum_over
+import itertools
 
-from randutil import random_table, rng_for
+from cdag import (CondProb, Fraction, Identified, JointTable, ONE, Product, Sum,
+                  ZeroConditioningMass, equivalent_on, evaluate, identify,
+                  parse_formula_json, render, simplify)
+from cdag.formula import FormulaError, free_vars, sum_over, tabulate
+
+import oracles
+from randutil import random_cdag, random_disjoint_sets, random_table, rng_for
 
 
 def frontdoor_expr():
@@ -58,6 +61,29 @@ def test_evaluate_missing_assignment():
     t = JointTable(("X",), np.array([0.5, 0.5]))
     with pytest.raises(FormulaError):
         evaluate(CondProb(["X"]), t, {})
+
+
+def test_evaluate_rejects_out_of_range_state():
+    t = JointTable(("X",), np.array([0.5, 0.5]))
+    for state in (2, -1):
+        with pytest.raises(FormulaError, match="outside 0..1"):
+            evaluate(CondProb(["X"]), t, {"X": state})
+
+
+def test_free_names_sharing_a_table_variable():
+    # X and X' both stand for table variable X, and cluster Z overlaps
+    # its member Z1: the views read the cells where the names agree.
+    rng = rng_for(27)
+    t = random_table(rng, ("X", "Z1", "Z2"), (2, 3, 2))
+    clusters = {"Z": ("Z1", "Z2")}
+    e = Product([CondProb(["X"]), CondProb(["X'"], ["Z"]), CondProb(["Z1"])])
+    for state in itertools.product(range(2), range(3), range(2)):
+        assignment = dict(zip(("X", "Z1", "Z2"), state))
+        assert evaluate(e, t, assignment, clusters) == pytest.approx(
+            oracles.evaluate(e, t, assignment, clusters), abs=1e-12)
+    same = Product([CondProb(["X"]), CondProb(["X"], ["Z"]), CondProb(["Z1"])])
+    assert equivalent_on(e, same, t, clusters)
+    assert not equivalent_on(e, Product([CondProb(["X"]), CondProb(["Z1"])]), t, clusters)
 
 
 def test_zero_conditioning_mass():
@@ -202,6 +228,7 @@ def test_csv_rejects_incomplete():
 def test_tabulate_matches_pointwise_evaluate():
     rng = rng_for(25)
     from cdag.formula import tabulate
+    from oracles import evaluate
     import itertools
     exprs = [frontdoor_expr(), backdoor_expr(),
              Fraction(CondProb(["S", "X"]), CondProb(["X"])),
@@ -217,6 +244,7 @@ def test_tabulate_matches_pointwise_evaluate():
 
 def test_tabulate_cluster_expansion_and_zero_mode():
     from cdag.formula import tabulate
+    from oracles import evaluate
     probs = np.zeros((2, 2, 2))
     probs[0, 0, 0] = 0.5
     probs[1, 1, 1] = 0.5
@@ -240,3 +268,59 @@ def test_sum_over_empty_is_identity():
 def test_condprob_rejects_overlap():
     with pytest.raises(FormulaError):
         CondProb(["X"], ["X"])
+
+
+def table_with_zeros(rng, variables):
+    """A binary joint table with about half of its cells set to zero."""
+    probs = rng.dirichlet(np.ones(2 ** len(variables)))
+    probs[rng.random(probs.size) < 0.5] = 0.0
+    probs[rng.integers(probs.size)] += 0.5
+    return JointTable(tuple(variables), (probs / probs.sum()).reshape((2,) * len(variables)))
+
+
+def test_evaluate_matches_pointwise_oracle():
+    # Identified expressions from random cluster graphs, evaluated on the
+    # cluster names themselves and, through a cluster map, on one or two
+    # member variables per cluster.
+    rng = rng_for(43)
+    oracle_raised = {"names": 0, "members": 0}
+    expressions = 0
+    while expressions < 30:
+        c = random_cdag(rng, int(rng.integers(3, 6)))
+        x, y = random_disjoint_sets(rng, c.graph.nodes, 2, min_sizes=[1, 1])
+        result = identify(c, sorted(x), sorted(y))
+        if not isinstance(result, Identified):
+            continue
+        expressions += 1
+        e = result.expr
+        cluster_map = {n: tuple(f"{n}_{i}" for i in range(int(rng.integers(1, 3))))
+                       for n in c.graph.nodes}
+        for kind, clusters in (("names", None), ("members", cluster_map)):
+            def members(n):
+                return clusters[n] if clusters else (n,)
+
+            table_vars = [v for n in c.graph.nodes for v in members(n)]
+            free = sorted(v for n in x | y for v in members(n))
+            full = random_table(rng, table_vars, (2,) * len(table_vars))
+            for t in (full, table_with_zeros(rng, table_vars)):
+                for state in itertools.product(range(2), repeat=len(free)):
+                    a = dict(zip(free, state))
+                    assert evaluate(e, t, a, clusters, "zero") == pytest.approx(
+                        oracles.evaluate(e, t, a, clusters, "zero"), abs=1e-12)
+                    try:
+                        want = oracles.evaluate(e, t, a, clusters)
+                    except ZeroConditioningMass:
+                        assert t is not full
+                        oracle_raised[kind] += 1
+                        with pytest.raises(ZeroConditioningMass):
+                            evaluate(e, t, a, clusters)
+                        continue
+                    try:
+                        got = evaluate(e, t, a, clusters)
+                    except ZeroConditioningMass:
+                        # The oracle stops a product at its first zero
+                        # factor, so it can skip a later zero-mass factor.
+                        assert t is not full
+                        continue
+                    assert got == pytest.approx(want, abs=1e-12)
+    assert min(oracle_raised.values()) > 0, oracle_raised

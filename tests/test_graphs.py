@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdag import Admg, CycleError, GraphError, UnknownNodeError
-from cdag.graphs import m_separated_brute_force
 
+from oracles import m_separated_brute_force
 from randutil import random_admg, random_query, rng_for
 
 

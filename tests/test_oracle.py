@@ -12,6 +12,14 @@ from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy, expand
 from randutil import rng_for
 
 
+def empirical_counts_loop(cards, data):
+    """Reference: the flat cell index built one column at a time."""
+    flat_index = np.zeros(len(data), dtype=np.int64)
+    for i, c in enumerate(cards):
+        flat_index = flat_index * c + data[:, i]
+    return np.bincount(flat_index, minlength=int(np.prod(cards)))
+
+
 def binary_cards(g):
     return {v: 2 for v in g.nodes}
 
@@ -276,3 +284,20 @@ def test_counterfactual_drug_response_identity(backdoor_cdag):
         p_z = t.prob_of({"X": 1, **z}) / t.prob_of({"X": 1})
         rhs += p_y * p_z
     assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def test_empirical_table_matches_column_loop():
+    rng = rng_for(71)
+    for cards in ((2,), (3, 2), (2, 4, 3, 2, 5)):
+        names = [f"V{i}" for i in range(len(cards))]
+        for n in (1, 7, 2000):
+            data = np.stack([rng.integers(0, c, n) for c in cards], axis=1)
+            want = empirical_counts_loop(cards, data).reshape(cards) / n
+            assert np.array_equal(empirical_table(names, cards, data).probs, want)
+
+
+def test_empirical_table_rejects_out_of_range_states():
+    for bad in (2, -1):
+        data = np.array([[0, 1], [1, bad]], dtype=np.int64)
+        with pytest.raises(ValueError):
+            empirical_table(["A", "B"], [2, 2], data)
