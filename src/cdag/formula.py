@@ -148,26 +148,36 @@ def sum_over(bound: Iterable[str], body: ProbExpr) -> ProbExpr:
     return Sum(bound, body)
 
 
-def free_vars(e: ProbExpr) -> frozenset:
-    """Variables occurring free in ``e`` (bound names shadow outer ones)."""
-
-    def walk(node, scope):
-        if isinstance(node, _One):
-            return frozenset()
-        if isinstance(node, CondProb):
-            return frozenset(v for v in node.target + node.given if v not in scope)
-        if isinstance(node, Product):
-            out = frozenset()
-            for f in node.factors:
-                out |= walk(f, scope)
-            return out
-        if isinstance(node, Sum):
-            return walk(node.body, scope | set(node.bound))
-        if isinstance(node, Fraction):
-            return walk(node.numerator, scope) | walk(node.denominator, scope)
+def _free_vars(node, cache):
+    # Bottom-up, free(Σ_B body) = free(body) - B.  ``cache`` maps id(node)
+    # to (node, free set); holding the node keeps its id from being reused
+    # while the cache lives.
+    hit = cache.get(id(node))
+    if hit is not None:
+        return hit[1]
+    if isinstance(node, CondProb):
+        out = frozenset(node.target + node.given)
+    elif isinstance(node, Product):
+        out = frozenset().union(*[_free_vars(f, cache) for f in node.factors])
+    elif isinstance(node, Sum):
+        out = _free_vars(node.body, cache).difference(node.bound)
+    elif isinstance(node, Fraction):
+        out = _free_vars(node.numerator, cache) | _free_vars(node.denominator, cache)
+    elif isinstance(node, _One):
+        out = frozenset()
+    else:
         raise TypeError(f"not a ProbExpr: {node!r}")
+    cache[id(node)] = (node, out)
+    return out
 
-    return walk(e, frozenset())
+
+def free_vars(e: ProbExpr) -> frozenset:
+    """Variables occurring free in ``e`` (bound names shadow outer ones).
+
+    Computed bottom-up, once per node object: a sub-expression shared by
+    several parents is processed once, not once per reference.
+    """
+    return _free_vars(e, {})
 
 
 def _base_name(name: str) -> str:
@@ -192,6 +202,8 @@ def alpha_normalize(e: ProbExpr, reserved: Iterable[str] = ()) -> ProbExpr:
         if isinstance(node, _One):
             return node
         if isinstance(node, CondProb):
+            if env.keys().isdisjoint(node.target + node.given):
+                return node
             return CondProb([env.get(v, v) for v in node.target],
                             [env.get(v, v) for v in node.given])
         if isinstance(node, Product):
@@ -202,8 +214,11 @@ def alpha_normalize(e: ProbExpr, reserved: Iterable[str] = ()) -> ProbExpr:
             env2 = dict(env)
             renamed = []
             for v in node.bound:
+                # a binding puts its name in ``used``, so a name is kept only
+                # where no enclosing sum binds it: ``env`` holds renames only
                 nv = fresh(v)
-                env2[v] = nv
+                if nv != v:
+                    env2[v] = nv
                 renamed.append(nv)
             return Sum(renamed, walk(node.body, env2))
         raise TypeError(f"not a ProbExpr: {node!r}")
@@ -215,10 +230,10 @@ def alpha_normalize(e: ProbExpr, reserved: Iterable[str] = ()) -> ProbExpr:
 # simplification
 # ---------------------------------------------------------------------------
 
-def _flatten_product(node):
+def _flatten_product(node, memo, fv):
     out = []
     for f in node.factors:
-        f = _simplify(f)
+        f = _simplify(f, memo, fv)
         if isinstance(f, Product):
             out.extend(f.factors)
         elif f is not ONE:
@@ -254,14 +269,24 @@ def _cancel(num_factors, den_factors):
     return num, den
 
 
-def _simplify(node):
+def _simplify(node, memo, fv):
+    # One rewrite pass over a DAG: each distinct node object is rewritten
+    # once.  ``memo`` maps id(node) to (node, result) and ``fv`` caches
+    # free variables the same way; both live for one pass only.
+    hit = memo.get(id(node))
+    if hit is None:
+        hit = memo[id(node)] = (node, _rewrite(node, memo, fv))
+    return hit[1]
+
+
+def _rewrite(node, memo, fv):
     if isinstance(node, (_One, CondProb)):
         return node
     if isinstance(node, Product):
-        return product_of(_flatten_product(node))
+        return product_of(_flatten_product(node, memo, fv))
     if isinstance(node, Fraction):
-        num = _simplify(node.numerator)
-        den = _simplify(node.denominator)
+        num = _simplify(node.numerator, memo, fv)
+        den = _simplify(node.denominator, memo, fv)
         if den is ONE:
             return num
         if num == den:
@@ -273,16 +298,18 @@ def _simplify(node):
             return product_of(num_factors)
         return Fraction(product_of(num_factors), product_of(den_factors))
     if isinstance(node, Sum):
-        body = _simplify(node.body)
+        body = _simplify(node.body, memo, fv)
         bound = list(node.bound)
         if isinstance(body, Sum) and not set(bound) & set(body.bound):
             bound += list(body.bound)
             body = body.body
         # Normalization: a factor P(t|g) whose targets are bound here and
         # occur nowhere else in the body sums to one and can be dropped.
+        # Only the bound variables' counts are read, so only they are kept.
         factors = list(body.factors) if isinstance(body, Product) else [body]
-        fvs = [free_vars(f) for f in factors]
-        uses = Counter(v for fv in fvs for v in fv)
+        bound_set = frozenset(bound)
+        fvs = [_free_vars(f, fv) & bound_set for f in factors]
+        uses = Counter(itertools.chain.from_iterable(fvs))
         changed = True
         while changed:
             changed = False
@@ -314,13 +341,16 @@ def simplify(e: ProbExpr, reserved: Iterable[str] = ()) -> ProbExpr:
     Rules: flatten products and drop unit factors, merge nested sums,
     cancel identical factors in fractions, collapse conditional ratios,
     and drop normalized factors under their own sums.  The result is
-    idempotent and evaluation-equivalent to the input.
+    idempotent and evaluation-equivalent to the input.  Each rewrite
+    pass handles a sub-expression shared by several parents once; the
+    fixpoint comparison between passes and the final renaming still walk
+    the result as a tree.
     """
     previous = None
     current = e
     while current != previous:
         previous = current
-        current = _simplify(current)
+        current = _simplify(current, {}, {})
     return alpha_normalize(current, reserved)
 
 
@@ -384,9 +414,13 @@ class JointTable:
     @classmethod
     def from_csv(cls, text: str) -> "JointTable":
         rows = [line.strip() for line in text.strip().splitlines() if line.strip()]
+        if not rows:
+            raise FormulaError("CSV is empty; expected a header ending in 'p'")
         header = rows[0].split(",")
         if header[-1] != "p":
             raise FormulaError("last CSV column must be the probability column 'p'")
+        if len(rows) == 1:
+            raise FormulaError("CSV has a header but no rows")
         variables = tuple(header[:-1])
         states = []
         values = []
@@ -394,7 +428,10 @@ class JointTable:
             cells = line.split(",")
             if len(cells) != len(header):
                 raise FormulaError(f"bad CSV row: {line!r}")
-            states.append(tuple(int(c) for c in cells[:-1]))
+            state = tuple(int(c) for c in cells[:-1])
+            if any(s < 0 for s in state):
+                raise FormulaError(f"negative state in CSV row: {line!r}")
+            states.append(state)
             values.append(float(cells[-1]))
         cards = tuple(max(s[i] for s in states) + 1 for i in range(len(variables)))
         expected = int(np.prod(cards)) if variables else 1

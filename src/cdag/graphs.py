@@ -41,13 +41,13 @@ class Admg:
     construction time, so every Admg instance is valid thereafter.
     """
 
-    __slots__ = ("nodes", "directed", "bidirected", "_parents", "_children",
-                 "_siblings", "_topo", "_hash")
+    __slots__ = ("nodes", "directed", "bidirected", "_node_set", "_parents",
+                 "_children", "_siblings", "_topo", "_hash")
 
     def __init__(self, nodes: Iterable[str], directed: Iterable[Tuple[str, str]] = (),
                  bidirected: Iterable[Tuple[str, str]] = ()):
         self.nodes: Tuple[str, ...] = tuple(sorted(set(nodes)))
-        node_set = set(self.nodes)
+        node_set = self._node_set = frozenset(self.nodes)
 
         dir_edges = set()
         for tail, head in directed:
@@ -142,7 +142,7 @@ class Admg:
 
     def _check_members(self, s):
         s = frozenset(s)
-        unknown = s - set(self.nodes)
+        unknown = s - self._node_set
         if unknown:
             raise UnknownNodeError(f"unknown node(s): {sorted(unknown)}")
         return s
@@ -167,32 +167,32 @@ class Admg:
     def ancestors(self, s: Iterable[str]) -> FrozenSet[str]:
         """Transitive closure of parents, excluding ``s`` itself."""
         s = self._check_members(s)
-        seen = set(s)
-        frontier = set(s)
-        while frontier:
-            nxt = set()
-            for v in frontier:
-                nxt |= self._parents[v] - seen
-            seen |= nxt
-            frontier = nxt
-        return frozenset(seen - s)
+        return self._reach(s, self._parents, self._node_set) - s
 
     def descendants(self, s: Iterable[str]) -> FrozenSet[str]:
         s = self._check_members(s)
-        seen = set(s)
-        frontier = set(s)
-        while frontier:
-            nxt = set()
-            for v in frontier:
-                nxt |= self._children[v] - seen
-            seen |= nxt
-            frontier = nxt
-        return frozenset(seen - s)
+        return self._reach(s, self._children, self._node_set) - s
 
     def ancestral_closure(self, s: Iterable[str]) -> FrozenSet[str]:
         """``s`` together with all its ancestors (a closed set under ancestors)."""
-        s = self._check_members(s)
-        return frozenset(s | self.ancestors(s))
+        return self._reach(self._check_members(s), self._parents, self._node_set)
+
+    @staticmethod
+    def _reach(s: Iterable[str], links, within) -> FrozenSet[str]:
+        """``s`` and every node reached from it along ``links`` (one of the
+        adjacency maps ``_parents``, ``_children``, ``_siblings``) without
+        leaving ``within``, unchecked.  For ``s`` inside ``within`` this is
+        the ancestral closure, descendant closure or c-component union of
+        ``s`` in the subgraph ``within`` induces, found without building
+        that subgraph."""
+        seen = set(s)
+        frontier = list(seen)
+        while frontier:
+            for w in links[frontier.pop()]:
+                if w in within and w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        return frozenset(seen)
 
     def topological_order(self) -> Tuple[str, ...]:
         """Deterministic topological order (Kahn, lexicographic tie break)."""
@@ -232,18 +232,10 @@ class Admg:
         seen = set()
         comps = []
         for v in self.nodes:
-            if v in seen:
-                continue
-            comp = {v}
-            frontier = [v]
-            while frontier:
-                u = frontier.pop()
-                for w in self._siblings[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        frontier.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
+            if v not in seen:
+                comp = self._reach([v], self._siblings, self._node_set)
+                seen |= comp
+                comps.append(comp)
         comps.sort(key=lambda c: min(c))
         return tuple(comps)
 

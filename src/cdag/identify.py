@@ -22,9 +22,9 @@ variable-level graph where the same query fails.
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Tuple, Union
 
-from .graphs import Admg, GraphError
+from .graphs import Admg, GraphError, UnknownNodeError
 from .cluster import ClusterDag
-from .formula import (CondProb, Fraction, ONE, ProbExpr, free_vars, product_of,
+from .formula import (CondProb, Fraction, ProbExpr, free_vars, product_of,
                       simplify, sum_over)
 
 
@@ -118,10 +118,21 @@ def _validate_query(c: ClusterDag, x, y):
 
 def ancestral_reduce(c: ClusterDag, x: Iterable[str], y: Iterable[str]) -> FrozenSet[str]:
     """Ancestral closure of ``y`` in the subgraph over the clusters not in ``x``."""
-    x = frozenset(x)
+    keep = frozenset(c.graph.nodes) - frozenset(x)
     y = frozenset(y)
-    sub = c.graph.induced(set(c.graph.nodes) - x)
-    return sub.ancestral_closure(y)
+    if not y <= keep:
+        raise UnknownNodeError(f"unknown node(s): {sorted(y - keep)}")
+    return _ancestral_reduce(c.graph, keep, y)
+
+
+def _ancestral_reduce(graph: Admg, keep: FrozenSet[str], y: FrozenSet[str]) -> FrozenSet[str]:
+    # An(y) in the subgraph ``keep`` induces, read from ``graph``'s links.
+    return graph._reach(y, graph._parents, keep)
+
+
+def _district(graph: Admg, s: Iterable[str], within: FrozenSet[str]) -> FrozenSet[str]:
+    # Union of the c-components meeting ``s`` in the subgraph ``within`` induces.
+    return graph._reach(s, graph._siblings, within)
 
 
 def _chain_factor(order: Tuple[str, ...], members: Iterable[str]) -> ProbExpr:
@@ -151,20 +162,19 @@ def _identify_component(graph: Admg, order: Tuple[str, ...],
     """Identify Q[target] from Q[scope], recursing on subgraph structure.
 
     ``target`` is bidirected-connected and contained in ``scope``, which
-    is itself a c-component of the graph under consideration.  Raises
-    :class:`_HedgeFound` when the ancestors of the target fill the whole
-    scope without equalling it.
+    is itself a c-component of the graph under consideration.  The
+    subgraphs are read through ``graph``'s links restricted to ``scope``
+    and to the closure, never built.  Raises :class:`_HedgeFound` when
+    the ancestors of the target fill the whole scope without equalling it.
     """
-    sub = graph.induced(scope)
-    closure = sub.ancestral_closure(target)
+    closure = _ancestral_reduce(graph, scope, target)
     if closure == target:
         return sum_over(sorted(scope - target), q_expr)
     if closure == scope:
         raise _HedgeFound(target, scope)
 
     q_closure = sum_over(sorted(scope - closure), q_expr)
-    closure_graph = graph.induced(closure)
-    component = next(comp for comp in closure_graph.c_components() if target <= comp)
+    component = _district(graph, target, closure)
 
     # Factor of the refined component, as telescoping prefix ratios of
     # Q[closure] under the global topological order.
@@ -187,17 +197,20 @@ def _run(c: ClusterDag, x: FrozenSet[str], y: FrozenSet[str]) -> ProbExpr:
     # Line 2 of ID: only the ancestors of Y matter.  Kahn's lexicographic
     # order on an ancestral set is the restriction of the full order, so
     # the chain factors below only lose conditioning on non-ancestors.
-    c = ClusterDag(c.graph.induced(c.graph.ancestral_closure(y)))
-    x = x & frozenset(c.graph.nodes)
-    graph = c.graph
+    graph = c.graph.induced(c.graph.ancestral_closure(y))
+    nodes = frozenset(graph.nodes)
+    x = x & nodes
     order = graph.topological_order()
-    reduced = ancestral_reduce(c, x, y)
-    reduced_comps = graph.induced(reduced).c_components()
-    full_comps = graph.c_components()
+    reduced = _ancestral_reduce(graph, nodes - x, y)
 
-    factors = []
-    for comp in reduced_comps:
-        enclosing = next(s for s in full_comps if comp <= s)
+    # One factor per c-component of G[reduced], by smallest member.
+    factors, seen = [], set()
+    for v in sorted(reduced):
+        if v in seen:
+            continue
+        comp = _district(graph, [v], reduced)
+        seen |= comp
+        enclosing = _district(graph, comp, nodes)
         base = _chain_factor(order, enclosing)
         factors.append(_identify_component(graph, order, comp, enclosing, base))
     expr = sum_over(sorted(reduced - y), product_of(factors))

@@ -28,7 +28,9 @@ from .formula import JointTable
 
 
 class StateSpaceCapError(ValueError):
-    """An exact enumeration would exceed the configured state-space cap."""
+    """An exact enumeration would exceed the configured state-space cap.
+
+    The message starts with the public function that tripped the cap."""
 
 
 def _cap() -> int:
@@ -72,7 +74,7 @@ class _Factor:
                        np.take(self.values, value, axis=axis))
 
 
-def _join(a: _Factor, b: _Factor, cap: int) -> _Factor:
+def _join(a: _Factor, b: _Factor, cap: int, phase: str) -> _Factor:
     names = a.names + tuple(n for n in b.names if n not in a.names)
     size = 1
     dims_a = {n: d for n, d in zip(a.names, a.values.shape)}
@@ -81,7 +83,7 @@ def _join(a: _Factor, b: _Factor, cap: int) -> _Factor:
         size *= dims_a.get(n, dims_b.get(n))
         if size > cap:
             raise StateSpaceCapError(
-                f"intermediate table over {len(names)} axes exceeds the cap "
+                f"{phase}: intermediate table over {len(names)} axes exceeds the cap "
                 f"({cap} entries); raise CDAG_STATE_CAP to allow it")
 
     def view(f):
@@ -99,7 +101,7 @@ def _sum_out(f: _Factor, name: str) -> _Factor:
 
 
 def _contract(factors: List[_Factor], priors: Dict[str, np.ndarray],
-              keep: Sequence[str]) -> np.ndarray:
+              keep: Sequence[str], phase: str) -> np.ndarray:
     """Sum the product of the factors over every prior-weighted axis,
     returning a dense array over ``keep`` in that exact order.
 
@@ -143,17 +145,17 @@ def _contract(factors: List[_Factor], priors: Dict[str, np.ndarray],
             remaining = group[absorbed:]
             for name in sorted(acc.names):
                 if name in sum_axes and not any(name in f.names for f in remaining):
-                    acc = _sum_out(_join(acc, _Factor((name,), priors[name]), cap),
+                    acc = _sum_out(_join(acc, _Factor((name,), priors[name]), cap, phase),
                                    name)
             if not remaining:
                 break
-            acc = _join(acc, remaining[0], cap)
+            acc = _join(acc, remaining[0], cap, phase)
             absorbed += 1
         results.append(acc)
 
     result = _Factor((), np.array(1.0))
     for f in results:
-        result = _join(result, f, cap)
+        result = _join(result, f, cap, phase)
     missing = [n for n in keep if n not in result.names]
     if missing:
         raise GraphError(f"contraction lost axes {missing}")
@@ -335,22 +337,22 @@ def random_cbn(g: Admg, cards: Dict[str, int], seed: int,
 # exact distributions
 # ---------------------------------------------------------------------------
 
-def _check_output_cap(cards: Iterable[int]):
+def _check_output_cap(cards: Iterable[int], phase: str):
     size = 1
     for c in cards:
         size *= c
     if size > _cap():
-        raise StateSpaceCapError(f"joint state space of {size} entries exceeds "
+        raise StateSpaceCapError(f"{phase}: joint state space of {size} entries exceeds "
                                  f"the cap ({_cap()}); raise CDAG_STATE_CAP")
 
 
 def joint_distribution(m: DiscreteCbn) -> JointTable:
     """Exact observational distribution over the endogenous variables."""
     keep = m.graph.nodes
-    _check_output_cap(m.cards[v] for v in keep)
+    _check_output_cap((m.cards[v] for v in keep), "joint_distribution")
     factors = [m._variable_factor(v, collapse_private=True)
                for v in m.graph.topological_order()]
-    probs = _contract(factors, m.exo_dists, keep)
+    probs = _contract(factors, m.exo_dists, keep, "joint_distribution")
     return JointTable(keep, probs)
 
 
@@ -365,7 +367,7 @@ def interventional_distribution(m: DiscreteCbn, x: Dict[str, int]) -> JointTable
         if not 0 <= val < m.cards[v]:
             raise GraphError(f"value {val} out of range for {v!r}")
     keep = tuple(v for v in m.graph.nodes if v not in x)
-    _check_output_cap(m.cards[v] for v in keep)
+    _check_output_cap((m.cards[v] for v in keep), "interventional_distribution")
     factors = []
     for v in m.graph.topological_order():
         if v in x:
@@ -375,7 +377,7 @@ def interventional_distribution(m: DiscreteCbn, x: Dict[str, int]) -> JointTable
             if parent in x:
                 f = f.fix(parent, x[parent])
         factors.append(f)
-    probs = _contract(factors, m.exo_dists, keep)
+    probs = _contract(factors, m.exo_dists, keep, "interventional_distribution")
     return JointTable(keep, probs)
 
 
@@ -443,7 +445,7 @@ def _macro_factor(m: DiscreteCbn, members: Sequence[str]) -> _Factor:
     cap = _cap()
     for v in members:
         f = m._variable_factor(v, collapse_private=False)
-        factor = f if factor is None else _join(factor, f, cap)
+        factor = f if factor is None else _join(factor, f, cap, "cluster_factorization_check")
     member_axes = tuple(factor.names.index(v) for v in members)
     totals = factor.values.sum(axis=member_axes)
     if not np.allclose(totals, 1.0, atol=1e-9):
@@ -484,7 +486,7 @@ def cluster_factorization_check(m: DiscreteCbn, p: Partition,
                 if var in x_assign:
                     f = f.fix(var, x_assign[var])
             factors.append(f)
-        rhs = _contract(factors, m.exo_dists, keep)
+        rhs = _contract(factors, m.exo_dists, keep, "cluster_factorization_check")
         worst = max(worst, float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0)
     return worst
 
@@ -611,8 +613,8 @@ def counterfactual_prob(model, events: Sequence[Tuple[Dict, Dict]]) -> float:
     for name in names:
         size *= base.exo_cards[name]
     if size > _cap():
-        raise StateSpaceCapError(f"exogenous state space of {size} entries exceeds "
-                                 f"the cap ({_cap()})")
+        raise StateSpaceCapError(f"counterfactual_prob: exogenous state space of {size} "
+                                 f"entries exceeds the cap ({_cap()})")
 
     total = 0.0
     for state in itertools.product(*(range(base.exo_cards[n]) for n in names)):

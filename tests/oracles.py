@@ -1,22 +1,27 @@
 """Reference implementations that the tests compare the library against.
 
-Both are deliberately naive and independent of the code they check:
+They are deliberately naive and independent of the code they check:
 
 * :func:`evaluate` walks an expression pointwise, looping over every
   joint value of each bound variable; the library evaluates through the
   vectorized :func:`cdag.formula.tabulate`.
 * :func:`m_separated_brute_force` enumerates every path; the library's
   :meth:`cdag.graphs.Admg.m_separated` is a reachability search.
+* :func:`simplify`, :func:`free_vars` and :func:`alpha_normalize` walk an
+  expression as a tree, so a sub-expression shared by several parents is
+  rewritten once per reference and free variables are recomputed at
+  every sum; the library processes each shared node once.
 
 They are exponential and meant for small inputs only.
 """
 
 import itertools
-from typing import Dict, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from cdag.formula import (CondProb, Fraction, FormulaError, JointTable, ProbExpr,
+from cdag.formula import (ONE, CondProb, Fraction, FormulaError, JointTable, ProbExpr,
                           Product, Sum, UnknownVariableError, ZeroConditioningMass,
-                          _base_name, _One, free_vars, render)
+                          _base_name, _cancel, _One, product_of, render)
 from cdag.graphs import Admg, GraphError
 
 
@@ -67,7 +72,8 @@ def evaluate(e: ProbExpr, t: JointTable, assignment: Dict[str, int],
         for name in node.target + node.given:
             for var, val in zip(resolve(name), context[name]):
                 if var in pairs:
-                    raise FormulaError(f"variable {var!r} indexed twice in P({node})")
+                    raise FormulaError(f"variable {var!r} indexed twice in "
+                                       f"{render(node, 'text')}")
                 pairs[var] = val
         given_pairs = {}
         for name in node.given:
@@ -78,7 +84,7 @@ def evaluate(e: ProbExpr, t: JointTable, assignment: Dict[str, int],
             if zero_division == "zero":
                 return 0.0
             raise ZeroConditioningMass(
-                f"conditioning event has zero probability in P({render(node, 'text')})")
+                f"conditioning event has zero probability in {render(node, 'text')}")
         return t.prob_of(pairs) / denom
 
     def walk(node):
@@ -175,3 +181,140 @@ def m_separated_brute_force(g: Admg, x, y, z=()) -> bool:
             if dfs(w, head_fwd, frozenset({s, w})):
                 return False
     return True
+
+
+# -- the tree-walking simplifier ----------------------------------------------
+
+def free_vars(e: ProbExpr) -> frozenset:
+    """Variables occurring free in ``e`` (bound names shadow outer ones)."""
+
+    def walk(node, scope):
+        if isinstance(node, _One):
+            return frozenset()
+        if isinstance(node, CondProb):
+            return frozenset(v for v in node.target + node.given if v not in scope)
+        if isinstance(node, Product):
+            out = frozenset()
+            for f in node.factors:
+                out |= walk(f, scope)
+            return out
+        if isinstance(node, Sum):
+            return walk(node.body, scope | set(node.bound))
+        if isinstance(node, Fraction):
+            return walk(node.numerator, scope) | walk(node.denominator, scope)
+        raise TypeError(f"not a ProbExpr: {node!r}")
+
+    return walk(e, frozenset())
+
+
+def alpha_normalize(e: ProbExpr, reserved: Iterable[str] = ()) -> ProbExpr:
+    """Rename bound variables so they are unique across the expression and
+    disjoint from the free variables, priming names as needed.  Names in
+    ``reserved`` are treated as taken even when they do not occur free
+    (identification reserves its query variables this way)."""
+    used = set(free_vars(e)) | set(reserved)
+
+    def fresh(name):
+        candidate = name
+        while candidate in used:
+            candidate += "'"
+        used.add(candidate)
+        return candidate
+
+    def walk(node, env):
+        if isinstance(node, _One):
+            return node
+        if isinstance(node, CondProb):
+            return CondProb([env.get(v, v) for v in node.target],
+                            [env.get(v, v) for v in node.given])
+        if isinstance(node, Product):
+            return Product([walk(f, env) for f in node.factors])
+        if isinstance(node, Fraction):
+            return Fraction(walk(node.numerator, env), walk(node.denominator, env))
+        if isinstance(node, Sum):
+            env2 = dict(env)
+            renamed = []
+            for v in node.bound:
+                nv = fresh(v)
+                env2[v] = nv
+                renamed.append(nv)
+            return Sum(renamed, walk(node.body, env2))
+        raise TypeError(f"not a ProbExpr: {node!r}")
+
+    return walk(e, {})
+
+
+def _flatten_product(node):
+    out = []
+    for f in node.factors:
+        f = _simplify(f)
+        if isinstance(f, Product):
+            out.extend(f.factors)
+        elif f is not ONE:
+            out.append(f)
+    return out
+
+
+def _simplify(node):
+    if isinstance(node, (_One, CondProb)):
+        return node
+    if isinstance(node, Product):
+        return product_of(_flatten_product(node))
+    if isinstance(node, Fraction):
+        num = _simplify(node.numerator)
+        den = _simplify(node.denominator)
+        if den is ONE:
+            return num
+        if num == den:
+            return ONE
+        num_factors = list(num.factors) if isinstance(num, Product) else [num]
+        den_factors = list(den.factors) if isinstance(den, Product) else [den]
+        num_factors, den_factors = _cancel(num_factors, den_factors)
+        if not den_factors:
+            return product_of(num_factors)
+        return Fraction(product_of(num_factors), product_of(den_factors))
+    if isinstance(node, Sum):
+        body = _simplify(node.body)
+        bound = list(node.bound)
+        if isinstance(body, Sum) and not set(bound) & set(body.bound):
+            bound += list(body.bound)
+            body = body.body
+        # Normalization: a factor P(t|g) whose targets are bound here and
+        # occur nowhere else in the body sums to one and can be dropped.
+        factors = list(body.factors) if isinstance(body, Product) else [body]
+        fvs = [free_vars(f) for f in factors]
+        uses = Counter(v for fv in fvs for v in fv)
+        changed = True
+        while changed:
+            changed = False
+            for i, f in enumerate(factors):
+                if not isinstance(f, CondProb):
+                    continue
+                targets = set(f.target)
+                if not targets <= set(bound):
+                    continue
+                # f holds each of its targets once, so a count above one
+                # means the target occurs in a sibling.
+                if any(uses[t] > 1 for t in targets):
+                    continue
+                factors.pop(i)
+                uses.subtract(fvs.pop(i))
+                bound = [v for v in bound if v not in targets]
+                changed = True
+                break
+        body = product_of(factors)
+        if not bound:
+            return body
+        return Sum(bound, body)
+    raise TypeError(f"not a ProbExpr: {node!r}")
+
+
+def simplify(e: ProbExpr, reserved: Iterable[str] = ()) -> ProbExpr:
+    """Apply the rewrite rules of :func:`_simplify` to a fixpoint, then
+    normalize names."""
+    previous = None
+    current = e
+    while current != previous:
+        previous = current
+        current = _simplify(current)
+    return alpha_normalize(current, reserved)

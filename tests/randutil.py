@@ -24,6 +24,40 @@ def random_cdag(rng, n_clusters, p_dir=0.4, p_bi=0.25):
     return ClusterDag(random_admg(rng, n_clusters, p_dir, p_bi, prefix="C"))
 
 
+def sweep_query(rng, kind, n):
+    """A singleton cluster DAG with a query (x, y), shaped like the graphs
+    of the ``identify`` benchmark sweep.
+
+    y is a sink and x another node.  In a ``"sparse"`` graph a random half
+    of the other nodes are ancestors of y, in a ``"dense"`` one all are;
+    every node takes one earlier parent from its own side, and every
+    childless ancestor points at a later one.  Bidirected paths through
+    random blocks of 10 (sparse) or 12 (dense) nodes make large districts.
+    """
+    order = [f"V{i}" for i in rng.permutation(n)]
+    y = order[-1]
+    if kind == "dense":
+        ancestors = set(order)
+    else:
+        ancestors = set(rng.choice(order[:-1], size=(n - 1) // 2, replace=False)) | {y}
+    directed = set()
+    for i, v in enumerate(order[1:], start=1):
+        side = [u for u in order[:i] if (u in ancestors) == (v in ancestors)]
+        if side:
+            directed.add((side[int(rng.integers(len(side)))], v))
+    tails = {t for t, _ in directed}
+    for i, v in enumerate(order[:-1]):
+        if v in ancestors and v not in tails:
+            later = [u for u in order[i + 1:] if u in ancestors]
+            directed.add((v, later[int(rng.integers(len(later)))]))
+    shuffled = [order[i] for i in rng.permutation(n)]
+    block = 12 if kind == "dense" else 10
+    bidirected = [pair for s in range(0, n, block)
+                  for pair in zip(shuffled[s:s + block], shuffled[s + 1:s + block])]
+    x = order[int(rng.integers(n - 1))]
+    return ClusterDag(Admg(order, sorted(directed), bidirected)), x, y
+
+
 def random_disjoint_sets(rng, names, k, min_sizes=None):
     """``k`` disjoint (possibly empty) subsets of ``names``."""
     names = list(names)

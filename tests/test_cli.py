@@ -224,6 +224,22 @@ def test_eval_rejects_bad_assignment(capsys, tmp_path, at):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("table, message", [
+    ("X,p\n1,0.0\n-1,1.0\n", "negative state in CSV row: '-1,1.0'"),
+    ("", "CSV is empty; expected a header ending in 'p'"),
+    ("X,p\n", "CSV has a header but no rows"),
+], ids=["negative_state", "empty", "header_only"])
+def test_eval_rejects_bad_table(capsys, tmp_path, table, message):
+    formula_file = tmp_path / "f.json"
+    formula_file.write_text(render(CondProb(["X"]), "json"))
+    table_file = tmp_path / "t.csv"
+    table_file.write_text(table)
+    code, out, err = run_cli(capsys, "eval", str(formula_file), str(table_file),
+                             "--at", "X=1")
+    assert (code, out) == (3, "")
+    assert err == f"error: {message}\n"
+
+
 def test_simulate_smoke(capsys):
     code, out, _ = run_cli(capsys, "simulate", path("backdoor.cdag"),
                            "-x", "X", "-y", "Y", "--sizes", "Z=3",
@@ -302,6 +318,17 @@ def test_simulate_bad_state_cap_is_input_error(capsys, monkeypatch, value):
     assert code == 3
     assert out == ""
     assert err == f"error: CDAG_STATE_CAP must be a positive integer, got '{value}'\n"
+
+
+def test_simulate_state_cap_error_names_the_phase(capsys, monkeypatch):
+    monkeypatch.setenv("CDAG_STATE_CAP", "8")
+    code, out, err = run_cli(capsys, "simulate", path("backdoor.cdag"),
+                             "-x", "X", "-y", "Y", "--sizes", "Z=2",
+                             "--diagrams", "1", "--datasets", "1",
+                             "--n", "100", "--seed", "5")
+    assert (code, out) == (3, "")
+    assert err == ("error: joint_distribution: joint state space of 16 entries "
+                   "exceeds the cap (8); raise CDAG_STATE_CAP\n")
 
 
 def test_console_entry_point():

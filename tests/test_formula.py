@@ -7,10 +7,11 @@ import itertools
 from cdag import (CondProb, Fraction, Identified, JointTable, ONE, Product, Sum,
                   ZeroConditioningMass, equivalent_on, evaluate, identify,
                   parse_formula_json, render, simplify)
-from cdag.formula import FormulaError, free_vars, sum_over, tabulate
+from cdag.formula import FormulaError, alpha_normalize, free_vars, sum_over, tabulate
+from cdag.identify import _HedgeFound, _run
 
 import oracles
-from randutil import random_cdag, random_disjoint_sets, random_table, rng_for
+from randutil import random_cdag, random_disjoint_sets, random_table, rng_for, sweep_query
 
 
 def frontdoor_expr():
@@ -95,6 +96,15 @@ def test_zero_conditioning_mass():
     assert evaluate(e, t, {"X": 1, "Y": 0}, zero_division="zero") == 0.0
 
 
+def test_oracle_messages_render_the_node_once():
+    t = JointTable(("X", "Y"), np.array([[0.5, 0.5], [0.0, 0.0]]))
+    with pytest.raises(ZeroConditioningMass,
+                       match=r"^conditioning event has zero probability in P\(y\|x\)$"):
+        oracles.evaluate(CondProb(["Y"], ["X"]), t, {"X": 1, "Y": 0})
+    with pytest.raises(FormulaError, match=r"^variable 'X' indexed twice in P\(x\|x'\)$"):
+        oracles.evaluate(CondProb(["X"], ["X'"]), t, {"X": 0, "Y": 0})
+
+
 def test_simplify_unit_product():
     e = Product([ONE, CondProb(["Y"], ["X"])])
     assert simplify(e) == CondProb(["Y"], ["X"])
@@ -158,6 +168,54 @@ def test_simplify_idempotent():
               Fraction(CondProb(["A", "B"]), CondProb(["B"]))):
         once = simplify(e)
         assert simplify(once) == once
+
+
+def assert_matches_tree_reference(e, reserved):
+    assert free_vars(e) == oracles.free_vars(e)
+    assert alpha_normalize(e, reserved) == oracles.alpha_normalize(e, reserved)
+    got, want = simplify(e, reserved), oracles.simplify(e, reserved)
+    assert got == want
+    for fmt in ("text", "json"):
+        assert render(got, fmt) == render(want, fmt)
+    assert free_vars(got) == oracles.free_vars(got)
+
+
+@pytest.mark.parametrize("kind, n", [("sparse", n) for n in (10, 20, 40, 60)]
+                         + [("dense", n) for n in (20, 40, 60)])
+def test_simplify_matches_tree_reference_on_identification(kind, n):
+    # Before simplification, every prefix sum of a refined c-factor is
+    # shared by the two ratios that use it, so these are DAGs.
+    rng = rng_for(n + (1000 if kind == "dense" else 0))
+    checked = 0
+    for _ in range(10):
+        c, x, y = sweep_query(rng, kind, n)
+        try:
+            e = _run(c, frozenset([x]), frozenset([y]))
+        except _HedgeFound:
+            continue
+        assert_matches_tree_reference(e, {x, y})
+        checked += 1
+    assert checked >= 3
+
+
+def shared_subexpressions():
+    a = Sum(["A"], Product([CondProb(["A"], ["B"]), CondProb(["C"], ["A"])]))
+    prefixes = [CondProb(["D"], ["A", "B", "C"])]
+    for v in ("C", "B", "A"):
+        prefixes.append(Sum([v], prefixes[-1]))
+    ratios = Product([Fraction(prefixes[i], prefixes[i + 1]) for i in range(3)])
+    rebound = Sum(["A"], Product([CondProb(["A"]), Sum(["A"], CondProb(["B"], ["A"])), a]))
+    deep = CondProb(["B"], ["A"])
+    for _ in range(5):
+        deep = Product([Fraction(Sum(["A"], deep), deep), Sum(["B"], deep)])
+    return [Product([a, a]), Fraction(a, Sum(["C"], a)), ratios, Sum(["D"], ratios),
+            rebound, Product([rebound, ratios, rebound]), deep, Sum(["C"], Product([a, deep]))]
+
+
+@pytest.mark.parametrize("reserved", [(), ("A",), ("B", "D")])
+def test_simplify_matches_tree_reference_on_shared_subexpressions(reserved):
+    for e in shared_subexpressions():
+        assert_matches_tree_reference(e, set(reserved))
 
 
 def test_render_text_golden():

@@ -53,6 +53,12 @@ def test_ancestors_med_example(med_admg):
     assert med_admg.ancestors(["Y"]) == {"X", "D", "S", "B", "C", "A"}
 
 
+def test_ancestors_exclude_every_query_node():
+    g = Admg(["A", "B", "C"], [("A", "B"), ("B", "C")])
+    assert g.ancestors(["B", "C"]) == {"A"}
+    assert g.descendants(["A", "B"]) == {"C"}
+
+
 def test_descendants_chain():
     g = Admg(["A", "B", "C"], [("A", "B"), ("B", "C")])
     assert g.descendants(["A"]) == {"B", "C"}

@@ -9,7 +9,7 @@ from cdag import (Admg, ClusterDag, CondProb, EmptyInterventionError, Identified
                   evaluate, find_hedge, hedge_expansion_witness, identify,
                   interventional_distribution, joint_distribution,
                   observational_marginal, q_factor, random_cbn, render,
-                  singleton_cdag)
+                  singleton_cdag, UnknownNodeError)
 from cdag.cli import main
 from cdag.graphs import GraphError
 
@@ -255,6 +255,11 @@ def test_ancestral_reduce_drops_isolated():
 
 def test_ancestral_reduce_frontdoor(frontdoor_cdag):
     assert ancestral_reduce(frontdoor_cdag, ["X"], ["Y"]) == {"S", "Y", "Z"}
+
+
+def test_ancestral_reduce_rejects_target_in_x(frontdoor_cdag):
+    with pytest.raises(UnknownNodeError, match=r"\['X'\]"):
+        ancestral_reduce(frontdoor_cdag, ["X"], ["X", "Y"])
 
 
 def test_empty_intervention_rejected(backdoor_cdag):

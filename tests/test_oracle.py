@@ -122,6 +122,25 @@ def test_state_space_cap(monkeypatch, med_admg):
         joint_distribution(m)
 
 
+# Each cap lets the earlier phases of the same call through: at 128 both
+# distributions fit, and only the cluster factor or the noise space trips.
+CAP_PHASES = {
+    "joint_distribution": (64, lambda m, p: joint_distribution(m)),
+    "interventional_distribution": (64, lambda m, p: interventional_distribution(m, {"X": 1})),
+    "cluster_factorization_check": (128, lambda m, p: cluster_factorization_check(m, p, ["X"])),
+    "counterfactual_prob": (128, lambda m, p: counterfactual_prob(m, [({"Y": 1}, {"X": 0})])),
+}
+
+
+@pytest.mark.parametrize("phase", sorted(CAP_PHASES))
+def test_state_space_cap_names_the_function(monkeypatch, med_admg, med_partition, phase):
+    cap, call = CAP_PHASES[phase]
+    monkeypatch.setenv("CDAG_STATE_CAP", str(cap))
+    m = random_cbn(med_admg, binary_cards(med_admg), seed=16, deterministic=True)
+    with pytest.raises(StateSpaceCapError, match=f"^{phase}: "):
+        call(m, med_partition)
+
+
 def test_factorization_check_singleton_partition(med_admg):
     m = random_cbn(med_admg, binary_cards(med_admg), seed=17)
     p = Partition.singletons(med_admg.nodes)
