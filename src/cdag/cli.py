@@ -36,7 +36,8 @@ from .formula import (FormulaError, JointTable, evaluate, parse_formula_json,
 from .identify import Identified, identify
 from .oracle import (StateSpaceCapError, empirical_table, joint_distribution,
                      random_cbn, sample_dataset)
-from .sampler import CrossPolicy, ExpansionSpec, InternalPolicy, expand, sample_batch
+from .sampler import (CrossPolicy, ExpansionSpec, InternalPolicy, _derive_seed, expand,
+                      sample_batch)
 
 
 class ParseError(ValueError):
@@ -104,9 +105,9 @@ class ParsedGraph:
 
     kind: str                      # "admg" or "cdag"
     cdag: ClusterDag
+    member_hints: Dict[str, Tuple[str, ...]]   # cluster -> member variables
     admg: Optional[Admg] = None
     partition: Optional[Partition] = None
-    member_hints: Optional[Dict[str, Tuple[str, ...]]] = None
 
 
 def parse_graph(text: str) -> ParsedGraph:
@@ -195,29 +196,13 @@ def parse_graph(text: str) -> ParsedGraph:
 
 def render_graph_file(parsed: ParsedGraph) -> str:
     """Canonical text for a parsed graph; parsing it back is the identity."""
-    lines = []
-    if parsed.kind == "admg":
-        graph = parsed.admg
-        singles = {name for name, mem in parsed.partition.blocks
-                   if mem == (name,)}
-        for name, members in parsed.partition.blocks:
-            if name not in singles:
-                lines.append(f"cluster {_quote(name)} = {{ "
-                             + " ".join(_quote(v) for v in members) + " }")
-    else:
-        graph = parsed.cdag.graph
-        hints = parsed.member_hints or {}
-        for name in graph.nodes:
-            members = hints.get(name, (name,))
-            if members != (name,):
-                lines.append(f"cluster {_quote(name)} = {{ "
-                             + " ".join(_quote(v) for v in members) + " }")
-    for v in graph.nodes:
-        if parsed.kind == "cdag" and (parsed.member_hints or {}).get(v, (v,)) != (v,):
-            continue
-        if parsed.kind == "admg" and parsed.partition.cluster_of(v) != v:
-            continue
-        lines.append(f"node {_quote(v)}")
+    graph = parsed.admg or parsed.cdag.graph
+    hints = parsed.member_hints
+    lines = [f"cluster {_quote(name)} = {{ " + " ".join(_quote(v) for v in members) + " }"
+             for name, members in sorted(hints.items()) if members != (name,)]
+    # a node line declares a variable (or a bare cluster) that is its own
+    # singleton cluster; every other variable is declared by its cluster
+    lines += [f"node {_quote(v)}" for v in graph.nodes if hints.get(v) == (v,)]
     for t, h in sorted(graph.directed):
         lines.append(f"edge {_quote(t)} -> {_quote(h)}")
     for a, b in sorted(graph.bidirected):
@@ -235,16 +220,20 @@ def _load(path: str) -> ParsedGraph:
 
 
 def _parse_sizes(text: Optional[str], parsed: ParsedGraph) -> Dict[str, int]:
-    sizes = {}
-    hints = parsed.member_hints or {}
-    for name in parsed.cdag.graph.nodes:
-        sizes[name] = len(hints.get(name, (name,)))
-    if text:
-        for piece in text.split(","):
-            if "=" not in piece:
-                raise FormulaError(f"bad --sizes entry {piece!r}; expected NAME=COUNT")
-            name, count = piece.split("=", 1)
-            sizes[name.strip()] = int(count)
+    sizes = {name: len(members) for name, members in parsed.member_hints.items()}
+    for piece in text.split(",") if text else ():
+        name, eq, count = piece.partition("=")
+        name = name.strip()
+        if not eq:
+            raise FormulaError(f"bad --sizes entry {piece!r}; expected NAME=COUNT")
+        if name not in sizes:
+            raise FormulaError(f"--sizes names {name!r}, which is not a cluster "
+                               "of the file")
+        try:
+            sizes[name] = int(count)
+        except ValueError:
+            raise FormulaError(f"--sizes count for {name!r} must be an integer, "
+                               f"got {count!r}") from None
     return sizes
 
 
@@ -321,7 +310,8 @@ def _cmd_expand(args) -> int:
                          cross=_cross_policy(args), seed=args.seed)
     graph, partition = expand(parsed.cdag, spec)
     print(render_graph_file(ParsedGraph(kind="admg", cdag=build_cdag(graph, partition),
-                                        admg=graph, partition=partition)), end="")
+                                        admg=graph, partition=partition,
+                                        member_hints=partition.to_cluster_map())), end="")
     return 0
 
 
@@ -355,11 +345,6 @@ def _effect(expr, table, x_vars, y_vars, clusters, lenient=False):
         return float(arr[tuple(assign[v] for v in variables)])
 
     return at(1) - at(0)
-
-
-def _derive(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=key)
-               .generate_state(1, np.uint64)[0])
 
 
 def _sample_sizes(text: str) -> List[int]:
@@ -401,7 +386,7 @@ def _cmd_simulate(args) -> int:
         if cdag_expr is None or not isinstance(result, Identified):
             continue
         cards = {v: 2 for v in graph.nodes}
-        model = random_cbn(graph, cards, seed=_derive(args.seed, index, 1))
+        model = random_cbn(graph, cards, seed=_derive_seed(args.seed, index, 1))
         clusters = partition.to_cluster_map()
         exact = joint_distribution(model)
         effect_c = _effect(cdag_expr, exact, var_x, var_y, clusters)
@@ -410,7 +395,7 @@ def _cmd_simulate(args) -> int:
         for n_index, n in enumerate(ns):
             for rep in range(args.datasets):
                 data = sample_dataset(model, n,
-                                      seed=_derive(args.seed, index, 2, n_index, rep))
+                                      seed=_derive_seed(args.seed, index, 2, n_index, rep))
                 emp = empirical_table(graph.nodes, [2] * len(graph.nodes), data)
                 eff_c = _effect(cdag_expr, emp, var_x, var_y, clusters, lenient=True)
                 eff_g = _effect(result.expr, emp, var_x, var_y, None, lenient=True)
@@ -432,6 +417,18 @@ def _cmd_simulate(args) -> int:
 def _add_set_arg(parser, flag, help_text, required=False):
     parser.add_argument(flag, nargs="+", default=None, required=required,
                         metavar="NAME", help=help_text)
+
+
+def _add_expansion_args(parser, cross_density):
+    # the policies and seed of sampler.expand, shared by expand and simulate
+    parser.add_argument("--policy", choices=["random", "chain", "full", "empty"],
+                        default="random")
+    parser.add_argument("--edge-density", type=float, default=0.5)
+    parser.add_argument("--bidirected-density", type=float, default=0.3)
+    parser.add_argument("--cross", choices=["minimal_witness", "random", "full"],
+                        default="random")
+    parser.add_argument("--cross-density", type=float, default=cross_density)
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,14 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="sample a compatible variable-level graph")
     p.add_argument("file")
     p.add_argument("--sizes", default=None, help="e.g. Z=10,X=1")
-    p.add_argument("--policy", choices=["random", "chain", "full", "empty"],
-                   default="random")
-    p.add_argument("--edge-density", type=float, default=0.5)
-    p.add_argument("--bidirected-density", type=float, default=0.3)
-    p.add_argument("--cross", choices=["minimal_witness", "random", "full"],
-                   default="random")
-    p.add_argument("--cross-density", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    _add_expansion_args(p, cross_density=0.5)
     p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("eval", help="evaluate a formula on a joint table")
@@ -498,14 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagrams", type=int, default=20)
     p.add_argument("--datasets", type=int, default=20)
     p.add_argument("--n", default="5000,10000,50000")
-    p.add_argument("--policy", choices=["random", "chain", "full", "empty"],
-                   default="random")
-    p.add_argument("--edge-density", type=float, default=0.5)
-    p.add_argument("--bidirected-density", type=float, default=0.3)
-    p.add_argument("--cross", choices=["minimal_witness", "random", "full"],
-                   default="random")
-    p.add_argument("--cross-density", type=float, default=0.15)
-    p.add_argument("--seed", type=int, default=0)
+    _add_expansion_args(p, cross_density=0.15)
     p.set_defaults(func=_cmd_simulate)
 
     return parser

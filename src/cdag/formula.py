@@ -372,7 +372,7 @@ class JointTable:
         if np.any(probs < 0):
             raise FormulaError("negative probability entries")
         total = float(probs.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:    # NaN fails this test too
             raise FormulaError(f"probabilities sum to {total!r}, not 1")
         self.variables = variables
         self.cards = tuple(probs.shape)
@@ -447,6 +447,45 @@ class JointTable:
 # evaluation
 # ---------------------------------------------------------------------------
 
+class _Factor:
+    """A named-axis array: axis ``i`` of ``values`` is ``names[i]``.
+
+    Shared by :func:`tabulate` and the exact oracle, whose products and
+    sums both broadcast by axis name."""
+
+    __slots__ = ("names", "values")
+
+    def __init__(self, names: Sequence, values: np.ndarray):
+        self.names = tuple(names)
+        self.values = values
+
+    def fix(self, name, value: int) -> "_Factor":
+        axis = self.names.index(name)
+        return _Factor(self.names[:axis] + self.names[axis + 1:],
+                       np.take(self.values, value, axis=axis))
+
+    def sum_out(self, drop) -> "_Factor":
+        """Sum over the axes named in ``drop``, in one ``sum`` call."""
+        axes = tuple(i for i, n in enumerate(self.names) if n in drop)
+        if not axes:
+            return self
+        return _Factor([n for n in self.names if n not in drop],
+                       self.values.sum(axis=axes))
+
+
+def _product(a: _Factor, b: _Factor) -> _Factor:
+    # Broadcast product over the union of the axes, ``a``'s first.
+    names = a.names + tuple(n for n in b.names if n not in a.names)
+    dims = dict(zip(b.names, b.values.shape)) | dict(zip(a.names, a.values.shape))
+
+    def view(f):
+        perm = [f.names.index(n) for n in names if n in f.names]
+        arr = np.transpose(f.values, perm)
+        return arr.reshape([dims[n] if n in f.names else 1 for n in names])
+
+    return _Factor(names, view(a) * view(b))
+
+
 def _tabulate(e, t, clusters, zero_division):
     # The values of ``e`` at every free-variable assignment; in "raise"
     # mode a cell whose value needs a zero-mass conditioning event is NaN.
@@ -469,16 +508,8 @@ def _tabulate(e, t, clusters, zero_division):
     def axes_of(names):
         return [(n, m) for n in names for m in resolve(n)]
 
-    def join(a_axes, a_arr, b_axes, b_arr):
-        axes = list(a_axes) + [ax for ax in b_axes if ax not in a_axes]
-
-        def view(f_axes, arr):
-            perm = [f_axes.index(ax) for ax in axes if ax in f_axes]
-            arr = np.transpose(arr, perm)
-            shape = [t.card(ax[1]) if ax in f_axes else 1 for ax in axes]
-            return arr.reshape(shape)
-
-        return axes, view(a_axes, a_arr) * view(b_axes, b_arr)
+    def ones(axes):
+        return _Factor(axes, np.ones([t.card(m) for _, m in axes]))
 
     def divide(num, den):
         # NaN (0 in "zero" mode) where the denominator has no mass; NaN
@@ -494,45 +525,36 @@ def _tabulate(e, t, clusters, zero_division):
 
     def walk(node):
         if isinstance(node, _One):
-            return [], np.array(1.0)
+            return _Factor((), np.array(1.0))
         if isinstance(node, CondProb):
             all_axes = axes_of(node.target + node.given)
-            given_axes = axes_of(node.given)
             if len({m for _, m in all_axes}) != len(all_axes):
                 raise FormulaError(f"variable indexed twice in {render(node, 'text')}")
-            joint_vars = [m for _, m in all_axes]
-            num = t.marginal(joint_vars)
+            num = t.marginal([m for _, m in all_axes])
             # marginal axes come in table order; label then reorder
             table_order = [ax for v in t.variables for ax in all_axes if ax[1] == v]
-            perm = [table_order.index(ax) for ax in all_axes]
-            num = np.transpose(num, perm)
-            if not given_axes:
-                return all_axes, num
-            den_axes, den = walk(CondProb([n for n in node.given]))
-            _, den_view = join(all_axes, np.ones_like(num), den_axes, den)
-            return all_axes, divide(num, den_view)
+            num = np.transpose(num, [table_order.index(ax) for ax in all_axes])
+            if not node.given:
+                return _Factor(all_axes, num)
+            den = _product(_Factor(all_axes, np.ones_like(num)), walk(CondProb(node.given)))
+            return _Factor(all_axes, divide(num, den.values))
         if isinstance(node, Product):
-            axes, arr = [], np.array(1.0)
+            acc = _Factor((), np.array(1.0))
             for f in node.factors:
-                f_axes, f_arr = walk(f)
-                axes, arr = join(axes, arr, f_axes, f_arr)
-            return axes, arr
+                acc = _product(acc, walk(f))
+            return acc
         if isinstance(node, Fraction):
-            n_axes, n_arr = walk(node.numerator)
-            d_axes, d_arr = walk(node.denominator)
-            axes = list(n_axes) + [ax for ax in d_axes if ax not in n_axes]
-            _, num = join(axes, np.ones([t.card(m) for _, m in axes]), n_axes, n_arr)
-            _, den = join(axes, np.ones([t.card(m) for _, m in axes]), d_axes, d_arr)
-            return axes, divide(num, den)
+            num, den = walk(node.numerator), walk(node.denominator)
+            axes = num.names + tuple(ax for ax in den.names if ax not in num.names)
+            return _Factor(axes, divide(_product(ones(axes), num).values,
+                                        _product(ones(axes), den).values))
         if isinstance(node, Sum):
-            axes, arr = walk(node.body)
-            drop = [i for i, (n, _) in enumerate(axes) if n in node.bound]
-            arr = arr.sum(axis=tuple(drop)) if drop else arr
-            return [ax for i, ax in enumerate(axes) if i not in drop], arr
+            body = walk(node.body)
+            return body.sum_out([ax for ax in body.names if ax[0] in node.bound])
         raise TypeError(f"not a ProbExpr: {node!r}")
 
-    axes, arr = walk(e)
-    return tuple(m for _, m in axes), arr
+    result = walk(e)
+    return tuple(m for _, m in result.names), result.values
 
 
 def tabulate(e: ProbExpr, t: JointTable,
@@ -605,56 +627,38 @@ def equivalent_on(e1: ProbExpr, e2: ProbExpr, t: JointTable,
 # rendering
 # ---------------------------------------------------------------------------
 
-def _sub(name: str) -> str:
-    return name if len(name) == 1 else "{" + name + "}"
+# A rendering style: variable separator, conditioning bar, parentheses,
+# the head of a sum given its bound names, and the fraction form.
+_TEXT = (",", "|", "(", ")", lambda b: f"Σ_{b}" if len(b) == 1 else f"Σ_{{{b}}}",
+         "[{} / {}]")
+_LATEX = (", ", " \\mid ", "\\left(", "\\right)", "\\sum_{{{}}}".format,
+          "\\frac{{{}}}{{{}}}")
 
 
-def _render_text(node, prec=0):
+def _render(node, style, prec=0):
     # prec 0: bare; 1: trailing position in a product (a sum may extend
     # rightward without parentheses); 2: must be atomic.
+    sep, bar, left, right, sum_head, fraction = style
     if isinstance(node, _One):
         return "1"
     if isinstance(node, CondProb):
-        head = ",".join(v.lower() for v in node.target)
+        head = sep.join(v.lower() for v in node.target)
         if node.given:
-            return f"P({head}|{','.join(v.lower() for v in node.given)})"
+            head += bar + sep.join(v.lower() for v in node.given)
         return f"P({head})"
-    if isinstance(node, Product):
-        parts = [_render_text(f, 2) for f in node.factors[:-1]]
-        parts.append(_render_text(node.factors[-1], min(prec, 1)))
-        inner = " ".join(parts)
-        return f"({inner})" if prec >= 2 else inner
-    if isinstance(node, Sum):
-        body = _render_text(node.body, 1)
-        out = f"Σ_{_sub(','.join(v.lower() for v in node.bound))} {body}"
-        return f"({out})" if prec >= 2 else out
     if isinstance(node, Fraction):
-        return (f"[{_render_text(node.numerator, 0)} / "
-                f"{_render_text(node.denominator, 0)}]")
-    raise TypeError(f"not a ProbExpr: {node!r}")
-
-
-def _render_latex(node, prec=0):
-    if isinstance(node, _One):
-        return "1"
-    if isinstance(node, CondProb):
-        head = ", ".join(v.lower() for v in node.target)
-        if node.given:
-            return f"P({head} \\mid {', '.join(v.lower() for v in node.given)})"
-        return f"P({head})"
+        return fraction.format(_render(node.numerator, style),
+                               _render(node.denominator, style))
     if isinstance(node, Product):
-        parts = [_render_latex(f, 2) for f in node.factors[:-1]]
-        parts.append(_render_latex(node.factors[-1], min(prec, 1)))
-        inner = " ".join(parts)
-        return f"\\left({inner}\\right)" if prec >= 2 else inner
-    if isinstance(node, Sum):
-        body = _render_latex(node.body, 1)
-        out = f"\\sum_{{{', '.join(v.lower() for v in node.bound)}}} {body}"
-        return f"\\left({out}\\right)" if prec >= 2 else out
-    if isinstance(node, Fraction):
-        return (f"\\frac{{{_render_latex(node.numerator, 0)}}}"
-                f"{{{_render_latex(node.denominator, 0)}}}")
-    raise TypeError(f"not a ProbExpr: {node!r}")
+        parts = [_render(f, style, 2) for f in node.factors[:-1]]
+        parts.append(_render(node.factors[-1], style, min(prec, 1)))
+        out = " ".join(parts)
+    elif isinstance(node, Sum):
+        head = sum_head(sep.join(v.lower() for v in node.bound))
+        out = f"{head} {_render(node.body, style, 1)}"
+    else:
+        raise TypeError(f"not a ProbExpr: {node!r}")
+    return left + out + right if prec >= 2 else out
 
 
 def _to_json_obj(node):
@@ -682,12 +686,20 @@ def render(e: ProbExpr, format: str = "text") -> str:
     trips through :func:`parse_formula_json`.
     """
     if format == "text":
-        return _render_text(e)
+        return _render(e, _TEXT)
     if format == "latex":
-        return _render_latex(e)
+        return _render(e, _LATEX)
     if format == "json":
         return json.dumps(_to_json_obj(e), indent=None, separators=(",", ":"))
     raise FormulaError(f"unknown render format {format!r}")
+
+
+def _json_list(owner, key, item=object):
+    value = owner.get(key, []) if isinstance(owner, dict) else None
+    if not isinstance(value, list) or not all(isinstance(v, item) for v in value):
+        of = " of strings" if item is str else ""
+        raise FormulaError(f"formula JSON {key!r} must be a list{of}, got {value!r}")
+    return value
 
 
 def _from_json_obj(obj):
@@ -698,19 +710,18 @@ def _from_json_obj(obj):
         return ONE
     if kind == "condprob":
         v = obj.get("vars", {})
-        return CondProb(v.get("target", []), v.get("given", []))
+        return CondProb(_json_list(v, "target", str), _json_list(v, "given", str))
+    children = [_from_json_obj(ch) for ch in _json_list(obj, "children")]
     if kind == "product":
-        return Product([_from_json_obj(ch) for ch in obj.get("children", [])])
+        return Product(children)
     if kind == "sum":
-        children = obj.get("children", [])
         if len(children) != 1:
             raise FormulaError("sum node needs exactly one child")
-        return Sum(obj.get("vars", {}).get("bound", []), _from_json_obj(children[0]))
+        return Sum(_json_list(obj.get("vars", {}), "bound", str), children[0])
     if kind == "fraction":
-        children = obj.get("children", [])
         if len(children) != 2:
             raise FormulaError("fraction node needs exactly two children")
-        return Fraction(_from_json_obj(children[0]), _from_json_obj(children[1]))
+        return Fraction(*children)
     raise FormulaError(f"unknown formula node kind {kind!r}")
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .graphs import Admg, GraphError
 from .cluster import Partition, build_cdag
-from .formula import JointTable
+from .formula import JointTable, _Factor, _product
 
 
 class StateSpaceCapError(ValueError):
@@ -57,47 +57,13 @@ def _positive_dirichlet(rng: np.random.Generator, size: int,
     return draw / draw.sum(axis=-1, keepdims=True)
 
 
-# ---------------------------------------------------------------------------
-# factors (internal): named-axis arrays with product and sum-out
-# ---------------------------------------------------------------------------
-
-class _Factor:
-    __slots__ = ("names", "values")
-
-    def __init__(self, names: Sequence[str], values: np.ndarray):
-        self.names = tuple(names)
-        self.values = values
-
-    def fix(self, name: str, value: int) -> "_Factor":
-        axis = self.names.index(name)
-        return _Factor(self.names[:axis] + self.names[axis + 1:],
-                       np.take(self.values, value, axis=axis))
-
-
 def _join(a: _Factor, b: _Factor, cap: int, phase: str) -> _Factor:
-    names = a.names + tuple(n for n in b.names if n not in a.names)
-    size = 1
-    dims_a = {n: d for n, d in zip(a.names, a.values.shape)}
-    dims_b = {n: d for n, d in zip(b.names, b.values.shape)}
-    for n in names:
-        size *= dims_a.get(n, dims_b.get(n))
-        if size > cap:
-            raise StateSpaceCapError(
-                f"{phase}: intermediate table over {len(names)} axes exceeds the cap "
-                f"({cap} entries); raise CDAG_STATE_CAP to allow it")
-
-    def view(f):
-        perm = [f.names.index(n) for n in names if n in f.names]
-        arr = np.transpose(f.values, perm)
-        shape = [dims_a.get(n, dims_b.get(n)) if n in f.names else 1 for n in names]
-        return arr.reshape(shape)
-
-    return _Factor(names, view(a) * view(b))
-
-
-def _sum_out(f: _Factor, name: str) -> _Factor:
-    axis = f.names.index(name)
-    return _Factor(f.names[:axis] + f.names[axis + 1:], f.values.sum(axis=axis))
+    new_dims = [d for n, d in zip(b.names, b.values.shape) if n not in a.names]
+    if a.values.size * math.prod(new_dims) > cap:
+        raise StateSpaceCapError(
+            f"{phase}: intermediate table over {len(a.names) + len(new_dims)} axes "
+            f"exceeds the cap ({cap} entries); raise CDAG_STATE_CAP to allow it")
+    return _product(a, b)
 
 
 def _contract(factors: List[_Factor], priors: Dict[str, np.ndarray],
@@ -145,8 +111,8 @@ def _contract(factors: List[_Factor], priors: Dict[str, np.ndarray],
             remaining = group[absorbed:]
             for name in sorted(acc.names):
                 if name in sum_axes and not any(name in f.names for f in remaining):
-                    acc = _sum_out(_join(acc, _Factor((name,), priors[name]), cap, phase),
-                                   name)
+                    prior = _Factor((name,), priors[name])
+                    acc = _join(acc, prior, cap, phase).sum_out((name,))
             if not remaining:
                 break
             acc = _join(acc, remaining[0], cap, phase)
@@ -159,11 +125,9 @@ def _contract(factors: List[_Factor], priors: Dict[str, np.ndarray],
     missing = [n for n in keep if n not in result.names]
     if missing:
         raise GraphError(f"contraction lost axes {missing}")
-    extra = [i for i, n in enumerate(result.names) if n not in keep]
-    values = result.values.sum(axis=tuple(extra)) if extra else result.values
-    names_left = [n for n in result.names if n in keep]
-    perm = [names_left.index(n) for n in keep]
-    return np.transpose(values, perm) if keep else values
+    result = result.sum_out([n for n in result.names if n not in keep])
+    perm = [result.names.index(n) for n in keep]
+    return np.transpose(result.values, perm) if keep else result.values
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +189,21 @@ class DiscreteCbn:
                     if exo_name in mech.exo_parents)
         return count == 1
 
+    def _respond(self, order: Iterable[str], values: Dict[str, int],
+                 exo_assignment: Dict[str, int]) -> Dict[str, int]:
+        # Fill in the response of each variable of ``order`` (parents
+        # first) from the argmax of its CPT row: the value its
+        # deterministic mechanism takes.
+        if self._solve_tables is None:
+            self._solve_tables = {v: np.argmax(mech.cpt, axis=-1)
+                                  for v, mech in self.mechanisms.items()}
+        for v in order:
+            mech = self.mechanisms[v]
+            idx = tuple(values[p] for p in mech.endo_parents) + \
+                tuple(exo_assignment[u] for u in mech.exo_parents)
+            values[v] = int(self._solve_tables[v][idx])
+        return values
+
     def solve(self, exo_assignment: Dict[str, int],
               interventions: Optional[Dict[str, int]] = None) -> Dict[str, int]:
         """Potential response of every variable at a fixed exogenous state."""
@@ -232,32 +211,18 @@ class DiscreteCbn:
             raise GraphError("potential responses need deterministic mechanisms; "
                              "build the model in deterministic mode")
         interventions = interventions or {}
-        if self._solve_tables is None:
-            self._solve_tables = {v: np.argmax(mech.cpt, axis=-1)
-                                  for v, mech in self.mechanisms.items()}
-        values: Dict[str, int] = {}
-        for v in self.graph.topological_order():
-            if v in interventions:
-                values[v] = interventions[v]
-                continue
-            mech = self.mechanisms[v]
-            idx = tuple(values[p] for p in mech.endo_parents) + \
-                tuple(exo_assignment[u] for u in mech.exo_parents)
-            values[v] = int(self._solve_tables[v][idx])
-        return values
+        order = self.graph.topological_order()
+        return self._respond([v for v in order if v not in interventions],
+                             {v: interventions[v] for v in order if v in interventions},
+                             exo_assignment)
 
 
-def _exo_name_edge(a: str, b: str, taken) -> str:
-    name = f"U({a}~{b})"
+def _exo_name(label: str, taken: set) -> str:
+    # A fresh noise name U(label), primed until it is unused, and taken.
+    name = f"U({label})"
     while name in taken:
         name += "'"
-    return name
-
-
-def _exo_name_private(v: str, taken) -> str:
-    name = f"U({v})"
-    while name in taken:
-        name += "'"
+    taken.add(name)
     return name
 
 
@@ -280,16 +245,8 @@ def random_cbn(g: Admg, cards: Dict[str, int], seed: int,
     rng = np.random.default_rng(seed)
 
     taken = set(g.nodes)
-    edge_noise = {}
-    for a, b in sorted(g.bidirected):
-        name = _exo_name_edge(a, b, taken)
-        taken.add(name)
-        edge_noise[(a, b)] = name
-    private_noise = {}
-    for v in g.nodes:
-        name = _exo_name_private(v, taken)
-        taken.add(name)
-        private_noise[v] = name
+    edge_noise = {(a, b): _exo_name(f"{a}~{b}", taken) for a, b in sorted(g.bidirected)}
+    private_noise = {v: _exo_name(v, taken) for v in g.nodes}
 
     exo_cards: Dict[str, int] = {}
     exo_dists: Dict[str, np.ndarray] = {}
@@ -556,15 +513,9 @@ class MacroScm:
         exo_spaces = [range(base.exo_cards[u]) for u in exo]
         local_order = [v for v in base.graph.topological_order() if v in mem]
         for in_state in itertools.product(*input_spaces):
-            env_in = dict(zip(input_vars, in_state))
             for exo_state in itertools.product(*exo_spaces):
-                env_exo = dict(zip(exo, exo_state))
-                values = dict(env_in)
-                for v in local_order:
-                    mech = base.mechanisms[v]
-                    idx = tuple(values[p] for p in mech.endo_parents) + \
-                        tuple(env_exo[u] for u in mech.exo_parents)
-                    values[v] = int(np.argmax(mech.cpt[idx]))
+                values = base._respond(local_order, dict(zip(input_vars, in_state)),
+                                       dict(zip(exo, exo_state)))
                 table[(in_state, exo_state)] = tuple(values[v] for v in mem)
         return table
 
@@ -599,12 +550,7 @@ def counterfactual_prob(model, events: Sequence[Tuple[Dict, Dict]]) -> float:
     for a :class:`MacroScm` they map clusters to member-value tuples.
     Computed by exhaustive enumeration of the exogenous state space.
     """
-    if isinstance(model, MacroScm):
-        base = model.base
-        solve = model.solve
-    else:
-        base = model
-        solve = model.solve
+    base = model.base if isinstance(model, MacroScm) else model
     if not base.deterministic:
         raise GraphError("counterfactual queries need deterministic mechanisms")
 
@@ -621,7 +567,7 @@ def counterfactual_prob(model, events: Sequence[Tuple[Dict, Dict]]) -> float:
         exo = dict(zip(names, state))
         ok = True
         for targets, interventions in events:
-            solution = solve(exo, interventions)
+            solution = model.solve(exo, interventions)
             if any(solution[k] != v for k, v in targets.items()):
                 ok = False
                 break

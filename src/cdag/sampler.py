@@ -154,6 +154,7 @@ def sample_batch(c: ClusterDag, spec: ExpansionSpec, count: int) -> List[Tuple[A
     return out
 
 
-def _derive_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+def _derive_seed(seed: int, *key: int) -> int:
+    """A 64-bit seed keyed by ``(seed, *key)``, independent across keys."""
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=key)
                .generate_state(1, np.uint64)[0])

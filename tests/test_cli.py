@@ -185,6 +185,66 @@ def test_expand_output_reparses(capsys):
     assert parsed.partition.members("Z") == ("Z_1", "Z_2", "Z_3")
 
 
+# Captured before the graph writer's admg and cdag branches were merged.
+GOLDEN_EXPAND_MED = """\
+cluster Z = { Z_1 Z_2 Z_3 Z_4 }
+node S
+node X
+node Y
+edge S -> Y
+edge X -> S
+edge Z_1 -> X
+edge Z_1 -> Y
+edge Z_1 -> Z_4
+edge Z_2 -> X
+edge Z_2 -> Y
+edge Z_2 -> Z_3
+edge Z_3 -> X
+edge Z_3 -> Y
+edge Z_4 -> Y
+edge X <-> Z_1
+edge X <-> Z_2
+edge X <-> Z_3
+edge Y <-> Z_1
+edge Y <-> Z_2
+edge Y <-> Z_4
+edge Z_3 <-> Z_4
+"""
+
+
+def test_expand_golden_bytes(capsys):
+    assert run_cli(capsys, "expand", path("med.admg"), "--sizes", "Z=4",
+                   "--seed", "3") == (0, GOLDEN_EXPAND_MED, "")
+
+
+def test_renamed_singleton_cluster_golden_bytes(capsys, tmp_path):
+    # A cluster-level file whose singleton cluster C is not named after
+    # its member X: the file keeps the cluster line, an expansion does not.
+    text = ("cluster C = { X }\ncluster W = { A B }\nnode Y\n"
+            "edge C -> Y\nedge W -> C\nedge W <-> Y\n")
+    assert render_graph_file(parse_graph(text)) == text
+    f = tmp_path / "renamed.cdag"
+    f.write_text(text)
+    assert run_cli(capsys, "expand", str(f), "--seed", "1") == (0, (
+        "cluster W = { W_1 W_2 }\nnode C\nnode Y\nedge C -> Y\nedge W_1 -> C\n"
+        "edge W_2 -> C\nedge W_1 <-> W_2\nedge W_1 <-> Y\nedge W_2 <-> Y\n"), "")
+
+
+@pytest.mark.parametrize("command", ["expand", "simulate"])
+@pytest.mark.parametrize("sizes, message", [
+    ("Nope=3", "--sizes names 'Nope', which is not a cluster of the file"),
+    ("Z=abc", "--sizes count for 'Z' must be an integer, got 'abc'"),
+    ("Z=2.5", "--sizes count for 'Z' must be an integer, got '2.5'"),
+], ids=["unknown_name", "not_a_number", "fraction"])
+def test_bad_sizes_is_input_error(capsys, command, sizes, message):
+    query = ["-x", "X", "-y", "Y", "--diagrams", "1", "--datasets", "0"] \
+        if command == "simulate" else []
+    code, out, err = run_cli(capsys, command, path("backdoor.cdag"), *query,
+                             "--sizes", sizes)
+    assert (code, out) == (3, "")
+    assert err == f"error: {message}\n"
+
+
 def test_expand_deterministic(capsys):
     a = run_cli(capsys, "expand", path("confounded.cdag"), "--sizes", "Z=4",
                 "--seed", "9")
@@ -228,7 +288,8 @@ def test_eval_rejects_bad_assignment(capsys, tmp_path, at):
     ("X,p\n1,0.0\n-1,1.0\n", "negative state in CSV row: '-1,1.0'"),
     ("", "CSV is empty; expected a header ending in 'p'"),
     ("X,p\n", "CSV has a header but no rows"),
-], ids=["negative_state", "empty", "header_only"])
+    ("X,p\n0,nan\n1,1.0\n", "probabilities sum to nan, not 1"),
+], ids=["negative_state", "empty", "header_only", "nan"])
 def test_eval_rejects_bad_table(capsys, tmp_path, table, message):
     formula_file = tmp_path / "f.json"
     formula_file.write_text(render(CondProb(["X"]), "json"))
@@ -236,6 +297,25 @@ def test_eval_rejects_bad_table(capsys, tmp_path, table, message):
     table_file.write_text(table)
     code, out, err = run_cli(capsys, "eval", str(formula_file), str(table_file),
                              "--at", "X=1")
+    assert (code, out) == (3, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("formula, message", [
+    ('{"kind": "condprob", "vars": {"target": 5}}',
+     "formula JSON 'target' must be a list of strings, got 5"),
+    ('{"kind": "condprob", "vars": {"target": "XY"}}',
+     "formula JSON 'target' must be a list of strings, got 'XY'"),
+    ('{"kind": "product", "children": 5}',
+     "formula JSON 'children' must be a list, got 5"),
+], ids=["target_number", "target_string", "children_number"])
+def test_eval_rejects_bad_formula(capsys, tmp_path, formula, message):
+    formula_file = tmp_path / "f.json"
+    formula_file.write_text(formula)
+    table_file = tmp_path / "t.csv"
+    table_file.write_text(JointTable(("X", "Y"), np.full((2, 2), 0.25)).to_csv())
+    code, out, err = run_cli(capsys, "eval", str(formula_file), str(table_file),
+                             "--at", "X=1,Y=1")
     assert (code, out) == (3, "")
     assert err == f"error: {message}\n"
 

@@ -227,6 +227,16 @@ def test_render_text_golden():
 def test_render_latex():
     out = render(backdoor_expr(), "latex")
     assert out == "\\sum_{z} P(y \\mid x, z) P(z)"
+    assert render(frontdoor_expr(), "latex") == \
+        "\\sum_{s} P(s \\mid x) \\sum_{x'} P(y \\mid s, x') P(x')"
+
+
+def test_render_fraction_golden():
+    e = Product([Fraction(Sum(["AB"], CondProb(["AB", "C"])), CondProb(["C"])),
+                 Sum(["D"], CondProb(["D"])), CondProb(["E"])])
+    assert render(e) == "[Σ_{ab} P(ab,c) / P(c)] (Σ_d P(d)) P(e)"
+    assert render(e, "latex") == ("\\frac{\\sum_{ab} P(ab, c)}{P(c)} "
+                                  "\\left(\\sum_{d} P(d)\\right) P(e)")
 
 
 def test_render_unknown_format():
@@ -245,6 +255,19 @@ def test_json_rejects_garbage():
         parse_formula_json("{not json")
     with pytest.raises(FormulaError):
         parse_formula_json('{"kind": "mystery"}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "condprob", "vars": {"target": 5}}',
+    '{"kind": "condprob", "vars": {"target": "XY"}}',
+    '{"kind": "condprob", "vars": {"target": ["X"], "given": [1]}}',
+    '{"kind": "product", "children": 5}',
+    '{"kind": "sum", "vars": {"bound": "X"}, "children": [{"kind": "one"}]}',
+], ids=["target_number", "target_string", "given_number", "children_number",
+        "bound_string"])
+def test_json_rejects_bad_shapes(text):
+    with pytest.raises(FormulaError, match="must be a list"):
+        parse_formula_json(text)
 
 
 def test_equivalent_on_agrees_with_itself():
@@ -267,6 +290,8 @@ def test_joint_table_validates():
         JointTable(("X",), np.array([0.5, 0.6]))
     with pytest.raises(FormulaError):
         JointTable(("X",), np.array([1.5, -0.5]))
+    with pytest.raises(FormulaError, match="sum to nan"):
+        JointTable(("X",), np.array([np.nan, 1.0]))
 
 
 def test_csv_round_trip():
