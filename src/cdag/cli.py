@@ -20,6 +20,7 @@ error.
 """
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import dataclass
@@ -441,14 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--cdag", default=None,
                    help="cluster DAG file to test compatibility against")
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("dsep", help="d-separation query")
     p.add_argument("file")
     _add_set_arg(p, "-x", "first set", required=True)
     _add_set_arg(p, "-y", "second set", required=True)
     _add_set_arg(p, "-z", "conditioning set")
-    p.set_defaults(func=_cmd_dsep)
 
     p = sub.add_parser("docalc", help="do-calculus rule applicability")
     p.add_argument("file")
@@ -457,26 +456,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_set_arg(p, "-y", "target clusters", required=True)
     _add_set_arg(p, "-z", "candidate clusters", required=True)
     _add_set_arg(p, "-w", "context clusters")
-    p.set_defaults(func=_cmd_docalc)
 
     p = sub.add_parser("identify", help="identify P(y|do(x))")
     p.add_argument("file")
     _add_set_arg(p, "-x", "intervened clusters", required=True)
     _add_set_arg(p, "-y", "target clusters", required=True)
     p.add_argument("--format", choices=["text", "latex", "json"], default="text")
-    p.set_defaults(func=_cmd_identify)
 
     p = sub.add_parser("expand", help="sample a compatible variable-level graph")
     p.add_argument("file")
     p.add_argument("--sizes", default=None, help="e.g. Z=10,X=1")
     _add_expansion_args(p, cross_density=0.5)
-    p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("eval", help="evaluate a formula on a joint table")
     p.add_argument("formula", help="formula JSON file")
     p.add_argument("table", help="joint table CSV file")
     p.add_argument("--at", required=True, help="e.g. x=0,y=1")
-    p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("simulate",
                        help="compare cluster-level and variable-level formulas "
@@ -489,16 +484,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--datasets", type=int, default=20)
     p.add_argument("--n", default="5000,10000,50000")
     _add_expansion_args(p, cross_density=0.15)
-    p.set_defaults(func=_cmd_simulate)
 
     return parser
 
 
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, not bound into the cached parser, so a
+        # rebound ``_cmd_*`` name takes effect
+        return globals()[f"_cmd_{args.command}"](args)
     except (ParseError, OSError, GraphError, PartitionError, FormulaError,
             StateSpaceCapError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

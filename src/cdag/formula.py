@@ -727,7 +727,8 @@ def _from_json_obj(obj):
 
 def parse_formula_json(text: str) -> ProbExpr:
     try:
-        obj = json.loads(text)
+        return _from_json_obj(json.loads(text))
     except json.JSONDecodeError as err:
         raise FormulaError(f"invalid JSON: {err}") from None
-    return _from_json_obj(obj)
+    except RecursionError:
+        raise FormulaError("formula JSON is nested too deeply") from None

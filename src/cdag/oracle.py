@@ -348,16 +348,24 @@ def sample_dataset(m: DiscreteCbn, n: int, seed: int) -> np.ndarray:
     endogenous ones in topological order, each taking the first value whose
     cumulative CPT row exceeds the draw (0 if none does).  Every seed gives
     the same dataset, bit for bit, as drawing the rows one at a time.
+
+    All columns share one block of the narrowest unsigned dtype that holds
+    every value (uint8 up to 256 levels), each CPT row index uses the
+    narrowest one that holds the row count, and one buffer takes every
+    draw, filled as ``rng.random(n)`` would be.  Only the result is int64.
     """
     rng = np.random.default_rng(seed)
-    nodes = m.graph.nodes
-    columns = np.zeros((len(nodes), n), dtype=np.int64)
-    values: Dict[str, np.ndarray] = {}
+    names = m.exo_names + m.graph.nodes
+    # a value counts the levels at or below its draw, so it stays below its card
+    widest = max([*m.exo_cards.values(), *m.cards.values()], default=1)
+    columns = np.zeros((len(names), n), dtype=np.min_scalar_type(widest - 1))
+    values = dict(zip(names, columns))
+    u = np.empty(n)
     for name in m.exo_names:
         cdf = m.exo_dists[name].cumsum()
         cdf /= cdf[-1]
-        u = rng.random(n)
-        values[name] = value = np.zeros(n, dtype=np.int64)
+        rng.random(out=u)
+        value = values[name]
         for level in cdf[:-1]:
             value += level <= u
     for v in m.graph.topological_order():
@@ -366,17 +374,19 @@ def sample_dataset(m: DiscreteCbn, n: int, seed: int) -> np.ndarray:
         # rows are nondecreasing, so the first level above u is the count
         # of levels at or below it.
         levels = mech.cpt.cumsum(axis=-1).reshape(-1, m.cards[v]).T.copy()
-        row = np.zeros(n, dtype=np.int64)
+        # holds the row count itself, so each axis length fits as a scalar too
+        row = np.zeros(n, dtype=np.min_scalar_type(levels.shape[1]))
         for p, dim in zip(mech.endo_parents + mech.exo_parents, mech.cpt.shape):
             row *= dim
             row += values[p]
-        u = rng.random(n)
-        values[v] = value = columns[nodes.index(v)]
+        row = row.astype(np.intp)
+        rng.random(out=u)
+        value = values[v]
         for level in levels[:-1]:
             value += level[row] <= u
         if n and levels[-1].min() <= u.max():
             value[levels[-1][row] <= u] = 0
-    return columns.T.copy()
+    return columns[len(m.exo_names):].T.astype(np.int64, order="C")
 
 
 def empirical_table(m_nodes: Sequence[str], cards: Sequence[int],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cdag import CondProb, JointTable, random_cbn, joint_distribution, render
+from cdag import cli
 from cdag.cli import ParseError, main, parse_graph, render_graph_file
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -318,6 +319,33 @@ def test_eval_rejects_bad_formula(capsys, tmp_path, formula, message):
                              "--at", "X=1,Y=1")
     assert (code, out) == (3, "")
     assert err == f"error: {message}\n"
+
+
+def test_eval_rejects_deeply_nested_formula(capsys, tmp_path):
+    # nested deeper than the interpreter's recursion limit
+    leaf = '{"kind": "condprob", "vars": {"target": ["X"], "given": []}}'
+    formula_file = tmp_path / "f.json"
+    formula_file.write_text('{"kind": "product", "children": [' * 2000 + leaf + "]}" * 2000)
+    table_file = tmp_path / "t.csv"
+    table_file.write_text(JointTable(("X",), np.array([0.4, 0.6])).to_csv())
+    code, out, err = run_cli(capsys, "eval", str(formula_file), str(table_file), "--at", "X=1")
+    assert (code, out) == (3, "")
+    assert err == "error: formula JSON is nested too deeply\n"
+
+
+def test_main_reuses_one_parser(capsys):
+    calls = [("identify", path("frontdoor.cdag"), "-x", "X", "-y", "Y"),
+             ("simulate", path("backdoor.cdag"), "-x", "X", "-y", "Y", "--n", "0"),
+             ("expand", path("med.admg"), "--sizes", "Z=4", "--seed", "3")]
+    fresh = []
+    for argv in calls:
+        cli._main_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [0, 3, 0]
+    parser = cli._main_parser()
+    for _ in range(2):
+        assert [run_cli(capsys, *argv) for argv in calls] == fresh
+    assert cli._main_parser() is parser
 
 
 def test_simulate_smoke(capsys):

@@ -7,14 +7,19 @@ per row).  They live here only as oracles: the library's whole-column
 code must reproduce their output exactly for every seed.
 """
 
+import os
+
 import numpy as np
 import pytest
 
-from cdag import Admg, expand, random_cbn, sample_dataset
+from cdag import Admg, expand, random_cbn, sample_batch, sample_dataset
+from cdag.cli import parse_graph
 from cdag.oracle import DiscreteCbn, Mechanism
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy
 
 from randutil import random_cdag, rng_for
+
+GRAPHS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "graphs")
 
 
 def _reference_row(rng, size):
@@ -141,3 +146,57 @@ def test_sample_dataset_edge_cases_match_reference():
         data = sample_dataset(m, n, seed=n)
         assert np.array_equal(data, reference_sample_dataset(m, n, seed=n))
     assert set(sample_dataset(m, 3000, seed=1)[:, 0]) == {0, 1, 2}
+
+
+def _assert_matches_reference(m, n, seed):
+    data = sample_dataset(m, n, seed)
+    expected = reference_sample_dataset(m, n, seed)
+    assert data.dtype == expected.dtype and data.flags.c_contiguous
+    assert np.array_equal(data, expected)
+
+
+def test_values_wider_than_uint8_match_reference():
+    # A holds 300 levels, so every column needs 16 bits; B's CPT has 300 x 2
+    # rows, C's only 2, so C's row index is narrower than the columns.
+    g = Admg(["A", "B", "C"], directed={("A", "B")})
+    m = random_cbn(g, {"A": 300, "B": 3, "C": 2}, seed=4)
+    for n in (0, 1, 7, 3000):
+        _assert_matches_reference(m, n, seed=n)
+    assert np.ptp(sample_dataset(m, 3000, seed=1)[:, 0]) > 255
+
+
+def test_cpt_with_more_than_65536_rows_matches_reference():
+    # a binary child of 17 binary parents: 2**17 parent rows times its
+    # private noise, so the row index needs more than 16 bits
+    parents = [f"P{i}" for i in range(17)]
+    g = Admg(parents + ["Y"], directed={(p, "Y") for p in parents})
+    m = random_cbn(g, {v: 2 for v in g.nodes}, seed=2)
+    assert m.mechanisms["Y"].cpt.size // 2 > 65536
+    for n in (1, 3000):
+        _assert_matches_reference(m, n, seed=n)
+
+
+def test_axis_as_long_as_the_table_matches_reference():
+    # B's only axis is A's 256 levels: the row count equals the axis length
+    # and both reach past uint8's largest value.
+    g = Admg(["A", "B"], directed={("A", "B")})
+    rng = np.random.default_rng(0)
+    m = DiscreteCbn(g, {"A": 256, "B": 2}, {}, {},
+                    {"A": Mechanism((), (), rng.dirichlet(np.ones(256))),
+                     "B": Mechanism(("A",), (), rng.dirichlet(np.ones(2), size=256))},
+                    deterministic=False)
+    for n in (0, 7, 3000):
+        _assert_matches_reference(m, n, seed=n)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_backdoor_expansion_matches_reference(seed):
+    # the criterion-10 diagrams: Z expanded to 10 variables at the default
+    # bidirected density of 0.3
+    with open(os.path.join(GRAPHS, "backdoor.cdag"), encoding="utf-8") as fh:
+        cdag = parse_graph(fh.read()).cdag
+    spec = ExpansionSpec(sizes={"Z": 10}, internal=InternalPolicy("random", 0.5, 0.3),
+                         cross=CrossPolicy("random", 0.15), seed=seed)
+    (graph, _), = sample_batch(cdag, spec, 1)
+    m = random_cbn(graph, {v: 2 for v in graph.nodes}, seed=seed)
+    _assert_matches_reference(m, 3000, seed=seed)
