@@ -241,31 +241,33 @@ def _flatten_product(node, memo, fv):
     return out
 
 
+def _collapse(num, den):
+    # Collapse one conditional ratio P(a,b|g) / P(b|g) -> P(a|b,g) in
+    # place; False if none applies.
+    for d, (i, n) in itertools.product(den, enumerate(num)):
+        if (isinstance(d, CondProb) and isinstance(n, CondProb) and n.given == d.given
+                and set(d.target) < set(n.target)):
+            num[i] = CondProb(set(n.target) - set(d.target), set(n.given) | set(d.target))
+            den.remove(d)
+            return True
+    return False
+
+
 def _cancel(num_factors, den_factors):
-    # Cancel structurally identical factors, then collapse conditional
-    # ratios P(a,b|g) / P(b|g) -> P(a|b,g).
+    # Cancel structurally identical factors, then collapse ratios.  A
+    # collapse can make a factor identical to one still in the
+    # denominator, so both steps repeat until no collapse fires.
     num = list(num_factors)
     den = list(den_factors)
-    for d in list(den):
-        if d in num:
-            num.remove(d)
-            den.remove(d)
-    changed = True
-    while changed:
-        changed = False
-        for d in den:
-            if not isinstance(d, CondProb):
-                continue
-            for i, n in enumerate(num):
-                if (isinstance(n, CondProb) and n.given == d.given
-                        and set(d.target) < set(n.target)):
-                    rest = tuple(sorted(set(n.target) - set(d.target)))
-                    num[i] = CondProb(rest, set(n.given) | set(d.target))
-                    den.remove(d)
-                    changed = True
-                    break
-            if changed:
-                break
+    collapsed = True
+    while collapsed:
+        for d in list(den):
+            if d in num:
+                num.remove(d)
+                den.remove(d)
+        collapsed = False
+        while _collapse(num, den):
+            collapsed = True
     return num, den
 
 
@@ -280,6 +282,11 @@ def _simplify(node, memo, fv):
 
 
 def _rewrite(node, memo, fv):
+    # Invariant: if every child is in normal form (a fixpoint of
+    # ``_simplify``), so is the result.  A product of normal children
+    # flattens to normal factors that are neither products nor ONE, and
+    # these flatten to themselves again.  A fraction's factors leave
+    # ``_cancel`` with no shared factor and no ratio left to collapse.
     if isinstance(node, (_One, CondProb)):
         return node
     if isinstance(node, Product):
@@ -289,8 +296,6 @@ def _rewrite(node, memo, fv):
         den = _simplify(node.denominator, memo, fv)
         if den is ONE:
             return num
-        if num == den:
-            return ONE
         num_factors = list(num.factors) if isinstance(num, Product) else [num]
         den_factors = list(den.factors) if isinstance(den, Product) else [den]
         num_factors, den_factors = _cancel(num_factors, den_factors)
@@ -298,41 +303,50 @@ def _rewrite(node, memo, fv):
             return product_of(num_factors)
         return Fraction(product_of(num_factors), product_of(den_factors))
     if isinstance(node, Sum):
-        body = _simplify(node.body, memo, fv)
-        bound = list(node.bound)
-        if isinstance(body, Sum) and not set(bound) & set(body.bound):
-            bound += list(body.bound)
-            body = body.body
-        # Normalization: a factor P(t|g) whose targets are bound here and
-        # occur nowhere else in the body sums to one and can be dropped.
-        # Only the bound variables' counts are read, so only they are kept.
-        factors = list(body.factors) if isinstance(body, Product) else [body]
-        bound_set = frozenset(bound)
-        fvs = [_free_vars(f, fv) & bound_set for f in factors]
-        uses = Counter(itertools.chain.from_iterable(fvs))
-        changed = True
-        while changed:
-            changed = False
-            for i, f in enumerate(factors):
-                if not isinstance(f, CondProb):
-                    continue
-                targets = set(f.target)
-                if not targets <= set(bound):
-                    continue
-                # f holds each of its targets once, so a count above one
-                # means the target occurs in a sibling.
-                if any(uses[t] > 1 for t in targets):
-                    continue
-                factors.pop(i)
-                uses.subtract(fvs.pop(i))
-                bound = [v for v in bound if v not in targets]
-                changed = True
-                break
-        body = product_of(factors)
-        if not bound:
-            return body
-        return Sum(bound, body)
+        return _sum_rules(node.bound, _simplify(node.body, memo, fv), fv)
     raise TypeError(f"not a ProbExpr: {node!r}")
+
+
+def _sum_rules(bound, body, fv):
+    # The Sum rules on a normal ``body``: merge a nested sum, then drop
+    # normalized factors.
+    bound = list(bound)
+    if isinstance(body, Sum) and not set(bound) & set(body.bound):
+        bound += list(body.bound)
+        body = body.body
+    # Normalization: a factor P(t|g) whose targets are bound here and
+    # occur nowhere else in the body sums to one and can be dropped.
+    # Only the bound variables' counts are read, so only they are kept.
+    factors = list(body.factors) if isinstance(body, Product) else [body]
+    bound_set = frozenset(bound)
+    fvs = [_free_vars(f, fv) & bound_set for f in factors]
+    uses = Counter(itertools.chain.from_iterable(fvs))
+    changed = True
+    while changed:
+        changed = False
+        for i, f in enumerate(factors):
+            if not isinstance(f, CondProb):
+                continue
+            targets = set(f.target)
+            if not targets <= set(bound):
+                continue
+            # f holds each of its targets once, so a count above one
+            # means the target occurs in a sibling.
+            if any(uses[t] > 1 for t in targets):
+                continue
+            factors.pop(i)
+            uses.subtract(fvs.pop(i))
+            bound = [v for v in bound if v not in targets]
+            changed = True
+            break
+    body = product_of(factors)
+    if not bound:
+        return body
+    if isinstance(body, Sum) and not set(bound) & set(body.bound):
+        # the drops left a lone inner sum that now merges; its body is
+        # already normal, so this re-run is local
+        return _sum_rules(bound, body, fv)
+    return Sum(bound, body)
 
 
 def simplify(e: ProbExpr, reserved: Iterable[str] = ()) -> ProbExpr:
@@ -341,17 +355,12 @@ def simplify(e: ProbExpr, reserved: Iterable[str] = ()) -> ProbExpr:
     Rules: flatten products and drop unit factors, merge nested sums,
     cancel identical factors in fractions, collapse conditional ratios,
     and drop normalized factors under their own sums.  The result is
-    idempotent and evaluation-equivalent to the input.  Each rewrite
-    pass handles a sub-expression shared by several parents once; the
-    fixpoint comparison between passes and the final renaming still walk
-    the result as a tree.
+    idempotent and evaluation-equivalent to the input.  One bottom-up
+    pass reaches a fixpoint, because a rewrite of a node whose children
+    are in normal form returns a node in normal form.  The pass handles
+    a shared sub-expression once; the final renaming walks a tree.
     """
-    previous = None
-    current = e
-    while current != previous:
-        previous = current
-        current = _simplify(current, {}, {})
-    return alpha_normalize(current, reserved)
+    return alpha_normalize(_simplify(e, {}, {}), reserved)
 
 
 # ---------------------------------------------------------------------------

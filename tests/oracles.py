@@ -10,7 +10,8 @@ They are deliberately naive and independent of the code they check:
 * :func:`simplify`, :func:`free_vars` and :func:`alpha_normalize` walk an
   expression as a tree, so a sub-expression shared by several parents is
   rewritten once per reference and free variables are recomputed at
-  every sum; the library processes each shared node once.
+  every sum, and :func:`simplify` repeats its rewrite pass until nothing
+  changes; the library processes each shared node once, in one pass.
 
 They are exponential and meant for small inputs only.
 """
@@ -21,7 +22,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from cdag.formula import (ONE, CondProb, Fraction, FormulaError, JointTable, ProbExpr,
                           Product, Sum, UnknownVariableError, ZeroConditioningMass,
-                          _base_name, _cancel, _One, product_of, render)
+                          _base_name, _One, product_of, render)
 from cdag.graphs import Admg, GraphError
 
 
@@ -242,6 +243,35 @@ def alpha_normalize(e: ProbExpr, reserved: Iterable[str] = ()) -> ProbExpr:
         raise TypeError(f"not a ProbExpr: {node!r}")
 
     return walk(e, {})
+
+
+def _cancel(num_factors, den_factors):
+    # One round of each step; the fixpoint loop of :func:`simplify` repeats
+    # them.  Cancel structurally identical factors, then collapse
+    # conditional ratios P(a,b|g) / P(b|g) -> P(a|b,g).
+    num = list(num_factors)
+    den = list(den_factors)
+    for d in list(den):
+        if d in num:
+            num.remove(d)
+            den.remove(d)
+    changed = True
+    while changed:
+        changed = False
+        for d in den:
+            if not isinstance(d, CondProb):
+                continue
+            for i, n in enumerate(num):
+                if (isinstance(n, CondProb) and n.given == d.given
+                        and set(d.target) < set(n.target)):
+                    rest = tuple(sorted(set(n.target) - set(d.target)))
+                    num[i] = CondProb(rest, set(n.given) | set(d.target))
+                    den.remove(d)
+                    changed = True
+                    break
+            if changed:
+                break
+    return num, den
 
 
 def _flatten_product(node):

@@ -439,6 +439,18 @@ def test_simulate_state_cap_error_names_the_phase(capsys, monkeypatch):
                    "exceeds the cap (8); raise CDAG_STATE_CAP\n")
 
 
+def test_simulate_checks_the_cap_before_building_the_model(capsys, monkeypatch):
+    # A Z cluster of 30 gives a joint of 2^32 states; the model's own
+    # tables would need gigabytes before the joint is ever tabulated.
+    monkeypatch.delenv("CDAG_STATE_CAP", raising=False)
+    code, out, err = run_cli(capsys, "simulate", path("backdoor.cdag"),
+                             "-x", "X", "-y", "Y", "--sizes", "Z=30",
+                             "--diagrams", "1", "--datasets", "1", "--n", "10")
+    assert (code, out) == (3, "")
+    assert err == ("error: joint_distribution: joint state space of 4294967296 entries "
+                   "exceeds the cap (4194304); raise CDAG_STATE_CAP\n")
+
+
 def test_console_entry_point():
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(

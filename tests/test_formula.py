@@ -7,7 +7,8 @@ import itertools
 from cdag import (CondProb, Fraction, Identified, JointTable, ONE, Product, Sum,
                   ZeroConditioningMass, equivalent_on, evaluate, identify,
                   parse_formula_json, render, simplify)
-from cdag.formula import FormulaError, alpha_normalize, free_vars, sum_over, tabulate
+from cdag.formula import (FormulaError, _simplify, alpha_normalize, free_vars, sum_over,
+                          tabulate)
 from cdag.identify import _HedgeFound, _run
 
 import oracles
@@ -216,6 +217,157 @@ def shared_subexpressions():
 def test_simplify_matches_tree_reference_on_shared_subexpressions(reserved):
     for e in shared_subexpressions():
         assert_matches_tree_reference(e, set(reserved))
+
+
+def test_collapse_that_creates_a_cancellable_factor():
+    # P(a,b|g) / P(b|g) collapses to P(a|b,g), which then cancels the
+    # denominator's other factor within the same rewrite.
+    e = Fraction(CondProb(["A", "B"], ["G"]),
+                 Product([CondProb(["B"], ["G"]), CondProb(["A"], ["B", "G"])]))
+    assert _simplify(e, {}, {}) is ONE
+    assert render(simplify(e)) == render(oracles.simplify(e)) == "1"
+
+
+def test_drop_that_exposes_a_mergeable_sum():
+    # Dropping P(a) leaves Σ_b Σ_c P(b,c|d); the nested sums then merge and
+    # normalize within the same rewrite.
+    e = Sum(["A", "B"], Product([CondProb(["A"]), Sum(["C"], CondProb(["B", "C"], ["D"]))]))
+    assert _simplify(e, {}, {}) is ONE
+    assert render(simplify(e)) == render(oracles.simplify(e)) == "1"
+
+
+NAMES = ("A", "B", "C", "D", "A'", "B'")
+
+
+def bound_inside(e):
+    if isinstance(e, Sum):
+        return set(e.bound) | bound_inside(e.body)
+    children = (e.factors if isinstance(e, Product)
+                else (e.numerator, e.denominator) if isinstance(e, Fraction) else ())
+    return set().union(*map(bound_inside, children))
+
+
+def random_expression(rng, size=8, shadowing=True):
+    """A random expression DAG over ``NAMES``.  Each node takes children
+    from the nodes built before it, so sub-expressions are shared; the
+    node kinds favour the shapes the rewrite rules act on: ratios that
+    collapse, normalized factors under their sums and nested sums.  With
+    ``shadowing`` off, no sum binds a name that a sum inside it binds."""
+    pool = []
+
+    def names(lo, hi, avoid=()):
+        free = [v for v in NAMES if v not in avoid]
+        k = int(rng.integers(min(lo, len(free)), min(hi, len(free)) + 1))
+        return [free[i] for i in rng.choice(len(free), size=k, replace=False)]
+
+    def sum_of(body, lo=1, hi=2, first=(), avoid=()):
+        # a sum over the names in ``first`` and ``lo`` to ``hi`` others
+        avoid = set(avoid) | (set() if shadowing else bound_inside(body))
+        bound = [v for v in first if v not in avoid]
+        bound += names(lo, hi, avoid | set(bound))
+        return Sum(bound, body) if bound else body
+
+    def condprob():
+        target = names(1, 3)
+        return CondProb(target, names(0, 2, target))
+
+    def pick():
+        if pool and rng.random() < 0.7:
+            return pool[int(rng.integers(len(pool)))]
+        return condprob()
+
+    for _ in range(size):
+        kind = int(rng.integers(7))
+        if kind == 0:
+            node = condprob()
+        elif kind == 1:
+            node = Product([pick() for _ in range(int(rng.integers(1, 4)))])
+        elif kind == 2:
+            node = sum_of(pick(), 1, 3)
+        elif kind == 3:
+            node = Fraction(pick(), ONE if rng.random() < 0.1 else pick())
+        elif kind == 4:
+            # P(t|g) / (P(s|g) P(t-s|s,g) ...) with s a proper subset of t
+            target = names(2, 3)
+            given = names(0, 2, target)
+            cut = int(rng.integers(1, len(target)))
+            den = [CondProb(target[:cut], given)]
+            if rng.random() < 0.5:
+                den.append(CondProb(target[cut:], given + target[:cut]))
+            num = [CondProb(target, given)] + [pick() for _ in range(int(rng.integers(2)))]
+            node = Fraction(Product(num), Product(den + [pick()] * int(rng.integers(2))))
+        elif kind == 5:
+            # a normalized factor beside another sum under a common sum
+            target = names(1, 2)
+            inner = sum_of(pick(), avoid=target)
+            node = sum_of(Product([CondProb(target), inner]), 0, 2, first=target)
+        else:
+            node = sum_of(sum_of(pick()))
+        pool.append(node)
+    return pool[-1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_one_pass_matches_fixpoint_reference(seed):
+    rng = rng_for(seed)
+    e = random_expression(rng, shadowing=False)
+    reserved = set(NAMES[:int(rng.integers(3))])
+    got, want = simplify(e, reserved), oracles.simplify(e, reserved)
+    assert got == want
+    for fmt in ("text", "json"):
+        assert render(got, fmt) == render(want, fmt)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_one_pass_is_a_fixpoint(seed):
+    once = _simplify(random_expression(rng_for(seed)), {}, {})
+    twice = _simplify(once, {}, {})
+    assert twice == once
+    assert render(twice) == render(once)
+    # a fixpoint of the reference's rules too
+    assert oracles._simplify(once) == once
+
+
+def test_one_pass_is_a_fixpoint_on_identification():
+    rng = rng_for(5)
+    checked = 0
+    for kind, n in [("sparse", 20), ("sparse", 40), ("dense", 20), ("dense", 40)]:
+        for _ in range(5):
+            c, x, y = sweep_query(rng, kind, n)
+            try:
+                e = _run(c, frozenset([x]), frozenset([y]))
+            except _HedgeFound:
+                continue
+            once = _simplify(e, {}, {})
+            twice = _simplify(once, {}, {})
+            assert twice == once
+            assert render(twice) == render(once)
+            checked += 1
+    assert checked >= 8
+
+
+def test_shadowing_sums_can_settle_on_another_fixpoint():
+    # The rules are not confluent when a sum binds a name that a sum
+    # inside it binds too.  Here the one pass sees Σ_c over a normal
+    # Σ_{a,b} P(c|a), merges and drops P(c|a), and then Σ_a cannot merge.
+    # The repeated passes of the reference first see Σ_c over a fraction
+    # not yet cancelled, merge Σ_a with Σ_c, and then cannot merge
+    # Σ_{a,b}.  Both results are fixpoints of the rules, and both equal
+    # the input in value when a sum counts every state of its bound names.
+    ratio = Fraction(CondProb(["D", "E"], ["G"]),
+                     Product([CondProb(["E"], ["G"]), CondProb(["D"], ["E", "G"])]))
+    e = Sum(["A"], Sum(["C"], Fraction(Sum(["A", "B"], CondProb(["C"], ["A"])), ratio)))
+    got, want = simplify(e), oracles.simplify(e)
+    assert render(got) == "Σ_a Σ_{a',b} 1"
+    assert render(want) == "Σ_{a,c} Σ_{a',b} P(c|a')"
+    once = _simplify(e, {}, {})
+    assert oracles._simplify(once) == once
+    t = random_table(rng_for(8), ("A", "B", "C", "D", "E", "G"), (2, 3, 2, 2, 2, 2))
+    value = oracles.evaluate(e, t, {"D": 1, "E": 0, "G": 1})
+    assert oracles.evaluate(got, t, {}) == pytest.approx(value, abs=1e-12)
+    assert oracles.evaluate(want, t, {}) == pytest.approx(value, abs=1e-12)
 
 
 def test_render_text_golden():

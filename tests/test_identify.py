@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 
@@ -13,7 +14,7 @@ from cdag import (Admg, ClusterDag, CondProb, EmptyInterventionError, Identified
 from cdag.cli import main
 from cdag.graphs import GraphError
 
-from randutil import random_admg, rng_for
+from randutil import random_admg, rng_for, sweep_query
 
 
 def compatible_tables(c, count, start_seed=0):
@@ -365,3 +366,29 @@ def test_identified_formulas_sound_on_random_graphs():
         assert_matches_oracle(singleton_cdag(g), [x], [y], result.expr,
                               seed=int(rng.integers(10 ** 6)))
     assert hits >= 10
+
+
+SWEEP_DIGEST = "edd7a52f4594e79296f394c300549d42815dc94f0a7f144154b1b706bfac4f77"
+
+
+def test_sweep_renderings_keep_their_bytes():
+    # SHA-256 over the text, LaTeX and JSON renderings and the hedge
+    # descriptions of four queries at every sweep point up to n = 60.  It
+    # guards the exact output of identification and simplification, which
+    # the golden formulas cover only on a few small graphs.  The digest
+    # was taken with the earlier simplify that repeated its pass until
+    # nothing changed.
+    digest = hashlib.sha256()
+    outcomes = set()
+    for kind, n in [("sparse", 10), ("sparse", 20), ("sparse", 40), ("sparse", 60),
+                    ("dense", 20), ("dense", 40), ("dense", 60)]:
+        rng = rng_for(n + (1000 if kind == "dense" else 0) + 77)
+        for _ in range(4):
+            c, x, y = sweep_query(rng, kind, n)
+            result = identify(c, [x], [y])
+            outcomes.add(result.identifiable)
+            texts = ([render(result.expr, fmt) for fmt in ("text", "latex", "json")]
+                     if result.identifiable else [result.hedge.describe()])
+            digest.update("\0".join([kind, str(n), x, y] + texts).encode() + b"\1")
+    assert outcomes == {True, False}
+    assert digest.hexdigest() == SWEEP_DIGEST
