@@ -35,7 +35,7 @@ from .docalc import DoQuery, rule1, rule2, rule3
 from .formula import (FormulaError, JointTable, evaluate, parse_formula_json,
                       render, tabulate)
 from .identify import Identified, identify
-from .oracle import (StateSpaceCapError, _check_output_cap, empirical_table,
+from .oracle import (StateSpaceCapError, _check_state_space, empirical_table,
                      joint_distribution, random_cbn, sample_dataset)
 from .sampler import (CrossPolicy, ExpansionSpec, InternalPolicy, _derive_seed, expand,
                       sample_batch)
@@ -388,7 +388,7 @@ def _cmd_simulate(args) -> int:
             continue
         cards = {v: 2 for v in graph.nodes}
         # random_cbn's tables grow with the diagram as well: check first
-        _check_output_cap(cards.values(), "joint_distribution")
+        _check_state_space(cards.values(), "joint_distribution")
         model = random_cbn(graph, cards, seed=_derive_seed(args.seed, index, 1))
         clusters = partition.to_cluster_map()
         exact = joint_distribution(model)

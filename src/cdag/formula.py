@@ -17,6 +17,7 @@ tables rather than by a symbolic normal form.
 
 import itertools
 import json
+import math
 from collections import Counter
 from typing import Dict, Iterable, Optional, Sequence
 
@@ -559,7 +560,12 @@ def _tabulate(e, t, clusters, zero_division):
                                         _product(ones(axes), den).values))
         if isinstance(node, Sum):
             body = walk(node.body)
-            return body.sum_out([ax for ax in body.names if ax[0] in node.bound])
+            out = body.sum_out([ax for ax in body.names if ax[0] in node.bound])
+            # a bound name absent from the body counts its joint states
+            present = {n for n, _ in body.names}
+            count = math.prod(t.card(m) for _, m in
+                              axes_of([n for n in node.bound if n not in present]))
+            return out if count == 1 else _Factor(out.names, out.values * count)
         raise TypeError(f"not a ProbExpr: {node!r}")
 
     result = walk(e)

@@ -194,13 +194,14 @@ def _identify_component(graph: Admg, order: Tuple[str, ...],
 
 
 def _run(c: ClusterDag, x: FrozenSet[str], y: FrozenSet[str]) -> ProbExpr:
-    # Line 2 of ID: only the ancestors of Y matter.  Kahn's lexicographic
-    # order on an ancestral set is the restriction of the full order, so
-    # the chain factors below only lose conditioning on non-ancestors.
-    graph = c.graph.induced(c.graph.ancestral_closure(y))
-    nodes = frozenset(graph.nodes)
+    # Line 2 of ID: only the ancestors of Y matter, read from the full
+    # graph's links within An(Y).  Kahn's lexicographic order on an
+    # ancestral set is the restriction of the full order, so the chain
+    # factors below only lose conditioning on non-ancestors.
+    graph = c.graph
+    nodes = graph.ancestral_closure(y)
     x = x & nodes
-    order = graph.topological_order()
+    order = tuple(v for v in graph.topological_order() if v in nodes)
     reduced = _ancestral_reduce(graph, nodes - x, y)
 
     # One factor per c-component of G[reduced], by smallest member.

@@ -167,7 +167,12 @@ class DiscreteCbn:
             rows = mech.cpt.reshape(-1, self.cards[v])
             if np.any(rows < 0) or not np.allclose(rows.sum(axis=1), 1.0, atol=1e-12):
                 raise GraphError(f"CPT rows of {v!r} must be nonnegative and sum to 1")
-        self._solve_tables: Optional[Dict[str, np.ndarray]] = None
+        # The value each deterministic mechanism takes: the argmax of its
+        # CPT row, in the narrowest unsigned dtype.  Stochastic models
+        # have no responses and build none.
+        self._responses = {
+            v: np.argmax(mech.cpt, axis=-1).astype(np.min_scalar_type(self.cards[v] - 1))
+            for v, mech in mechanisms.items()} if deterministic else None
 
     def _variable_factor(self, v: str, collapse_private: bool) -> _Factor:
         mech = self.mechanisms[v]
@@ -189,32 +194,31 @@ class DiscreteCbn:
                     if exo_name in mech.exo_parents)
         return count == 1
 
-    def _respond(self, order: Iterable[str], values: Dict[str, int],
-                 exo_assignment: Dict[str, int]) -> Dict[str, int]:
+    def _respond(self, order: Iterable[str], values: Dict, exo: Dict) -> Dict:
         # Fill in the response of each variable of ``order`` (parents
-        # first) from the argmax of its CPT row: the value its
-        # deterministic mechanism takes.
-        if self._solve_tables is None:
-            self._solve_tables = {v: np.argmax(mech.cpt, axis=-1)
-                                  for v, mech in self.mechanisms.items()}
+        # first).  Values and exogenous states are integers, or integer
+        # arrays broadcasting over an open grid of exogenous states.
         for v in order:
             mech = self.mechanisms[v]
             idx = tuple(values[p] for p in mech.endo_parents) + \
-                tuple(exo_assignment[u] for u in mech.exo_parents)
-            values[v] = int(self._solve_tables[v][idx])
+                tuple(exo[u] for u in mech.exo_parents)
+            values[v] = self._responses[v][idx]
         return values
+
+    def _solve(self, exo: Dict, interventions: Dict) -> Dict:
+        if not self.deterministic:
+            raise GraphError("potential responses need deterministic mechanisms; "
+                             "build the model in deterministic mode")
+        order = self.graph.topological_order()
+        return self._respond([v for v in order if v not in interventions],
+                             {v: interventions[v] for v in order if v in interventions},
+                             exo)
 
     def solve(self, exo_assignment: Dict[str, int],
               interventions: Optional[Dict[str, int]] = None) -> Dict[str, int]:
         """Potential response of every variable at a fixed exogenous state."""
-        if not self.deterministic:
-            raise GraphError("potential responses need deterministic mechanisms; "
-                             "build the model in deterministic mode")
-        interventions = interventions or {}
-        order = self.graph.topological_order()
-        return self._respond([v for v in order if v not in interventions],
-                             {v: interventions[v] for v in order if v in interventions},
-                             exo_assignment)
+        return {v: int(val) for v, val in
+                self._solve(exo_assignment, interventions or {}).items()}
 
 
 def _exo_name(label: str, taken: set) -> str:
@@ -294,19 +298,17 @@ def random_cbn(g: Admg, cards: Dict[str, int], seed: int,
 # exact distributions
 # ---------------------------------------------------------------------------
 
-def _check_output_cap(cards: Iterable[int], phase: str):
-    size = 1
-    for c in cards:
-        size *= c
+def _check_state_space(cards: Iterable[int], phase: str, space: str = "joint"):
+    size = math.prod(cards)
     if size > _cap():
-        raise StateSpaceCapError(f"{phase}: joint state space of {size} entries exceeds "
+        raise StateSpaceCapError(f"{phase}: {space} state space of {size} entries exceeds "
                                  f"the cap ({_cap()}); raise CDAG_STATE_CAP")
 
 
 def joint_distribution(m: DiscreteCbn) -> JointTable:
     """Exact observational distribution over the endogenous variables."""
     keep = m.graph.nodes
-    _check_output_cap((m.cards[v] for v in keep), "joint_distribution")
+    _check_state_space((m.cards[v] for v in keep), "joint_distribution")
     factors = [m._variable_factor(v, collapse_private=True)
                for v in m.graph.topological_order()]
     probs = _contract(factors, m.exo_dists, keep, "joint_distribution")
@@ -324,7 +326,7 @@ def interventional_distribution(m: DiscreteCbn, x: Dict[str, int]) -> JointTable
         if not 0 <= val < m.cards[v]:
             raise GraphError(f"value {val} out of range for {v!r}")
     keep = tuple(v for v in m.graph.nodes if v not in x)
-    _check_output_cap((m.cards[v] for v in keep), "interventional_distribution")
+    _check_state_space((m.cards[v] for v in keep), "interventional_distribution")
     factors = []
     for v in m.graph.topological_order():
         if v in x:
@@ -438,8 +440,8 @@ def cluster_factorization_check(m: DiscreteCbn, p: Partition,
         raise GraphError(f"unknown cluster(s): {sorted(unknown)}")
     x_vars = sorted(p.variables_of(x_clusters))
     keep = tuple(v for v in m.graph.nodes if v not in x_vars)
-    kept_clusters = [name for name in cdag.graph.topological_order()
-                     if name not in x_clusters]
+    macro_factors = [_macro_factor(m, p.members(name))
+                     for name in cdag.graph.topological_order() if name not in x_clusters]
 
     worst = 0.0
     for x_state in itertools.product(*(range(m.cards[v]) for v in x_vars)):
@@ -447,8 +449,7 @@ def cluster_factorization_check(m: DiscreteCbn, p: Partition,
         lhs = interventional_distribution(m, x_assign).probs
 
         factors = []
-        for name in kept_clusters:
-            f = _macro_factor(m, p.members(name))
+        for f in macro_factors:
             for var in f.names:
                 if var in x_assign:
                     f = f.fix(var, x_assign[var])
@@ -474,7 +475,6 @@ class MacroScm:
         self.base = base
         self.partition = partition
         self.cdag = build_cdag(base.graph, partition)
-        graph = base.graph
 
         self.cluster_order = self.cdag.graph.topological_order()
         self.members = {name: partition.members(name) for name in self.cluster_order}
@@ -507,43 +507,31 @@ class MacroScm:
                 raise GraphError(f"exogenous sharing between {a!r} and {b!r} "
                                  "diverges from the quotient")
 
-        self._tables: Dict[str, Dict[tuple, tuple]] = {}
-        for name in self.cluster_order:
-            self._tables[name] = self._compose(name)
+        order = base.graph.topological_order()
+        self._local_order = {name: [v for v in order if v in self.members[name]]
+                             for name in self.cluster_order}
 
-    def _compose(self, name: str) -> Dict[tuple, tuple]:
-        base = self.base
-        mem = self.members[name]
-        input_vars: List[str] = []
-        for pc in self.parent_clusters[name]:
-            input_vars.extend(self.members[pc])
-        exo = self.exo_groups[name]
-        table: Dict[tuple, tuple] = {}
-        input_spaces = [range(base.cards[v]) for v in input_vars]
-        exo_spaces = [range(base.exo_cards[u]) for u in exo]
-        local_order = [v for v in base.graph.topological_order() if v in mem]
-        for in_state in itertools.product(*input_spaces):
-            for exo_state in itertools.product(*exo_spaces):
-                values = base._respond(local_order, dict(zip(input_vars, in_state)),
-                                       dict(zip(exo, exo_state)))
-                table[(in_state, exo_state)] = tuple(values[v] for v in mem)
-        return table
-
-    def solve(self, exo_assignment: Dict[str, int],
-              interventions: Optional[Dict[str, tuple]] = None) -> Dict[str, tuple]:
-        """Cluster-valued potential response at a fixed exogenous state."""
-        interventions = interventions or {}
+    def _solve(self, exo: Dict, interventions: Dict) -> Dict[str, tuple]:
+        # Substitute each cluster's member mechanisms in cluster order.  A
+        # cluster reads only its parent clusters' members and its own
+        # exogenous group; reading anything else is a KeyError.
         out: Dict[str, tuple] = {}
         for name in self.cluster_order:
             if name in interventions:
                 out[name] = tuple(interventions[name])
                 continue
-            in_state = []
-            for pc in self.parent_clusters[name]:
-                in_state.extend(out[pc])
-            exo_state = tuple(exo_assignment[u] for u in self.exo_groups[name])
-            out[name] = self._tables[name][(tuple(in_state), exo_state)]
+            inputs = {v: val for pc in self.parent_clusters[name]
+                      for v, val in zip(self.members[pc], out[pc])}
+            noise = {u: exo[u] for u in self.exo_groups[name]}
+            values = self.base._respond(self._local_order[name], inputs, noise)
+            out[name] = tuple(values[v] for v in self.members[name])
         return out
+
+    def solve(self, exo_assignment: Dict[str, int],
+              interventions: Optional[Dict[str, tuple]] = None) -> Dict[str, tuple]:
+        """Cluster-valued potential response at a fixed exogenous state."""
+        return {name: tuple(int(val) for val in vals) for name, vals in
+                self._solve(exo_assignment, interventions or {}).items()}
 
 
 def build_macro_scm(m: DiscreteCbn, p: Partition) -> MacroScm:
@@ -558,32 +546,29 @@ def counterfactual_prob(model, events: Sequence[Tuple[Dict, Dict]]) -> float:
     the potential response under that intervention must match the target.
     For a :class:`DiscreteCbn` both dictionaries map variables to values;
     for a :class:`MacroScm` they map clusters to member-value tuples.
-    Computed by exhaustive enumeration of the exogenous state space.
+    Each event is solved once over the whole grid of exogenous states,
+    and the probability is the prior-weighted sum of the states where
+    every event holds.
     """
-    base = model.base if isinstance(model, MacroScm) else model
+    macro = isinstance(model, MacroScm)
+    base = model.base if macro else model
     if not base.deterministic:
         raise GraphError("counterfactual queries need deterministic mechanisms")
 
     names = base.exo_names
-    size = 1
-    for name in names:
-        size *= base.exo_cards[name]
-    if size > _cap():
-        raise StateSpaceCapError(f"counterfactual_prob: exogenous state space of {size} "
-                                 f"entries exceeds the cap ({_cap()})")
-
-    total = 0.0
-    for state in itertools.product(*(range(base.exo_cards[n]) for n in names)):
-        exo = dict(zip(names, state))
-        ok = True
-        for targets, interventions in events:
-            solution = model.solve(exo, interventions)
-            if any(solution[k] != v for k, v in targets.items()):
-                ok = False
-                break
-        if ok:
-            weight = 1.0
-            for name, val in exo.items():
-                weight *= base.exo_dists[name][val]
-            total += weight
-    return total
+    shape = [base.exo_cards[name] for name in names]
+    _check_state_space(shape, "counterfactual_prob", "exogenous")
+    grid = dict(zip(names, np.ix_(*(np.arange(card) for card in shape))))
+    holds = np.True_
+    for targets, interventions in events:
+        solution = model._solve(grid, interventions)
+        for k, want in targets.items():
+            # a cluster matches where every member does
+            pairs = zip(solution[k], want, strict=True) if macro else [(solution[k], want)]
+            for got, value in pairs:
+                holds = holds & (got == value)
+    # the prior-weighted sum of the mask, one exogenous axis at a time
+    mass = np.broadcast_to(holds, shape)
+    for name in reversed(names):
+        mass = mass.reshape(-1, base.exo_cards[name]) @ base.exo_dists[name]
+    return float(mass.sum())

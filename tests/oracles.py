@@ -12,6 +12,9 @@ They are deliberately naive and independent of the code they check:
   rewritten once per reference and free variables are recomputed at
   every sum, and :func:`simplify` repeats its rewrite pass until nothing
   changes; the library processes each shared node once, in one pass.
+* :func:`counterfactual_prob` solves every exogenous state one at a time
+  through the public ``solve``; the library solves each event once over
+  the whole exogenous grid.
 
 They are exponential and meant for small inputs only.
 """
@@ -24,6 +27,7 @@ from cdag.formula import (ONE, CondProb, Fraction, FormulaError, JointTable, Pro
                           Product, Sum, UnknownVariableError, ZeroConditioningMass,
                           _base_name, _One, product_of, render)
 from cdag.graphs import Admg, GraphError
+from cdag.oracle import MacroScm, StateSpaceCapError, _cap
 
 
 def _resolver(table: JointTable, clusters: Optional[Dict[str, Sequence[str]]]):
@@ -348,3 +352,41 @@ def simplify(e: ProbExpr, reserved: Iterable[str] = ()) -> ProbExpr:
         previous = current
         current = _simplify(current)
     return alpha_normalize(current, reserved)
+
+
+def counterfactual_prob(model, events: Sequence[Tuple[Dict, Dict]]) -> float:
+    """Probability that every counterfactual event holds simultaneously.
+
+    Each event pairs a target assignment with an intervention assignment;
+    the potential response under that intervention must match the target.
+    For a :class:`DiscreteCbn` both dictionaries map variables to values;
+    for a :class:`MacroScm` they map clusters to member-value tuples.
+    Computed by exhaustive enumeration of the exogenous state space.
+    """
+    base = model.base if isinstance(model, MacroScm) else model
+    if not base.deterministic:
+        raise GraphError("counterfactual queries need deterministic mechanisms")
+
+    names = base.exo_names
+    size = 1
+    for name in names:
+        size *= base.exo_cards[name]
+    if size > _cap():
+        raise StateSpaceCapError(f"counterfactual_prob: exogenous state space of {size} "
+                                 f"entries exceeds the cap ({_cap()})")
+
+    total = 0.0
+    for state in itertools.product(*(range(base.exo_cards[n]) for n in names)):
+        exo = dict(zip(names, state))
+        ok = True
+        for targets, interventions in events:
+            solution = model.solve(exo, interventions)
+            if any(solution[k] != v for k, v in targets.items()):
+                ok = False
+                break
+        if ok:
+            weight = 1.0
+            for name, val in exo.items():
+                weight *= base.exo_dists[name][val]
+            total += weight
+    return total

@@ -495,6 +495,26 @@ def test_tabulate_cluster_expansion_and_zero_mode():
             evaluate(e, t, {"X": x}, clusters, zero_division="zero"), abs=1e-12)
 
 
+def test_tabulate_sum_over_absent_name_counts_its_states():
+    rng = rng_for(26)
+    t = random_table(rng, ("a", "b", "c"), (2, 3, 2))
+    clusters = {"K": ("a", "b")}
+    # |a| = 2 and |K| = |a| |b| = 6, as the pointwise reference counts
+    for e, count in ((Sum(["a"], ONE), 2), (Sum(["K"], ONE), 6),
+                     (Sum(["K", "c"], CondProb(["c"])), 6)):
+        assert float(tabulate(e, t, clusters)[1]) == pytest.approx(count, abs=1e-12)
+        assert oracles.evaluate(e, t, {}, clusters) == pytest.approx(count, abs=1e-12)
+
+
+def test_simplify_dropped_target_keeps_the_sum_value():
+    # simplify drops the summed-out target and keeps Σ_a over the rest
+    t = random_table(rng_for(27), ("a", "c"), (2, 2))
+    e = Sum(["a", "c"], CondProb(["c"], ["a"]))
+    assert render(simplify(e)) == "Σ_a 1"
+    assert float(tabulate(simplify(e), t)[1]) == pytest.approx(
+        float(tabulate(e, t)[1]), abs=1e-12)
+
+
 def test_sum_over_empty_is_identity():
     e = CondProb(["Y"])
     assert sum_over([], e) is e

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from cdag.graphs import GraphError
 from cdag.oracle import DiscreteCbn, Mechanism, empirical_table
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy, expand
 
-from randutil import rng_for
+import oracles
+from randutil import random_cdag, rng_for
 
 
 def empirical_counts_loop(cards, data):
@@ -303,6 +306,91 @@ def test_counterfactual_drug_response_identity(backdoor_cdag):
         p_z = t.prob_of({"X": 1, **z}) / t.prob_of({"X": 1})
         rhs += p_y * p_z
     assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+# -- counterfactuals over the whole exogenous grid -------------------------
+
+def deterministic_model(rng, low, high):
+    """A random deterministic binary model on an expanded 2-4 cluster DAG
+    whose exogenous state space has between ``low`` and ``high`` states."""
+    while True:
+        c = random_cdag(rng, int(rng.integers(2, 5)), p_dir=0.5, p_bi=0.3)
+        sizes = {name: int(rng.integers(1, 4)) for name in c.graph.nodes}
+        graph, partition = expand(c, ExpansionSpec(
+            sizes=sizes, internal=InternalPolicy("random", 0.5, 0.25),
+            cross=CrossPolicy("random", 0.3), seed=int(rng.integers(10 ** 6))))
+        model = random_cbn(graph, binary_cards(graph), seed=int(rng.integers(10 ** 6)),
+                           deterministic=True)
+        if low <= math.prod(model.exo_cards.values()) <= high:
+            return model, partition
+
+
+def cluster_events(rng, members):
+    """One or two events over random clusters as member-value tuples, and
+    the same events over the member variables.  Each event targets at
+    least one cluster."""
+    names = sorted(members)
+    macro_events, base_events = [], []
+    for _ in range(int(rng.integers(1, 3))):
+        targets, interventions = {}, {}
+        for i, j in enumerate(rng.permutation(len(names))):
+            draw = rng.random()
+            values = tuple(int(b) for b in rng.integers(0, 2, len(members[names[j]])))
+            if i == 0 or draw < 0.3:
+                targets[names[j]] = values
+            elif draw < 0.6:
+                interventions[names[j]] = values
+        macro_events.append((targets, interventions))
+        base_events.append(tuple(
+            {v: val for name, vals in side.items() for v, val in zip(members[name], vals)}
+            for side in (targets, interventions)))
+    return macro_events, base_events
+
+
+# The last case reaches 2^15-2^16 exogenous states, beyond criterion 9's
+# 2^13; the per-state reference takes about a second a call there.
+@pytest.mark.parametrize("seed, low, high, models, event_sets", [
+    (901, 2 ** 4, 2 ** 10, 6, 3),
+    (902, 2 ** 11, 2 ** 13, 2, 2),
+    (903, 2 ** 15, 2 ** 16, 1, 1),
+])
+def test_counterfactual_prob_matches_per_state_reference(seed, low, high, models,
+                                                          event_sets):
+    rng = rng_for(seed)
+    for _ in range(models):
+        model, partition = deterministic_model(rng, low, high)
+        macro = build_macro_scm(model, partition)
+        for _ in range(event_sets):
+            macro_events, base_events = cluster_events(rng, partition.to_cluster_map())
+            want = oracles.counterfactual_prob(model, base_events)
+            assert abs(oracles.counterfactual_prob(macro, macro_events) - want) < 1e-12
+            assert abs(counterfactual_prob(model, base_events) - want) < 1e-12, base_events
+            assert abs(counterfactual_prob(macro, macro_events) - want) < 1e-12, macro_events
+
+
+def test_solve_returns_python_ints_at_one_state():
+    rng = rng_for(904)
+    model, partition = deterministic_model(rng, 2 ** 4, 2 ** 10)
+    exo = {name: int(rng.integers(card)) for name, card in model.exo_cards.items()}
+    first = model.graph.topological_order()[0]
+    for interventions in ({}, {first: 1}):
+        out = model.solve(exo, interventions)
+        assert set(out) == set(model.graph.nodes)
+        assert all(type(val) is int for val in out.values())
+    macro = build_macro_scm(model, partition)
+    name = macro.cluster_order[0]
+    for interventions in ({}, {name: (1,) * len(macro.members[name])}):
+        out = macro.solve(exo, interventions)
+        assert set(out) == set(macro.cluster_order)
+        assert all(type(vals) is tuple and len(vals) == len(macro.members[k])
+                   and all(type(val) is int for val in vals)
+                   for k, vals in out.items())
+
+
+def test_stochastic_models_build_no_response_tables(med_admg):
+    assert random_cbn(med_admg, binary_cards(med_admg), seed=25)._responses is None
+    m = random_cbn(med_admg, binary_cards(med_admg), seed=25, deterministic=True)
+    assert all(table.dtype == np.uint8 for table in m._responses.values())
 
 
 def test_empirical_table_matches_column_loop():
