@@ -469,11 +469,6 @@ class _Factor:
         self.names = tuple(names)
         self.values = values
 
-    def fix(self, name, value: int) -> "_Factor":
-        axis = self.names.index(name)
-        return _Factor(self.names[:axis] + self.names[axis + 1:],
-                       np.take(self.values, value, axis=axis))
-
     def sum_out(self, drop) -> "_Factor":
         """Sum over the axes named in ``drop``, in one ``sum`` call."""
         axes = tuple(i for i, n in enumerate(self.names) if n in drop)
@@ -483,9 +478,12 @@ class _Factor:
                        self.values.sum(axis=axes))
 
 
-def _product(a: _Factor, b: _Factor) -> _Factor:
-    # Broadcast product over the union of the axes, ``a``'s first.
+def _product(a: _Factor, b: _Factor, lead=()) -> _Factor:
+    # Broadcast product over the union of the axes: those of ``lead``
+    # first, then ``a``'s, then ``b``'s.
     names = a.names + tuple(n for n in b.names if n not in a.names)
+    if lead:
+        names = tuple(n for n in lead if n in names) + tuple(n for n in names if n not in lead)
     dims = dict(zip(b.names, b.values.shape)) | dict(zip(a.names, a.values.shape))
 
     def view(f):

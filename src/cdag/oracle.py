@@ -15,6 +15,7 @@ distribution through a per-row permutation of the variable's private
 noise, keeping the noise cardinality equal to the variable's own.
 """
 
+import collections
 import itertools
 import math
 import os
@@ -47,27 +48,26 @@ def _cap() -> int:
 _POSITIVE_FLOOR = 1e-6
 
 
-def _positive_dirichlet(rng: np.random.Generator, size: int,
-                        rows: Optional[int] = None) -> np.ndarray:
-    # One flat Dirichlet draw of ``size`` outcomes, or ``rows`` of them in
-    # one call (the same gamma stream, row after row), each clipped away
-    # from zero and renormalized.
+def _positive_dirichlet(rng: np.random.Generator, size: int, rows: int) -> np.ndarray:
+    # ``rows`` Dirichlet draws of ``size`` outcomes in one call (the same
+    # gamma stream, row after row), each clipped away from zero and
+    # renormalized.
     draw = rng.dirichlet(np.ones(size), size=rows)
     draw = np.clip(draw, _POSITIVE_FLOOR, None)
     return draw / draw.sum(axis=-1, keepdims=True)
 
 
-def _join(a: _Factor, b: _Factor, cap: int, phase: str) -> _Factor:
+def _join(a: _Factor, b: _Factor, cap: int, phase: str, lead=()) -> _Factor:
     new_dims = [d for n, d in zip(b.names, b.values.shape) if n not in a.names]
     if a.values.size * math.prod(new_dims) > cap:
         raise StateSpaceCapError(
             f"{phase}: intermediate table over {len(a.names) + len(new_dims)} axes "
             f"exceeds the cap ({cap} entries); raise CDAG_STATE_CAP to allow it")
-    return _product(a, b)
+    return _product(a, b, lead)
 
 
 def _contract(factors: List[_Factor], priors: Dict[str, np.ndarray],
-              keep: Sequence[str], phase: str) -> np.ndarray:
+              keep: Sequence[str], phase: str, lead: Sequence[str] = ()) -> np.ndarray:
     """Sum the product of the factors over every prior-weighted axis,
     returning a dense array over ``keep`` in that exact order.
 
@@ -75,7 +75,9 @@ def _contract(factors: List[_Factor], priors: Dict[str, np.ndarray],
     given order (callers pass them topologically), folding in each prior
     and summing its axis out as soon as the last factor referencing it
     has been absorbed.  This keeps intermediates near the size of the
-    output times the live noise frontier.
+    output times the live noise frontier.  The ``lead`` axes, which the
+    factors hold first and outermost, stay first in every product, so each
+    of their slices is laid out and summed as if they were absent.
     """
     cap = _cap()
     sum_axes = {n for f in factors for n in f.names if n in priors and n not in keep}
@@ -115,19 +117,15 @@ def _contract(factors: List[_Factor], priors: Dict[str, np.ndarray],
                     acc = _join(acc, prior, cap, phase).sum_out((name,))
             if not remaining:
                 break
-            acc = _join(acc, remaining[0], cap, phase)
+            acc = _join(acc, remaining[0], cap, phase, lead)
             absorbed += 1
         results.append(acc)
 
     result = _Factor((), np.array(1.0))
     for f in results:
-        result = _join(result, f, cap, phase)
-    missing = [n for n in keep if n not in result.names]
-    if missing:
-        raise GraphError(f"contraction lost axes {missing}")
+        result = _join(result, f, cap, phase, lead)
     result = result.sum_out([n for n in result.names if n not in keep])
-    perm = [result.names.index(n) for n in keep]
-    return np.transpose(result.values, perm) if keep else result.values
+    return np.transpose(result.values, [result.names.index(n) for n in keep])
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +142,23 @@ class Mechanism:
         self.cpt = cpt
 
 
+def _check_intervention(x: Dict, cards: Dict[str, int],
+                        members: Optional[Dict[str, Sequence[str]]] = None) -> None:
+    # Every intervened name must be a variable, or with ``members`` a
+    # cluster given a tuple of one value per member, set to integer states
+    # in range.
+    kind = "variable" if members is None else "cluster"
+    unknown = x.keys() - (cards if members is None else members).keys()
+    if unknown:
+        raise GraphError(f"unknown {kind}(s) in intervention: {sorted(unknown)}")
+    for name, value in x.items():
+        group, values = ((name,), (value,)) if members is None else (members[name], value)
+        if not (isinstance(values, (tuple, list)) and len(values) == len(group) and all(
+                isinstance(val, (int, np.integer)) and 0 <= val < cards[v]
+                for v, val in zip(group, values))):
+            raise GraphError(f"{value!r} is not a state of {kind} {name!r}")
+
+
 class DiscreteCbn:
     """A fully parameterized discrete causal model over an Admg."""
 
@@ -157,42 +172,38 @@ class DiscreteCbn:
         self.mechanisms = mechanisms
         self.deterministic = deterministic
         self.exo_names = tuple(sorted(exo_cards))
+        # np.isclose(total, 1.0, atol=1e-12) at its default rtol, failing NaN
+        tol = 1e-12 + 1e-5
         for name in self.exo_names:
             dist = self.exo_dists[name]
-            if dist.shape != (self.exo_cards[name],) or np.any(dist <= 0) or \
-                    not np.isclose(dist.sum(), 1.0, atol=1e-12):
+            if dist.shape != (self.exo_cards[name],) or not dist.min(initial=1.0) > 0 or \
+                    not abs(dist.sum() - 1.0) <= tol:
                 raise GraphError(f"exogenous {name!r} needs a strictly positive "
                                  "distribution of matching cardinality summing to 1")
         for v, mech in mechanisms.items():
             rows = mech.cpt.reshape(-1, self.cards[v])
-            if np.any(rows < 0) or not np.allclose(rows.sum(axis=1), 1.0, atol=1e-12):
+            if not (rows.min(initial=0.0) >= 0 and
+                    np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0) <= tol):
                 raise GraphError(f"CPT rows of {v!r} must be nonnegative and sum to 1")
+        # Each variable's table over its parents and shared noise, with its
+        # private noise, which feeds no other mechanism, summed out.
+        users = collections.Counter(u for mech in mechanisms.values() for u in mech.exo_parents)
+        self._factors: Dict[str, _Factor] = {}
+        for v, mech in mechanisms.items():
+            factor = _Factor(mech.endo_parents + mech.exo_parents + (v,), mech.cpt)
+            for name in (u for u in mech.exo_parents if users[u] == 1):
+                axis = factor.names.index(name)
+                factor = _Factor(factor.names[:axis] + factor.names[axis + 1:], np.tensordot(
+                    factor.values, self.exo_dists[name], axes=([axis], [0])))
+            self._factors[v] = factor
+        # interventional_distribution's tables, by intervened set
+        self._posts: Dict[frozenset, Tuple[Tuple[str, ...], np.ndarray]] = {}
         # The value each deterministic mechanism takes: the argmax of its
         # CPT row, in the narrowest unsigned dtype.  Stochastic models
         # have no responses and build none.
         self._responses = {
             v: np.argmax(mech.cpt, axis=-1).astype(np.min_scalar_type(self.cards[v] - 1))
             for v, mech in mechanisms.items()} if deterministic else None
-
-    def _variable_factor(self, v: str, collapse_private: bool) -> _Factor:
-        mech = self.mechanisms[v]
-        names = mech.endo_parents + mech.exo_parents + (v,)
-        factor = _Factor(names, mech.cpt)
-        if collapse_private:
-            for name in mech.exo_parents:
-                if self._is_private(name):
-                    axis = factor.names.index(name)
-                    weighted = np.tensordot(factor.values, self.exo_dists[name],
-                                            axes=([axis], [0]))
-                    factor = _Factor(factor.names[:axis] + factor.names[axis + 1:],
-                                     weighted)
-        return factor
-
-    def _is_private(self, exo_name: str) -> bool:
-        # Private noise feeds exactly one mechanism; edge noise feeds two.
-        count = sum(1 for mech in self.mechanisms.values()
-                    if exo_name in mech.exo_parents)
-        return count == 1
 
     def _respond(self, order: Iterable[str], values: Dict, exo: Dict) -> Dict:
         # Fill in the response of each variable of ``order`` (parents
@@ -209,6 +220,7 @@ class DiscreteCbn:
         if not self.deterministic:
             raise GraphError("potential responses need deterministic mechanisms; "
                              "build the model in deterministic mode")
+        _check_intervention(interventions, self.cards)
         order = self.graph.topological_order()
         return self._respond([v for v in order if v not in interventions],
                              {v: interventions[v] for v in order if v in interventions},
@@ -236,9 +248,11 @@ def random_cbn(g: Admg, cards: Dict[str, int], seed: int,
 
     Stochastic mode draws every CPT row from a symmetric Dirichlet,
     clipped away from zero and renormalized, so the joint distribution
-    has full support.  Each table takes all its rows in one batched draw,
-    which consumes the generator exactly as row-by-row draws would, so a
-    seed gives the same model bit for bit.  Deterministic mode keeps the
+    has full support.  Each run of consecutive rows of equal width,
+    exogenous laws and CPT rows alike, takes one batched draw, which
+    consumes the generator exactly as row-by-row draws would, so a seed
+    gives the same model bit for bit.  Every table is checked against the
+    state cap before anything is drawn.  Deterministic mode keeps the
     same row distributions but realizes them as per-row permutations of
     each variable's private noise, making every mechanism a function of
     its parents and noise.
@@ -246,50 +260,45 @@ def random_cbn(g: Admg, cards: Dict[str, int], seed: int,
     for v in g.nodes:
         if cards.get(v, 0) < 2:
             raise GraphError(f"cardinality for {v!r} must be an integer >= 2")
-    rng = np.random.default_rng(seed)
 
     taken = set(g.nodes)
     edge_noise = {(a, b): _exo_name(f"{a}~{b}", taken) for a, b in sorted(g.bidirected)}
     private_noise = {v: _exo_name(v, taken) for v in g.nodes}
-
-    exo_cards: Dict[str, int] = {}
-    exo_dists: Dict[str, np.ndarray] = {}
-    for (a, b), name in sorted(edge_noise.items()):
-        exo_cards[name] = exo_card
-        exo_dists[name] = _positive_dirichlet(rng, exo_card)
-    for v in g.nodes:
-        name = private_noise[v]
-        exo_cards[name] = cards[v] if deterministic else exo_card
-        exo_dists[name] = _positive_dirichlet(rng, exo_cards[name])
+    exo_cards = {name: exo_card for _, name in sorted(edge_noise.items())}
+    exo_cards.update((private_noise[v], cards[v] if deterministic else exo_card)
+                     for v in g.nodes)
 
     mechanisms: Dict[str, Mechanism] = {}
+    shapes = {}
     for v in g.nodes:
-        endo = tuple(sorted(g.parents([v])))
         incident = [edge_noise[e] for e in sorted(edge_noise) if v in e]
-        exo = tuple(sorted(incident + [private_noise[v]]))
-        m = cards[v]
-        parent_dims = tuple(cards[p] for p in endo) + \
-            tuple(exo_cards[u] for u in exo if u != private_noise[v])
-        if deterministic:
-            # One permutation of the private noise per (parents, edge noise)
-            # row; the induced conditional row is the permuted noise law.
-            cpt = np.zeros(parent_dims + (m, m))
-            flat = cpt.reshape(-1, m, m)
-            for row in flat:
-                perm = rng.permutation(m)
-                for u_val in range(m):
-                    row[u_val, perm[u_val]] = 1.0
-            # private noise is the last exogenous axis only if it sorts last;
-            # rebuild with axes in the declared (endo, exo sorted, v) order
-            axes_order = endo + tuple(u for u in exo if u != private_noise[v]) + \
-                (private_noise[v], v)
-            target_order = endo + exo + (v,)
-            perm_axes = [axes_order.index(n) for n in target_order]
-            cpt = np.transpose(cpt, perm_axes)
-        else:
-            dims = tuple(cards[p] for p in endo) + tuple(exo_cards[u] for u in exo)
-            cpt = _positive_dirichlet(rng, m, math.prod(dims)).reshape(dims + (m,))
-        mechanisms[v] = Mechanism(endo, exo, cpt)
+        mechanisms[v] = mech = Mechanism(tuple(sorted(g.parents([v]))),
+                                         tuple(sorted(incident + [private_noise[v]])), None)
+        shapes[v] = tuple(cards[p] for p in mech.endo_parents) + \
+            tuple(exo_cards[u] for u in mech.exo_parents) + (cards[v],)
+        _check_state_space(shapes[v], "random_cbn", f"{v!r} CPT")
+
+    # Every Dirichlet row in stream order, the exogenous laws and then in
+    # stochastic mode each CPT's rows, with one draw per run of equal widths.
+    rng = np.random.default_rng(seed)
+    rows = [(card, 1) for card in exo_cards.values()]
+    if not deterministic:
+        rows += [(shape[-1], math.prod(shape[:-1])) for shape in shapes.values()]
+    draws = []
+    for width, run in itertools.groupby(rows, key=lambda row: row[0]):
+        counts = [count for _, count in run]
+        draws += np.split(_positive_dirichlet(rng, width, sum(counts)), np.cumsum(counts)[:-1])
+    exo_dists = {name: draw.reshape(-1) for name, draw in zip(exo_cards, draws)}
+    for v, draw in zip(g.nodes, draws[len(exo_cards):]):
+        mechanisms[v].cpt = draw.reshape(shapes[v])
+    for v, mech in mechanisms.items() if deterministic else ():
+        # One permutation of the private noise per row of the other parents;
+        # the induced conditional row is the permuted noise law.  Built with
+        # the private axis next to v's, then moved to its sorted place.
+        k = len(mech.endo_parents) + mech.exo_parents.index(private_noise[v])
+        others = shapes[v][:k] + shapes[v][k + 1:]
+        perms = [rng.permutation(cards[v]) for _ in range(math.prod(others[:-1]))]
+        mech.cpt = np.moveaxis(np.eye(cards[v])[perms].reshape(others + (cards[v],)), -2, k)
 
     return DiscreteCbn(g, cards, exo_cards, exo_dists, mechanisms, deterministic)
 
@@ -309,35 +318,46 @@ def joint_distribution(m: DiscreteCbn) -> JointTable:
     """Exact observational distribution over the endogenous variables."""
     keep = m.graph.nodes
     _check_state_space((m.cards[v] for v in keep), "joint_distribution")
-    factors = [m._variable_factor(v, collapse_private=True)
-               for v in m.graph.topological_order()]
+    factors = [m._factors[v] for v in m.graph.topological_order()]
     probs = _contract(factors, m.exo_dists, keep, "joint_distribution")
     return JointTable(keep, probs)
+
+
+def _contract_free(factors: List[_Factor], x, priors: Dict[str, np.ndarray],
+                   keep: Tuple[str, ...], phase: str) -> Tuple[Tuple[str, ...], np.ndarray]:
+    """:func:`_contract` with the variables of ``x`` that the factors hold
+    free, not fixed: returns them, sorted, and the table over ``keep`` then
+    them.  Each factor is copied with their axes leading, each slice laid
+    out as ``np.take`` would fix it, so each slice is computed exactly as
+    the contraction at that one value."""
+    held = []
+    for f in factors:
+        fixed = [n for n in f.names if n in x]
+        if fixed:
+            moved = np.moveaxis(f.values, [f.names.index(n) for n in fixed], range(len(fixed)))
+            f = _Factor(fixed + [n for n in f.names if n not in x], np.ascontiguousarray(moved))
+        held.append(f)
+    free = tuple(sorted({n for f in held for n in f.names if n in x}))
+    dims = {n: d for f in held for n, d in zip(f.names, f.values.shape)}
+    _check_state_space((dims[n] for n in keep + free), phase)
+    return free, _contract(held, priors, keep + free, phase, lead=free)
 
 
 def interventional_distribution(m: DiscreteCbn, x: Dict[str, int]) -> JointTable:
     """Exact distribution after forcing ``x``, by truncated factorization:
     the intervened variables' factors are dropped and their values fixed
-    wherever they appear as parents."""
-    unknown = set(x) - set(m.graph.nodes)
-    if unknown:
-        raise GraphError(f"unknown variable(s) in intervention: {sorted(unknown)}")
-    for v, val in x.items():
-        if not 0 <= val < m.cards[v]:
-            raise GraphError(f"value {val} out of range for {v!r}")
+    wherever they appear as parents.  Each intervened set is contracted
+    once per model with its values held free; a call slices that table.
+    """
+    _check_intervention(x, m.cards)
     keep = tuple(v for v in m.graph.nodes if v not in x)
-    _check_state_space((m.cards[v] for v in keep), "interventional_distribution")
-    factors = []
-    for v in m.graph.topological_order():
-        if v in x:
-            continue
-        f = m._variable_factor(v, collapse_private=True)
-        for parent in m.mechanisms[v].endo_parents:
-            if parent in x:
-                f = f.fix(parent, x[parent])
-        factors.append(f)
-    probs = _contract(factors, m.exo_dists, keep, "interventional_distribution")
-    return JointTable(keep, probs)
+    if frozenset(x) not in m._posts:
+        factors = [m._factors[v] for v in m.graph.topological_order() if v not in x]
+        free, table = _contract_free(factors, x, m.exo_dists, keep, "interventional_distribution")
+        table.flags.writeable = False
+        m._posts[frozenset(x)] = free, table
+    free, table = m._posts[frozenset(x)]
+    return JointTable(keep, table[(..., *(x[v] for v in free))])
 
 
 def sample_dataset(m: DiscreteCbn, n: int, seed: int) -> np.ndarray:
@@ -413,7 +433,8 @@ def _macro_factor(m: DiscreteCbn, members: Sequence[str]) -> _Factor:
     factor = None
     cap = _cap()
     for v in members:
-        f = m._variable_factor(v, collapse_private=False)
+        mech = m.mechanisms[v]
+        f = _Factor(mech.endo_parents + mech.exo_parents + (v,), mech.cpt)
         factor = f if factor is None else _join(factor, f, cap, "cluster_factorization_check")
     member_axes = tuple(factor.names.index(v) for v in members)
     totals = factor.values.sum(axis=member_axes)
@@ -427,36 +448,26 @@ def cluster_factorization_check(m: DiscreteCbn, p: Partition,
     """Max deviation between the variable-level truncated factorization and
     its cluster-level reassembly, over every intervention value.
 
-    The left side is :func:`interventional_distribution`.  The right side
-    groups the model into per-cluster conditional tables first (explicitly
+    The left side is the truncated factorization.  The right side groups
+    the model into per-cluster conditional tables first (explicitly
     normalized), then contracts the cluster-level network over the shared
-    exogenous variables.  With no intervened clusters this checks the
-    observational cluster factorization.
+    exogenous variables.  Both hold every intervention value free.  With
+    no intervened clusters this checks the observational factorization.
     """
     x_clusters = frozenset(x_clusters)
     cdag = build_cdag(m.graph, p)
     unknown = x_clusters - set(cdag.graph.nodes)
     if unknown:
         raise GraphError(f"unknown cluster(s): {sorted(unknown)}")
-    x_vars = sorted(p.variables_of(x_clusters))
+    x_vars = p.variables_of(x_clusters)
     keep = tuple(v for v in m.graph.nodes if v not in x_vars)
     macro_factors = [_macro_factor(m, p.members(name))
                      for name in cdag.graph.topological_order() if name not in x_clusters]
-
-    worst = 0.0
-    for x_state in itertools.product(*(range(m.cards[v]) for v in x_vars)):
-        x_assign = dict(zip(x_vars, x_state))
-        lhs = interventional_distribution(m, x_assign).probs
-
-        factors = []
-        for f in macro_factors:
-            for var in f.names:
-                if var in x_assign:
-                    f = f.fix(var, x_assign[var])
-            factors.append(f)
-        rhs = _contract(factors, m.exo_dists, keep, "cluster_factorization_check")
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0)
-    return worst
+    factors = [m._factors[v] for v in m.graph.topological_order() if v not in x_vars]
+    _, lhs = _contract_free(factors, x_vars, m.exo_dists, keep, "interventional_distribution")
+    _, rhs = _contract_free(macro_factors, x_vars, m.exo_dists, keep,
+                            "cluster_factorization_check")
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +526,7 @@ class MacroScm:
         # Substitute each cluster's member mechanisms in cluster order.  A
         # cluster reads only its parent clusters' members and its own
         # exogenous group; reading anything else is a KeyError.
+        _check_intervention(interventions, self.base.cards, self.members)
         out: Dict[str, tuple] = {}
         for name in self.cluster_order:
             if name in interventions:

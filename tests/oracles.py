@@ -15,6 +15,12 @@ They are deliberately naive and independent of the code they check:
 * :func:`counterfactual_prob` solves every exogenous state one at a time
   through the public ``solve``; the library solves each event once over
   the whole exogenous grid.
+* :func:`interventional_distribution` fixes the intervened values in
+  every factor and contracts once per value, finding private noise by
+  scanning every mechanism, and :func:`cluster_factorization_check`
+  compares both sides one intervention value at a time; the library
+  builds each factor once per model and answers every value of an
+  intervened set from one contraction.
 
 They are exponential and meant for small inputs only.
 """
@@ -23,11 +29,14 @@ import itertools
 from collections import Counter
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
+import numpy as np
+
 from cdag.formula import (ONE, CondProb, Fraction, FormulaError, JointTable, ProbExpr,
                           Product, Sum, UnknownVariableError, ZeroConditioningMass,
-                          _base_name, _One, product_of, render)
+                          _base_name, _Factor, _One, product_of, render)
 from cdag.graphs import Admg, GraphError
-from cdag.oracle import MacroScm, StateSpaceCapError, _cap
+from cdag.cluster import build_cdag
+from cdag.oracle import MacroScm, StateSpaceCapError, _cap, _contract, _macro_factor
 
 
 def _resolver(table: JointTable, clusters: Optional[Dict[str, Sequence[str]]]):
@@ -390,3 +399,75 @@ def counterfactual_prob(model, events: Sequence[Tuple[Dict, Dict]]) -> float:
                 weight *= base.exo_dists[name][val]
             total += weight
     return total
+
+
+def _fix(f: _Factor, name: str, value: int) -> _Factor:
+    # ``f`` at one value of ``name``, that axis taken away
+    axis = f.names.index(name)
+    return _Factor(f.names[:axis] + f.names[axis + 1:], np.take(f.values, value, axis=axis))
+
+
+def _variable_factor(m, v: str) -> _Factor:
+    # v's table with every noise variable that feeds no other mechanism
+    # summed out against its prior.
+    mech = m.mechanisms[v]
+    factor = _Factor(mech.endo_parents + mech.exo_parents + (v,), mech.cpt)
+    for name in mech.exo_parents:
+        if sum(name in other.exo_parents for other in m.mechanisms.values()) == 1:
+            axis = factor.names.index(name)
+            weighted = np.tensordot(factor.values, m.exo_dists[name], axes=([axis], [0]))
+            factor = _Factor(factor.names[:axis] + factor.names[axis + 1:], weighted)
+    return factor
+
+
+def interventional_distribution(m, x: Dict[str, int]) -> JointTable:
+    """Exact distribution after forcing ``x``: every non-intervened
+    variable's factor with the intervened values fixed, contracted for
+    this one assignment."""
+    unknown = set(x) - set(m.graph.nodes)
+    if unknown:
+        raise GraphError(f"unknown variable(s) in intervention: {sorted(unknown)}")
+    for v, val in x.items():
+        if not 0 <= val < m.cards[v]:
+            raise GraphError(f"value {val} out of range for {v!r}")
+    keep = tuple(v for v in m.graph.nodes if v not in x)
+    size = int(np.prod([m.cards[v] for v in keep]))
+    if size > _cap():
+        raise StateSpaceCapError(f"interventional_distribution: joint state space of "
+                                 f"{size} entries exceeds the cap ({_cap()})")
+    factors = []
+    for v in m.graph.topological_order():
+        if v in x:
+            continue
+        f = _variable_factor(m, v)
+        for parent in m.mechanisms[v].endo_parents:
+            if parent in x:
+                f = _fix(f, parent, x[parent])
+        factors.append(f)
+    probs = _contract(factors, m.exo_dists, keep, "interventional_distribution")
+    return JointTable(keep, probs)
+
+
+def cluster_factorization_check(m, p, x_clusters=()) -> float:
+    """Max deviation between :func:`interventional_distribution` and the
+    cluster-level reassembly of the model, one intervention value at a
+    time."""
+    x_clusters = frozenset(x_clusters)
+    cdag = build_cdag(m.graph, p)
+    x_vars = sorted(p.variables_of(x_clusters))
+    keep = tuple(v for v in m.graph.nodes if v not in x_vars)
+    macro_factors = [_macro_factor(m, p.members(name))
+                     for name in cdag.graph.topological_order() if name not in x_clusters]
+    worst = 0.0
+    for x_state in itertools.product(*(range(m.cards[v]) for v in x_vars)):
+        x_assign = dict(zip(x_vars, x_state))
+        lhs = interventional_distribution(m, x_assign).probs
+        factors = []
+        for f in macro_factors:
+            for var in f.names:
+                if var in x_assign:
+                    f = _fix(f, var, x_assign[var])
+            factors.append(f)
+        rhs = _contract(factors, m.exo_dists, keep, "cluster_factorization_check")
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0)
+    return worst

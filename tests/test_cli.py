@@ -451,6 +451,19 @@ def test_simulate_checks_the_cap_before_building_the_model(capsys, monkeypatch):
                    "exceeds the cap (4194304); raise CDAG_STATE_CAP\n")
 
 
+def test_simulate_checks_each_cpt_against_the_cap(capsys, monkeypatch):
+    # Under the full policy a Z cluster of 18 has a joint of 2^20 states,
+    # within the cap, but a member with every other one as a parent and a
+    # shared noise term with each needs a table of up to 2^36 entries.
+    monkeypatch.delenv("CDAG_STATE_CAP", raising=False)
+    code, out, err = run_cli(capsys, "simulate", path("backdoor.cdag"),
+                             "-x", "X", "-y", "Y", "--sizes", "Z=18", "--policy", "full",
+                             "--diagrams", "1", "--datasets", "1", "--n", "10")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: random_cbn: ") and err.count("\n") == 1
+    assert err.endswith("exceeds the cap (4194304); raise CDAG_STATE_CAP\n")
+
+
 def test_console_entry_point():
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(

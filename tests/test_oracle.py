@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -119,8 +120,9 @@ def test_confounding_breaks_conditional(confounded_diagram_d):
 
 
 def test_state_space_cap(monkeypatch, med_admg):
-    monkeypatch.setenv("CDAG_STATE_CAP", "8")
+    # built under the default cap: at 8, random_cbn itself refuses the tables
     m = random_cbn(med_admg, binary_cards(med_admg), seed=16)
+    monkeypatch.setenv("CDAG_STATE_CAP", "8")
     with pytest.raises(StateSpaceCapError):
         joint_distribution(m)
 
@@ -132,6 +134,10 @@ CAP_PHASES = {
     "interventional_distribution": (64, lambda m, p: interventional_distribution(m, {"X": 1})),
     "cluster_factorization_check": (128, lambda m, p: cluster_factorization_check(m, p, ["X"])),
     "counterfactual_prob": (128, lambda m, p: counterfactual_prob(m, [({"Y": 1}, {"X": 0})])),
+    # Y's table over three binary parents, one shared noise and its own
+    # ternary private noise holds 16 * 3 * 3 = 144 entries
+    "random_cbn": (128, lambda m, p: random_cbn(m.graph, {**binary_cards(m.graph), "Y": 3},
+                                                seed=0, deterministic=True)),
 }
 
 
@@ -226,6 +232,33 @@ def test_counterfactual_consistency():
                 observed = m.solve(u)
                 forced = m.solve(u, {"A": observed["A"]})
                 assert forced == observed
+
+
+@pytest.mark.parametrize("x, message", [
+    ({"A": -1}, "not a state"), ({"A": 2}, "not a state"),
+    ({"A": 1.0}, "not a state"), ({"Q": 1}, "unknown variable")])
+def test_response_paths_reject_bad_interventions(x, message):
+    m = xor_model()
+    u = {"U(W)": 0, "U(A)": 1, "U(B)": 0}
+    with pytest.raises(GraphError, match=message):
+        m.solve(u, x)
+    with pytest.raises(GraphError, match=message):
+        counterfactual_prob(m, [({"B": 0}, x)])
+    with pytest.raises(GraphError, match=message):
+        interventional_distribution(m, x)
+
+
+@pytest.mark.parametrize("x, message", [
+    ({"Q": (1,)}, "unknown cluster"), ({"K": (0, 2)}, "not a state"),
+    ({"K": (0, -1)}, "not a state"), ({"K": (1,)}, "not a state"),
+    ({"W": 1}, "not a state")])
+def test_macro_response_paths_reject_bad_interventions(x, message):
+    m = xor_model()
+    macro = build_macro_scm(m, Partition([("K", ["A", "B"]), ("W", ["W"])]))
+    with pytest.raises(GraphError, match=message):
+        macro.solve({"U(W)": 0, "U(A)": 1, "U(B)": 0}, x)
+    with pytest.raises(GraphError, match=message):
+        counterfactual_prob(macro, [({"W": (0,)}, x)])
 
 
 def test_counterfactual_null_intervention_is_observational():
@@ -385,6 +418,73 @@ def test_solve_returns_python_ints_at_one_state():
         assert all(type(vals) is tuple and len(vals) == len(macro.members[k])
                    and all(type(val) is int for val in vals)
                    for k, vals in out.items())
+
+
+# -- one contraction per intervened set ------------------------------------
+
+def assert_same_table(got, want):
+    # Equal strides too: a slice laid out as the per-value table is summed
+    # the same way downstream, so its marginals keep their bytes as well.
+    assert got.variables == want.variables and got.probs.shape == want.probs.shape
+    assert got.probs.strides == want.probs.strides
+    got, want = np.ascontiguousarray(got.probs), np.ascontiguousarray(want.probs)
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def model_on_expansion(rng, deterministic):
+    """A random model with cards 2-3 and ternary edge noise on an expanded
+    2-4 cluster DAG of at most 8 variables."""
+    while True:
+        c = random_cdag(rng, int(rng.integers(2, 5)), p_dir=0.5, p_bi=0.3)
+        sizes = {name: int(rng.integers(1, 3)) for name in c.graph.nodes}
+        graph, partition = expand(c, ExpansionSpec(
+            sizes=sizes, internal=InternalPolicy("random", 0.5, 0.3),
+            cross=CrossPolicy("random", 0.3), seed=int(rng.integers(10 ** 6))))
+        if len(graph.nodes) <= 8:
+            break
+    cards = {v: int(rng.integers(2, 4)) for v in graph.nodes}
+    return random_cbn(graph, cards, seed=int(rng.integers(10 ** 6)), exo_card=3,
+                      deterministic=deterministic), partition
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_interventional_tables_match_per_value_reference(deterministic):
+    rng = rng_for(950 + deterministic)
+    for _ in range(6):
+        m, _ = model_on_expansion(rng, deterministic)
+        nodes = list(m.graph.nodes)
+        sinks = [v for v in nodes if not m.graph.children([v])]
+        sets = [(), tuple(nodes), (sinks[0],)]
+        sets += [tuple(rng.permutation(nodes)[:int(rng.integers(1, 4))]) for _ in range(3)]
+        # every set twice, the rounds interleaved, values in a fresh order
+        calls = []
+        for _ in range(2):
+            for xs in sets:
+                states = list(itertools.product(*(range(m.cards[v]) for v in xs)))
+                for i in rng.permutation(len(states))[:6]:
+                    calls.append(dict(zip(xs, states[i])))
+        for i in rng.permutation(len(calls)):
+            assert_same_table(interventional_distribution(m, calls[i]),
+                              oracles.interventional_distribution(m, calls[i]))
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_factorization_check_matches_per_value_reference(deterministic):
+    rng = rng_for(960 + deterministic)
+    for _ in range(6):
+        m, partition = model_on_expansion(rng, deterministic)
+        names = list(partition.cluster_names)
+        for k in (0, 1, 2):
+            x_clusters = list(rng.permutation(names)[:k])
+            assert repr(cluster_factorization_check(m, partition, x_clusters)) == \
+                repr(oracles.cluster_factorization_check(m, partition, x_clusters))
+
+
+def test_interventional_tables_are_read_only():
+    m = xor_model()
+    post = interventional_distribution(m, {"A": 1})
+    with pytest.raises(ValueError):
+        post.probs[0, 0] = 0.5
 
 
 def test_stochastic_models_build_no_response_tables(med_admg):
