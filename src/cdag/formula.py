@@ -79,6 +79,14 @@ class CondProb(ProbExpr):
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "given", given)
 
+    @classmethod
+    def _trusted(cls, target: tuple, given: tuple) -> "CondProb":
+        # For tuples already sorted, distinct and disjoint: skips the checks.
+        node = object.__new__(cls)
+        object.__setattr__(node, "target", target)
+        object.__setattr__(node, "given", given)
+        return node
+
     def __setattr__(self, *a):
         raise AttributeError("CondProb is immutable")
 
@@ -190,7 +198,13 @@ def alpha_normalize(e: ProbExpr, reserved: Iterable[str] = ()) -> ProbExpr:
     disjoint from the free variables, priming names as needed.  Names in
     ``reserved`` are treated as taken even when they do not occur free
     (identification reserves its query variables this way)."""
-    used = set(free_vars(e)) | set(reserved)
+    return _alpha_normalize(e, reserved, {})
+
+
+def _alpha_normalize(e, reserved, fv):
+    # ``fv`` is a free-variable cache as :func:`_free_vars` keeps it;
+    # simplify passes the one its rewrite pass filled.
+    used = set(_free_vars(e, fv)) | set(reserved)
 
     def fresh(name):
         candidate = name
@@ -361,7 +375,8 @@ def simplify(e: ProbExpr, reserved: Iterable[str] = ()) -> ProbExpr:
     are in normal form returns a node in normal form.  The pass handles
     a shared sub-expression once; the final renaming walks a tree.
     """
-    return alpha_normalize(_simplify(e, {}, {}), reserved)
+    fv = {}
+    return _alpha_normalize(_simplify(e, {}, fv), reserved, fv)
 
 
 # ---------------------------------------------------------------------------
@@ -655,9 +670,11 @@ def _render(node, style, prec=0):
     if isinstance(node, _One):
         return "1"
     if isinstance(node, CondProb):
-        head = sep.join(v.lower() for v in node.target)
+        # one lower() per list: no Final_Sigma context crosses a separator,
+        # which is neither cased nor case-ignorable, so each name lowers alone
+        head = sep.join(node.target).lower()
         if node.given:
-            head += bar + sep.join(v.lower() for v in node.given)
+            head += bar + sep.join(node.given).lower()
         return f"P({head})"
     if isinstance(node, Fraction):
         return fraction.format(_render(node.numerator, style),
@@ -667,7 +684,7 @@ def _render(node, style, prec=0):
         parts.append(_render(node.factors[-1], style, min(prec, 1)))
         out = " ".join(parts)
     elif isinstance(node, Sum):
-        head = sum_head(sep.join(v.lower() for v in node.bound))
+        head = sum_head(sep.join(node.bound).lower())
         out = f"{head} {_render(node.body, style, 1)}"
     else:
         raise TypeError(f"not a ProbExpr: {node!r}")

@@ -11,7 +11,9 @@ ID): the other clusters cannot change P(y|do(x)).  It then reduces to
 the ancestors of Y outside X, splits the reduced graph into
 c-components, and identifies each c-factor from the factor of its
 enclosing c-component by alternating ancestral marginalization with
-c-component refinement.  Failure of that recursion yields a pair of
+c-component refinement.  The enclosing factors are products of chain
+terms P(v | every earlier node), built once per query in one table that
+all of them share.  Failure of that recursion yields a pair of
 root-set-rooted c-forests, one containing intervened clusters and one
 avoiding them, validated against the full graph and the full X;
 expanding every cluster into a chain with parallel confounding and
@@ -19,6 +21,7 @@ fully wiring cross-cluster pairs turns the witness into a concrete
 variable-level graph where the same query fails.
 """
 
+import bisect
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Tuple, Union
 
@@ -135,13 +138,20 @@ def _district(graph: Admg, s: Iterable[str], within: FrozenSet[str]) -> FrozenSe
     return graph._reach(s, graph._siblings, within)
 
 
-def _chain_factor(order: Tuple[str, ...], members: Iterable[str]) -> ProbExpr:
-    members = set(members)
-    factors = []
-    for i, node in enumerate(order):
-        if node in members:
-            factors.append(CondProb([node], order[:i]))
-    return product_of(factors)
+def _chain_table(order: Tuple[str, ...]) -> Dict[str, CondProb]:
+    # P(v | every node before v in order), in order, one node per v: every
+    # chain factor of a query shares these objects.  The prefix grows
+    # sorted and never holds v, so the checks of CondProb are skipped.
+    table, prefix = {}, []
+    for v in order:
+        table[v] = CondProb._trusted((v,), tuple(prefix))
+        bisect.insort(prefix, v)
+    return table
+
+
+def _chain_factor(table: Dict[str, CondProb], members: Iterable[str]) -> ProbExpr:
+    # in chain order: a node's place in the order is the length of its prefix
+    return product_of(sorted([table[v] for v in members], key=lambda p: len(p.given)))
 
 
 def q_factor(c: ClusterDag, s: Iterable[str]) -> QFactor:
@@ -153,7 +163,7 @@ def q_factor(c: ClusterDag, s: Iterable[str]) -> QFactor:
     s = frozenset(s)
     if s not in set(c.graph.c_components()):
         raise GraphError(f"{sorted(s)} is not a c-component of the cluster graph")
-    return QFactor(s, _chain_factor(c.graph.topological_order(), s))
+    return QFactor(s, _chain_factor(_chain_table(c.graph.topological_order()), s))
 
 
 def _identify_component(graph: Admg, order: Tuple[str, ...],
@@ -203,6 +213,7 @@ def _run(c: ClusterDag, x: FrozenSet[str], y: FrozenSet[str]) -> ProbExpr:
     x = x & nodes
     order = tuple(v for v in graph.topological_order() if v in nodes)
     reduced = _ancestral_reduce(graph, nodes - x, y)
+    table = _chain_table(order)
 
     # One factor per c-component of G[reduced], by smallest member.
     factors, seen = [], set()
@@ -212,7 +223,7 @@ def _run(c: ClusterDag, x: FrozenSet[str], y: FrozenSet[str]) -> ProbExpr:
         comp = _district(graph, [v], reduced)
         seen |= comp
         enclosing = _district(graph, comp, nodes)
-        base = _chain_factor(order, enclosing)
+        base = _chain_factor(table, enclosing)
         factors.append(_identify_component(graph, order, comp, enclosing, base))
     expr = sum_over(sorted(reduced - y), product_of(factors))
 
@@ -229,29 +240,26 @@ def _run(c: ClusterDag, x: FrozenSet[str], y: FrozenSet[str]) -> ProbExpr:
 def _build_hedge(c: ClusterDag, x: FrozenSet[str], y: FrozenSet[str],
                  inner: FrozenSet[str], outer: FrozenSet[str]) -> Hedge:
     graph = c.graph
-    sub = graph.induced(outer)
 
-    # Distance of every outer node to the inner set along directed edges.
-    dist = {v: 0 for v in inner}
-    frontier = set(inner)
-    while frontier:
-        nxt = set()
-        for t, h in sub.directed:
-            if h in dist and t not in dist:
-                nxt.add(t)
-        for v in nxt:
-            dist[v] = min(dist[h] for t, h in sub.directed if t == v and h in dist) + 1
-        frontier = nxt
+    # Distance of every outer node to the inner set along directed edges
+    # within outer, by one reverse breadth-first search.
+    dist = dict.fromkeys(inner, 0)
+    queue = list(inner)
+    for h in queue:
+        for t in graph._parents[h]:
+            if t in outer and t not in dist:
+                dist[t] = dist[h] + 1
+                queue.append(t)
 
-    chosen = []
-    for v in sorted(outer - inner):
-        children = sorted(h for t, h in sub.directed
-                          if t == v and h in dist and dist[h] == dist[v] - 1)
-        chosen.append((v, children[0]))
+    # Each node keeps its smallest-named child one step nearer the roots.
+    chosen = [(v, min(h for h in graph._children[v]
+                      if h in outer and dist[h] == dist[v] - 1))
+              for v in sorted(outer - inner)]
 
-    forest_f = Admg(sorted(outer), chosen, sub.bidirected)
+    bidirected = [(a, b) for a, b in graph.bidirected if a in outer and b in outer]
+    forest_f = Admg(sorted(outer), chosen, bidirected)
     forest_fprime = Admg(sorted(inner), (),
-                         [(a, b) for a, b in sub.bidirected if a in inner and b in inner])
+                         [(a, b) for a, b in bidirected if a in inner and b in inner])
     hedge = Hedge(root_set=inner, forest_f=forest_f, forest_fprime=forest_fprime,
                   intersected_x=frozenset(outer & x))
     _validate_hedge(c, hedge, x, y)

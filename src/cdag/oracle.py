@@ -143,14 +143,15 @@ class Mechanism:
 
 
 def _check_intervention(x: Dict, cards: Dict[str, int],
-                        members: Optional[Dict[str, Sequence[str]]] = None) -> None:
-    # Every intervened name must be a variable, or with ``members`` a
-    # cluster given a tuple of one value per member, set to integer states
-    # in range.
+                        members: Optional[Dict[str, Sequence[str]]] = None,
+                        what: str = "intervention") -> None:
+    # Every name in ``x`` (an intervention, or the assignment ``what``
+    # names) must be a variable, or with ``members`` a cluster given a
+    # tuple of one value per member, set to integer states in range.
     kind = "variable" if members is None else "cluster"
     unknown = x.keys() - (cards if members is None else members).keys()
     if unknown:
-        raise GraphError(f"unknown {kind}(s) in intervention: {sorted(unknown)}")
+        raise GraphError(f"unknown {kind}(s) in {what}: {sorted(unknown)}")
     for name, value in x.items():
         group, values = ((name,), (value,)) if members is None else (members[name], value)
         if not (isinstance(values, (tuple, list)) and len(values) == len(group) and all(
@@ -573,6 +574,8 @@ def counterfactual_prob(model, events: Sequence[Tuple[Dict, Dict]]) -> float:
     grid = dict(zip(names, np.ix_(*(np.arange(card) for card in shape))))
     holds = np.True_
     for targets, interventions in events:
+        _check_intervention(targets, base.cards, model.members if macro else None,
+                            "event target")
         solution = model._solve(grid, interventions)
         for k, want in targets.items():
             # a cluster matches where every member does

@@ -12,6 +12,9 @@ They are deliberately naive and independent of the code they check:
   rewritten once per reference and free variables are recomputed at
   every sum, and :func:`simplify` repeats its rewrite pass until nothing
   changes; the library processes each shared node once, in one pass.
+* :func:`render_per_name` lowercases each variable name on its own; the
+  library's :func:`cdag.formula.render` lowercases each joined name list
+  once.
 * :func:`counterfactual_prob` solves every exogenous state one at a time
   through the public ``solve``; the library solves each event once over
   the whole exogenous grid.
@@ -33,7 +36,8 @@ import numpy as np
 
 from cdag.formula import (ONE, CondProb, Fraction, FormulaError, JointTable, ProbExpr,
                           Product, Sum, UnknownVariableError, ZeroConditioningMass,
-                          _base_name, _Factor, _One, product_of, render)
+                          _LATEX, _TEXT, _base_name, _Factor, _One, product_of,
+                          render)
 from cdag.graphs import Admg, GraphError
 from cdag.cluster import build_cdag
 from cdag.oracle import MacroScm, StateSpaceCapError, _cap, _contract, _macro_factor
@@ -361,6 +365,33 @@ def simplify(e: ProbExpr, reserved: Iterable[str] = ()) -> ProbExpr:
         previous = current
         current = _simplify(current)
     return alpha_normalize(current, reserved)
+
+
+def render_per_name(e: ProbExpr, format: str = "text") -> str:
+    """Text or LaTeX rendering with one ``lower()`` call per name."""
+    return _render(e, {"text": _TEXT, "latex": _LATEX}[format])
+
+
+def _render(node, style, prec=0):
+    sep, bar, left, right, sum_head, fraction = style
+    if isinstance(node, _One):
+        return "1"
+    if isinstance(node, CondProb):
+        head = sep.join(v.lower() for v in node.target)
+        if node.given:
+            head += bar + sep.join(v.lower() for v in node.given)
+        return f"P({head})"
+    if isinstance(node, Fraction):
+        return fraction.format(_render(node.numerator, style),
+                               _render(node.denominator, style))
+    if isinstance(node, Product):
+        parts = [_render(f, style, 2) for f in node.factors[:-1]]
+        parts.append(_render(node.factors[-1], style, min(prec, 1)))
+        out = " ".join(parts)
+    else:
+        head = sum_head(sep.join(v.lower() for v in node.bound))
+        out = f"{head} {_render(node.body, style, 1)}"
+    return left + out + right if prec >= 2 else out
 
 
 def counterfactual_prob(model, events: Sequence[Tuple[Dict, Dict]]) -> float:

@@ -391,6 +391,37 @@ def test_render_fraction_golden():
                                   "\\left(\\sum_{d} P(d)\\right) P(e)")
 
 
+# Names that stress lowercasing: Σ lowers to ς at the end of a word, and
+# apostrophes, combining marks, ':' and '.' are case-ignorable, so they
+# extend a word; the rest of Unicode comes in through st.characters().
+UNICODE_NAMES = st.text(st.one_of(st.sampled_from("ΣσςAbİẞ'\u0301\u0308:. "),
+                                  st.characters()), max_size=4)
+
+
+def unicode_expressions():
+    name_lists = st.lists(UNICODE_NAMES, min_size=1, max_size=4, unique=True)
+    leaves = st.one_of(st.just(ONE), st.builds(
+        lambda t, g: CondProb(t, [v for v in g if v not in t]),
+        name_lists, st.lists(UNICODE_NAMES, max_size=4, unique=True)))
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.builds(Product, st.lists(kids, min_size=1, max_size=3)),
+        st.builds(Sum, name_lists, kids),
+        st.builds(Fraction, kids, kids)), max_leaves=8)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(e=unicode_expressions())
+def test_render_lowercases_like_each_name_alone(e):
+    for fmt in ("text", "latex"):
+        assert render(e, fmt) == oracles.render_per_name(e, fmt)
+
+
+def test_render_final_sigma_stays_within_a_name():
+    e = Sum(["AΣ", "Σ"], CondProb(["BΣ'", "Σ"], ["CΣ\u0308", "ΣD"]))
+    want = "Σ_{aς,σ} P(bς',σ|cς\u0308,σd)"
+    assert render(e) == oracles.render_per_name(e) == want
+
+
 def test_render_unknown_format():
     with pytest.raises(FormulaError):
         render(ONE, "html")

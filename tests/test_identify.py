@@ -3,7 +3,7 @@ import itertools
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cdag import (Admg, ClusterDag, CondProb, EmptyInterventionError, Identified,
                   NonIdentified, Product, Sum, ancestral_reduce, equivalent_on,
@@ -13,6 +13,7 @@ from cdag import (Admg, ClusterDag, CondProb, EmptyInterventionError, Identified
                   singleton_cdag, UnknownNodeError)
 from cdag.cli import main
 from cdag.graphs import GraphError
+from cdag.identify import _chain_table, _run
 
 from randutil import random_admg, rng_for, sweep_query
 
@@ -223,6 +224,45 @@ def test_q_factor_confounded(confounded_cdag):
     qf = q_factor(confounded_cdag, ["X", "Y", "Z"])
     assert qf.expr == Product([CondProb(["X"]), CondProb(["Z"], ["X"]),
                                CondProb(["Y"], ["X", "Z"])])
+
+
+# Primed names between their neighbours in name order: the prime sorts
+# before every digit and letter, so "V2" < "V2'" < "V20" < "V2a".
+CHAIN_NAMES = ["A", "A'", "A''", "B", "B'", "V1", "V10", "V2", "V2'", "V20", "V2a", "Y'"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(order=st.lists(st.sampled_from(CHAIN_NAMES), min_size=2, unique=True))
+def test_chain_table_equals_checked_conditionals(order):
+    assume(order != sorted(order))
+    table = _chain_table(tuple(order))
+    assert list(table) == order
+    for i, v in enumerate(order):
+        want = CondProb([v], order[:i])
+        assert table[v] == want
+        assert (table[v].target, table[v].given) == (want.target, want.given)
+
+
+def test_chain_factors_of_a_query_share_the_table_nodes():
+    # A and B are separate c-components of G[An(Y) \ X] with one enclosing
+    # district {A, B, X}, whose chain factor enters the expression twice:
+    # each P(v | prefix) in it is one object.
+    c = ClusterDag(Admg(["A", "B", "X", "Y"], [("A", "Y"), ("B", "Y"), ("X", "Y")],
+                        [("A", "X"), ("B", "X")]))
+    nodes, seen = {}, []
+
+    def walk(node):
+        if isinstance(node, CondProb):
+            seen.append(node)
+            assert nodes.setdefault(node, node) is node
+        elif isinstance(node, Product):
+            for f in node.factors:
+                walk(f)
+        else:
+            walk(node.body)
+
+    walk(_run(c, frozenset(["X"]), frozenset(["Y"])))
+    assert (len(seen), len(nodes)) == (7, 4)
 
 
 def test_q_factor_rejects_non_component(backdoor_cdag):

@@ -261,6 +261,24 @@ def test_macro_response_paths_reject_bad_interventions(x, message):
         counterfactual_prob(macro, [({"W": (0,)}, x)])
 
 
+@pytest.mark.parametrize("targets, message", [
+    ({"Q": 0}, "unknown variable"), ({"B": 5}, "not a state"),
+    ({"B": -1}, "not a state"), ({"B": 1.0}, "not a state")])
+def test_counterfactual_prob_rejects_bad_targets(targets, message):
+    # these used to raise a bare KeyError ({"Q": 0}) or answer 0.0
+    with pytest.raises(GraphError, match=message):
+        counterfactual_prob(xor_model(), [(targets, {"A": 1})])
+
+
+@pytest.mark.parametrize("targets, message", [
+    ({"Q": (0,)}, "unknown cluster"), ({"K": (0, 2)}, "not a state"),
+    ({"K": (0,)}, "not a state"), ({"W": 1}, "not a state")])
+def test_macro_counterfactual_prob_rejects_bad_targets(targets, message):
+    macro = build_macro_scm(xor_model(), Partition([("K", ["A", "B"]), ("W", ["W"])]))
+    with pytest.raises(GraphError, match=message):
+        counterfactual_prob(macro, [(targets, {"W": (1,)})])
+
+
 def test_counterfactual_null_intervention_is_observational():
     m = xor_model()
     t = joint_distribution(m)
