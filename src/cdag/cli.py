@@ -32,11 +32,10 @@ from .graphs import Admg, GraphError
 from .cluster import (ClusterDag, InadmissibleError, Partition, PartitionError,
                       build_cdag, cdag_d_separated, is_compatible, singleton_cdag)
 from .docalc import DoQuery, rule1, rule2, rule3
-from .formula import (FormulaError, JointTable, evaluate, parse_formula_json,
-                      render, tabulate)
+from .formula import FormulaError, JointTable, _Plan, evaluate, parse_formula_json, render
 from .identify import Identified, identify
-from .oracle import (StateSpaceCapError, _check_state_space, empirical_table,
-                     joint_distribution, random_cbn, sample_dataset)
+from .oracle import (StateSpaceCapError, _check_state_space, _sample_columns,
+                     empirical_table, joint_distribution, random_cbn)
 from .sampler import (CrossPolicy, ExpansionSpec, InternalPolicy, _derive_seed, expand,
                       sample_batch)
 
@@ -334,10 +333,9 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _effect(expr, table, x_vars, y_vars, clusters, lenient=False):
+def _effect(plan, table, x_vars, y_vars, lenient=False):
     # P(Y = 1...1 | do(X = 1...1)) - P(Y = 1...1 | do(X = 0...0))
-    mode = "zero" if lenient else "raise"
-    variables, arr = tabulate(expr, table, clusters, zero_division=mode)
+    variables, arr = plan.run(table, zero_division="zero" if lenient else "raise")
 
     def at(x_value):
         assign = {v: x_value for v in x_vars} | {v: 1 for v in y_vars}
@@ -392,16 +390,19 @@ def _cmd_simulate(args) -> int:
         model = random_cbn(graph, cards, seed=_derive_seed(args.seed, index, 1))
         clusters = partition.to_cluster_map()
         exact = joint_distribution(model)
-        effect_c = _effect(cdag_expr, exact, var_x, var_y, clusters)
-        effect_g = _effect(result.expr, exact, var_x, var_y, None)
+        # one plan per expression, run on the exact table and every dataset's
+        plan_c = _Plan(cdag_expr, exact.variables, exact.cards, clusters)
+        plan_g = _Plan(result.expr, exact.variables, exact.cards)
+        effect_c = _effect(plan_c, exact, var_x, var_y)
+        effect_g = _effect(plan_g, exact, var_x, var_y)
         exact_diffs.append(abs(effect_c - effect_g))
         for n_index, n in enumerate(ns):
             for rep in range(args.datasets):
-                data = sample_dataset(model, n,
-                                      seed=_derive_seed(args.seed, index, 2, n_index, rep))
-                emp = empirical_table(graph.nodes, [2] * len(graph.nodes), data)
-                eff_c = _effect(cdag_expr, emp, var_x, var_y, clusters, lenient=True)
-                eff_g = _effect(result.expr, emp, var_x, var_y, None, lenient=True)
+                data = _sample_columns(model, n,
+                                       seed=_derive_seed(args.seed, index, 2, n_index, rep))
+                emp = empirical_table(graph.nodes, exact.cards, data)
+                eff_c = _effect(plan_c, emp, var_x, var_y, lenient=True)
+                eff_g = _effect(plan_g, emp, var_x, var_y, lenient=True)
                 diffs[n].append(abs(eff_c - eff_g))
 
     lines = ["metric,n,value,std_error"]

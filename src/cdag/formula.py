@@ -8,9 +8,11 @@ e.g. ``Sum_s P(s|x) Sum_{x'} P(y|x',s) P(x')``.
 
 Expression variables may name clusters; at evaluation time a cluster
 name expands to the joint assignment of its member variables in the
-table (pass the partition's cluster map).  :func:`tabulate` is the one
-evaluator: it computes an expression at every free-variable assignment
-at once, and :func:`evaluate` and :func:`equivalent_on` read its arrays.
+table (pass the partition's cluster map).  There is one evaluator, a
+plan: built once per expression, table layout and cluster map, it runs
+on any number of tables of that layout and computes the expression at
+every free-variable assignment at once.  :func:`tabulate` builds one
+and runs it, :func:`evaluate` and :func:`equivalent_on` read the arrays.
 Equivalence of expressions is decided numerically on full-support
 tables rather than by a symbolic normal form.
 """
@@ -375,7 +377,12 @@ def simplify(e: ProbExpr, reserved: Iterable[str] = ()) -> ProbExpr:
     are in normal form returns a node in normal form.  The pass handles
     a shared sub-expression once; the final renaming walks a tree.
     """
-    fv = {}
+    return _simplify_with(e, reserved, {})
+
+
+def _simplify_with(e, reserved, fv):
+    # :func:`simplify` from the free-variable cache ``fv``, which may hold
+    # entries already: identification passes the one its last walk filled.
     return _alpha_normalize(_simplify(e, {}, fv), reserved, fv)
 
 
@@ -493,96 +500,163 @@ class _Factor:
                        self.values.sum(axis=axes))
 
 
-def _product(a: _Factor, b: _Factor, lead=()) -> _Factor:
-    # Broadcast product over the union of the axes: those of ``lead``
-    # first, then ``a``'s, then ``b``'s.
-    names = a.names + tuple(n for n in b.names if n not in a.names)
+def _broadcast(a_names, a_shape, b_names, b_shape, lead=()):
+    # The broadcast rule of a product over the union of the axes: those of
+    # ``lead`` first, then ``a``'s, then ``b``'s.  Returns the union and,
+    # per operand, the view (transpose, reshape) that lines it up with it.
+    names = a_names + tuple(n for n in b_names if n not in a_names)
     if lead:
         names = tuple(n for n in lead if n in names) + tuple(n for n in names if n not in lead)
-    dims = dict(zip(b.names, b.values.shape)) | dict(zip(a.names, a.values.shape))
+    dims = dict(zip(b_names, b_shape)) | dict(zip(a_names, a_shape))
 
-    def view(f):
-        perm = [f.names.index(n) for n in names if n in f.names]
-        arr = np.transpose(f.values, perm)
-        return arr.reshape([dims[n] if n in f.names else 1 for n in names])
+    def view(f_names):
+        return ([f_names.index(n) for n in names if n in f_names],
+                [dims[n] if n in f_names else 1 for n in names])
 
-    return _Factor(names, view(a) * view(b))
+    return names, view(a_names), view(b_names)
 
 
-def _tabulate(e, t, clusters, zero_division):
-    # The values of ``e`` at every free-variable assignment; in "raise"
-    # mode a cell whose value needs a zero-mass conditioning event is NaN.
-    if zero_division not in ("raise", "zero"):
-        raise FormulaError(f"bad zero_division mode {zero_division!r}")
-    clusters = clusters or {}
-    fill = 0.0 if zero_division == "zero" else np.nan
+def _line_up(values, view):
+    # ``np.transpose(values, perm).reshape(shape)`` without numpy's wrapper
+    perm, shape = view
+    return values.transpose(perm).reshape(shape)
 
-    def resolve(name):
-        base = _base_name(name)
-        if base in t._index:
-            return (base,)
-        if base in clusters:
-            return tuple(clusters[base])
-        raise UnknownVariableError(f"variable {name!r} is neither a table variable "
-                                   "nor a known cluster")
 
-    # Axes are (expression name, member variable) pairs so that a bound
-    # primed name never collides with the free name sharing its base.
-    def axes_of(names):
-        return [(n, m) for n in names for m in resolve(n)]
+def _product(a: _Factor, b: _Factor, lead=()) -> _Factor:
+    names, view_a, view_b = _broadcast(a.names, a.values.shape, b.names, b.values.shape, lead)
+    return _Factor(names, _line_up(a.values, view_a) * _line_up(b.values, view_b))
 
-    def ones(axes):
-        return _Factor(axes, np.ones([t.card(m) for _, m in axes]))
 
-    def divide(num, den):
-        # NaN (0 in "zero" mode) where the denominator has no mass; NaN
-        # then survives every product, sum and fraction above it.  With
-        # no such cell, "raise" mode divides plainly: numpy then picks the
-        # output's memory layout, which fixes the order in which later
-        # sums add and so the last bits of the result.
-        positive = den > 0
-        if zero_division == "raise" and positive.all():
-            return num / den
-        return np.divide(num, den, out=np.full(np.broadcast_shapes(
-            num.shape, den.shape), fill), where=positive)
+def _divide(num, den, zero, shape):
+    # NaN (0 with ``zero``) where the denominator has no mass; NaN survives
+    # every step above.  With no such cell and no ``zero``, divide plainly:
+    # numpy then picks the output's layout, which fixes the order in which
+    # later sums add and so the last bits of the result.
+    positive = den > 0
+    if not zero and positive.all():
+        return num / den
+    return np.divide(num, den, out=np.full(shape, 0.0 if zero else np.nan), where=positive)
 
-    def walk(node):
-        if isinstance(node, _One):
-            return _Factor((), np.array(1.0))
-        if isinstance(node, CondProb):
-            all_axes = axes_of(node.target + node.given)
-            if len({m for _, m in all_axes}) != len(all_axes):
-                raise FormulaError(f"variable indexed twice in {render(node, 'text')}")
-            num = t.marginal([m for _, m in all_axes])
-            # marginal axes come in table order; label then reorder
-            table_order = [ax for v in t.variables for ax in all_axes if ax[1] == v]
-            num = np.transpose(num, [table_order.index(ax) for ax in all_axes])
-            if not node.given:
-                return _Factor(all_axes, num)
-            den = _product(_Factor(all_axes, np.ones_like(num)), walk(CondProb(node.given)))
-            return _Factor(all_axes, divide(num, den.values))
-        if isinstance(node, Product):
-            acc = _Factor((), np.array(1.0))
-            for f in node.factors:
-                acc = _product(acc, walk(f))
-            return acc
-        if isinstance(node, Fraction):
-            num, den = walk(node.numerator), walk(node.denominator)
-            axes = num.names + tuple(ax for ax in den.names if ax not in num.names)
-            return _Factor(axes, divide(_product(ones(axes), num).values,
-                                        _product(ones(axes), den).values))
-        if isinstance(node, Sum):
-            body = walk(node.body)
-            out = body.sum_out([ax for ax in body.names if ax[0] in node.bound])
-            # a bound name absent from the body counts its joint states
-            present = {n for n, _ in body.names}
-            count = math.prod(t.card(m) for _, m in
-                              axes_of([n for n in node.bound if n not in present]))
-            return out if count == 1 else _Factor(out.names, out.values * count)
-        raise TypeError(f"not a ProbExpr: {node!r}")
 
-    result = walk(e)
-    return tuple(m for _, m in result.names), result.values
+class _Plan:
+    """:func:`tabulate`'s evaluator, built once for tables over
+    ``variables`` with ``cards`` and run on any number of them.  Building
+    resolves every name and fixes each product's views, each sum's axes and
+    each absent bound name's count; a run issues only the numpy operations
+    of a walk of the expression, in its order and on arrays of its layout,
+    and so gives the walk's bytes."""
+
+    __slots__ = ("variables", "cards", "out", "_run")
+
+    def __init__(self, e: ProbExpr, variables: Sequence[str], cards: Sequence[int],
+                 clusters: Optional[Dict[str, Sequence[str]]] = None):
+        self.variables, self.cards = tuple(variables), tuple(cards)
+        card = dict(zip(self.variables, self.cards))
+        index = {v: i for i, v in enumerate(self.variables)}
+        clusters = clusters or {}
+
+        # Axes are (expression name, member variable) pairs so that a bound
+        # primed name never collides with the free name sharing its base.
+        def axes_of(names):
+            axes = []
+            for n in names:
+                base = _base_name(n)
+                members = (base,) if base in card else clusters.get(base)
+                if members is None or not card.keys() >= set(members):
+                    raise UnknownVariableError(f"variable {n!r} is neither a table variable "
+                                               "nor a cluster of table variables")
+                axes += [(n, m) for m in members]
+            return tuple(axes)
+
+        def shape(axes):
+            return [card[m] for _, m in axes]
+
+        def view(axes, of):
+            # lines an array over ``of`` up with one over its superset ``axes``
+            return _broadcast(axes, shape(axes), of, shape(of))[2]
+
+        def marginal(axes):
+            # the marginal comes in table order; one transpose reorders it
+            keep = frozenset(m for _, m in axes)
+            in_table = sorted(axes, key=lambda ax: index[ax[1]])
+            perm = [in_table.index(ax) for ax in axes]
+            return lambda t, zero: t.marginal(keep).transpose(perm)
+
+        def build(node):
+            # (axes, run): the node's axes and its array as run(table, zero)
+            if isinstance(node, _One):
+                return (), lambda t, zero: np.array(1.0)
+            if isinstance(node, CondProb):
+                axes = axes_of(node.target + node.given)
+                if len({m for _, m in axes}) != len(axes):
+                    raise FormulaError(f"variable indexed twice in {render(node, 'text')}")
+                num = marginal(axes)
+                if not node.given:
+                    return axes, num
+                given = axes_of(node.given)
+                den, den_view, full = marginal(given), view(axes, given), shape(axes)
+
+                def cond(t, zero):
+                    values = num(t, zero)
+                    den_values = np.ones_like(values) * _line_up(den(t, zero), den_view)
+                    return _divide(values, den_values, zero, full)
+                return axes, cond
+            if isinstance(node, Product):
+                axes, steps = (), []
+                for f in node.factors:
+                    f_axes, f_run = build(f)
+                    axes, *views = _broadcast(axes, shape(axes), f_axes, shape(f_axes))
+                    steps.append((f_run, *views))
+
+                def product(t, zero):
+                    acc = np.array(1.0)
+                    for f_run, acc_view, f_view in steps:
+                        values = f_run(t, zero)
+                        acc = _line_up(acc, acc_view) * _line_up(values, f_view)
+                    return acc
+                return axes, product
+            if isinstance(node, Fraction):
+                (n_axes, n_run), (d_axes, d_run) = build(node.numerator), build(node.denominator)
+                axes = n_axes + tuple(ax for ax in d_axes if ax not in n_axes)
+                n_view, d_view, full = view(axes, n_axes), view(axes, d_axes), shape(axes)
+
+                def fraction(t, zero):
+                    n, d = n_run(t, zero), d_run(t, zero)
+                    return _divide(np.ones(full) * _line_up(n, n_view),
+                                   np.ones(full) * _line_up(d, d_view), zero, full)
+                return axes, fraction
+            if isinstance(node, Sum):
+                b_axes, b_run = build(node.body)
+                summed = tuple(i for i, (n, _) in enumerate(b_axes) if n in node.bound)
+                axes = tuple(ax for ax in b_axes if ax[0] not in node.bound)
+                # a bound name absent from the body counts its joint states
+                present = {n for n, _ in b_axes}
+                count = math.prod(shape(axes_of([n for n in node.bound if n not in present])))
+
+                def total(t, zero):
+                    values = b_run(t, zero)
+                    if summed:
+                        values = values.sum(axis=summed)
+                    return values if count == 1 else values * count
+                return axes, total
+            raise TypeError(f"not a ProbExpr: {node!r}")
+
+        axes, self._run = build(e)
+        self.out = tuple(m for _, m in axes)
+
+    def run(self, t: JointTable, zero_division: str = "raise", nan_ok: bool = False):
+        """``(variables, array)`` on ``t`` as :func:`tabulate` gives it; with
+        ``nan_ok``, "raise" mode leaves NaN where a value needs a zero-mass
+        conditioning event instead of raising."""
+        if zero_division not in ("raise", "zero"):
+            raise FormulaError(f"bad zero_division mode {zero_division!r}")
+        if t.variables != self.variables or t.cards != self.cards:
+            raise FormulaError(f"the plan is for variables {self.variables} with cards "
+                               f"{self.cards}, not {t.variables} with {t.cards}")
+        arr = self._run(t, zero_division == "zero")
+        if not nan_ok and np.isnan(arr).any():
+            raise ZeroConditioningMass("conditioning event with zero probability")
+        return self.out, arr
 
 
 def tabulate(e: ProbExpr, t: JointTable,
@@ -599,12 +673,10 @@ def tabulate(e: ProbExpr, t: JointTable,
     ``zero_division`` controls conditionals with zero conditioning mass:
     ``"raise"`` raises :class:`ZeroConditioningMass` if any value needs
     one (full-support tables never do), ``"zero"`` uses the plug-in
-    convention 0/0 = 0 for empirical tables.
+    convention 0/0 = 0 for empirical tables.  Each call builds a plan and
+    runs it once; a caller with many tables of one layout keeps the plan.
     """
-    variables, arr = _tabulate(e, t, clusters, zero_division)
-    if np.isnan(arr).any():
-        raise ZeroConditioningMass("conditioning event with zero probability")
-    return variables, arr
+    return _Plan(e, t.variables, t.cards, clusters).run(t, zero_division)
 
 
 def evaluate(e: ProbExpr, t: JointTable, assignment: Dict[str, int],
@@ -617,7 +689,7 @@ def evaluate(e: ProbExpr, t: JointTable, assignment: Dict[str, int],
     ``"raise"`` mode it raises :class:`ZeroConditioningMass` exactly when
     this value depends on a conditioning event of zero mass.
     """
-    variables, arr = _tabulate(e, t, clusters, zero_division)
+    variables, arr = _Plan(e, t.variables, t.cards, clusters).run(t, zero_division, nan_ok=True)
     index = []
     for v in variables:
         if v not in assignment:

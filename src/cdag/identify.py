@@ -27,8 +27,8 @@ from typing import Dict, FrozenSet, Iterable, Tuple, Union
 
 from .graphs import Admg, GraphError, UnknownNodeError
 from .cluster import ClusterDag
-from .formula import (CondProb, Fraction, ProbExpr, free_vars, product_of,
-                      simplify, sum_over)
+from .formula import (CondProb, Fraction, ProbExpr, _free_vars, _simplify_with, product_of,
+                      sum_over)
 
 
 class EmptyInterventionError(ValueError):
@@ -203,7 +203,7 @@ def _identify_component(graph: Admg, order: Tuple[str, ...],
     return _identify_component(graph, order, target, component, product_of(factors))
 
 
-def _run(c: ClusterDag, x: FrozenSet[str], y: FrozenSet[str]) -> ProbExpr:
+def _run(c: ClusterDag, x: FrozenSet[str], y: FrozenSet[str]) -> Tuple[ProbExpr, Dict]:
     # Line 2 of ID: only the ancestors of Y matter, read from the full
     # graph's links within An(Y).  Kahn's lexicographic order on an
     # ancestral set is the restriction of the full order, so the chain
@@ -231,10 +231,13 @@ def _run(c: ClusterDag, x: FrozenSet[str], y: FrozenSet[str]) -> ProbExpr:
     # expression's value does not depend on those contexts (it equals the
     # effect at every one of them), so averaging them out under their
     # observed weight leaves a formula over the query variables alone.
-    extra = free_vars(expr) - x - y
+    # Returns the expression and the free-variable cache this filled, which
+    # simplify's pass goes on to use.
+    fv = {}
+    extra = _free_vars(expr, fv) - x - y
     if extra:
         expr = sum_over(sorted(extra), product_of([CondProb(sorted(extra)), expr]))
-    return expr
+    return expr, fv
 
 
 def _build_hedge(c: ClusterDag, x: FrozenSet[str], y: FrozenSet[str],
@@ -311,10 +314,10 @@ def identify(c: ClusterDag, x: Iterable[str], y: Iterable[str]) -> IdResult:
         raise EmptyInterventionError(
             "empty intervention set; use observational_marginal for plain marginals")
     try:
-        expr = _run(c, x, y)
+        expr, fv = _run(c, x, y)
     except _HedgeFound as found:
         return NonIdentified(_build_hedge(c, x, y, found.inner, found.outer))
-    return Identified(simplify(expr, reserved=x | y))
+    return Identified(_simplify_with(expr, x | y, fv))
 
 
 def find_hedge(c: ClusterDag, x: Iterable[str], y: Iterable[str]) -> Hedge:
@@ -329,7 +332,8 @@ def observational_marginal(c: ClusterDag, y: Iterable[str]) -> ProbExpr:
     """Expression for the plain marginal P(y), via ancestral reduction and
     the c-component factorization (the degenerate empty-intervention case)."""
     _, y = _validate_query(c, (), y)
-    return simplify(_run(c, frozenset(), y), reserved=y)
+    expr, fv = _run(c, frozenset(), y)
+    return _simplify_with(expr, y, fv)
 
 
 def hedge_expansion_witness(c: ClusterDag, h: Hedge,

@@ -13,6 +13,9 @@ Counterfactual queries require deterministic mechanisms: ``random_cbn``
 offers a deterministic mode where each table row encodes its conditional
 distribution through a per-row permutation of the variable's private
 noise, keeping the noise cardinality equal to the variable's own.
+
+Forward samples are drawn column by column into one narrow block, which
+``sample_dataset`` widens to int64 and ``empirical_table`` can count as is.
 """
 
 import collections
@@ -361,6 +364,48 @@ def interventional_distribution(m: DiscreteCbn, x: Dict[str, int]) -> JointTable
     return JointTable(keep, table[(..., *(x[v] for v in free))])
 
 
+def _sample_columns(m: DiscreteCbn, n: int, seed: int) -> np.ndarray:
+    # The draws of :func:`sample_dataset` as an (n, k) view of the narrow
+    # block that holds them, one contiguous column per endogenous variable.
+    rng = np.random.default_rng(seed)
+    names = m.exo_names + m.graph.nodes
+    # a value counts the levels at or below its draw, so it stays below its card
+    widest = max([*m.exo_cards.values(), *m.cards.values()], default=1)
+    columns = np.zeros((len(names), n), dtype=np.min_scalar_type(widest - 1))
+    values = dict(zip(names, columns))
+    u = np.empty(n)
+    # A column's first comparison is written into it and the rest added.  A
+    # one-level column compares with its last level: 1 for exogenous ones,
+    # above every draw, and undone by the fallback for endogenous ones.
+    for name in m.exo_names:
+        cdf = m.exo_dists[name].cumsum()
+        cdf /= cdf[-1]
+        rng.random(out=u)
+        value = np.less_equal(cdf[0], u, out=values[name], casting="unsafe")
+        for level in cdf[1:-1]:
+            value += level <= u
+    for v in m.graph.topological_order():
+        mech = m.mechanisms[v]
+        # levels[j] holds every CPT row's cumulative sum up to value j; the
+        # rows are nondecreasing, so the first level above u is the count
+        # of levels at or below it.
+        levels = mech.cpt.cumsum(axis=-1).reshape(-1, m.cards[v]).T.copy()
+        # holds the row count itself, so each axis length fits as a scalar too
+        row = np.zeros(n, dtype=np.min_scalar_type(levels.shape[1]))
+        for p, dim in zip(mech.endo_parents + mech.exo_parents, mech.cpt.shape):
+            row *= dim
+            row += values[p]
+        row = row.astype(np.intp)
+        rng.random(out=u)
+        value = np.less_equal(levels[0].take(row), u, out=values[v], casting="unsafe")
+        for level in levels[1:-1]:
+            value += level.take(row) <= u
+        # every draw is below 1, so only a last level below 1 can fall back
+        if n and 1.0 > levels[-1].min() <= u.max():
+            value[levels[-1].take(row) <= u] = 0
+    return columns[len(m.exo_names):].T
+
+
 def sample_dataset(m: DiscreteCbn, n: int, seed: int) -> np.ndarray:
     """``n`` ancestral forward samples; rows are joint assignments in
     ``m.graph.nodes`` column order.
@@ -377,48 +422,25 @@ def sample_dataset(m: DiscreteCbn, n: int, seed: int) -> np.ndarray:
     narrowest one that holds the row count, and one buffer takes every
     draw, filled as ``rng.random(n)`` would be.  Only the result is int64.
     """
-    rng = np.random.default_rng(seed)
-    names = m.exo_names + m.graph.nodes
-    # a value counts the levels at or below its draw, so it stays below its card
-    widest = max([*m.exo_cards.values(), *m.cards.values()], default=1)
-    columns = np.zeros((len(names), n), dtype=np.min_scalar_type(widest - 1))
-    values = dict(zip(names, columns))
-    u = np.empty(n)
-    for name in m.exo_names:
-        cdf = m.exo_dists[name].cumsum()
-        cdf /= cdf[-1]
-        rng.random(out=u)
-        value = values[name]
-        for level in cdf[:-1]:
-            value += level <= u
-    for v in m.graph.topological_order():
-        mech = m.mechanisms[v]
-        # levels[j] holds every CPT row's cumulative sum up to value j; the
-        # rows are nondecreasing, so the first level above u is the count
-        # of levels at or below it.
-        levels = mech.cpt.cumsum(axis=-1).reshape(-1, m.cards[v]).T.copy()
-        # holds the row count itself, so each axis length fits as a scalar too
-        row = np.zeros(n, dtype=np.min_scalar_type(levels.shape[1]))
-        for p, dim in zip(mech.endo_parents + mech.exo_parents, mech.cpt.shape):
-            row *= dim
-            row += values[p]
-        row = row.astype(np.intp)
-        rng.random(out=u)
-        value = values[v]
-        for level in levels[:-1]:
-            value += level[row] <= u
-        if n and levels[-1].min() <= u.max():
-            value[levels[-1][row] <= u] = 0
-    return columns[len(m.exo_names):].T.astype(np.int64, order="C")
+    return _sample_columns(m, n, seed).astype(np.int64, order="C")
 
 
 def empirical_table(m_nodes: Sequence[str], cards: Sequence[int],
                     data: np.ndarray) -> JointTable:
-    """Empirical joint frequencies of a dataset as a JointTable."""
+    """Empirical joint frequencies of an integer (n, k) dataset as a
+    JointTable; a state outside its variable's range is a ValueError.  Each
+    row's flat cell index is built by Horner's rule in the narrowest
+    unsigned dtype that holds the number of cells, then ``bincount``-ed."""
     cards = tuple(cards)
-    # raises ValueError on a state outside its variable's range
-    flat_index = np.ravel_multi_index(data.T, cards)
-    counts = np.bincount(flat_index, minlength=int(np.prod(cards)))
+    if not np.issubdtype(data.dtype, np.integer):
+        raise ValueError(f"dataset states must be integers, not {data.dtype}")
+    if len(data) and ((data.min(axis=0) < 0) | (data.max(axis=0) >= cards)).any():
+        raise ValueError(f"dataset holds a state outside 0..card-1 for cards {cards}")
+    flat = np.zeros(len(data), dtype=np.min_scalar_type(math.prod(cards)))
+    for j, card in enumerate(cards):
+        flat *= card
+        np.add(flat, data[:, j], out=flat, casting="unsafe")
+    counts = np.bincount(flat, minlength=math.prod(cards))
     probs = counts.reshape(cards) / len(data)
     return JointTable(tuple(m_nodes), probs)
 

@@ -5,6 +5,10 @@ They are deliberately naive and independent of the code they check:
 * :func:`evaluate` walks an expression pointwise, looping over every
   joint value of each bound variable; the library evaluates through the
   vectorized :func:`cdag.formula.tabulate`.
+* :func:`tabulate_walk` evaluates an expression vectorized by walking it,
+  resolving names and working out every permutation and shape at each
+  node; the library builds a plan once per expression and table layout
+  and runs it on each table.  Both issue the same numpy operations.
 * :func:`m_separated_brute_force` enumerates every path; the library's
   :meth:`cdag.graphs.Admg.m_separated` is a reachability search.
 * :func:`simplify`, :func:`free_vars` and :func:`alpha_normalize` walk an
@@ -29,6 +33,7 @@ They are exponential and meant for small inputs only.
 """
 
 import itertools
+import math
 from collections import Counter
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -36,8 +41,8 @@ import numpy as np
 
 from cdag.formula import (ONE, CondProb, Fraction, FormulaError, JointTable, ProbExpr,
                           Product, Sum, UnknownVariableError, ZeroConditioningMass,
-                          _LATEX, _TEXT, _base_name, _Factor, _One, product_of,
-                          render)
+                          _LATEX, _TEXT, _base_name, _Factor, _One, _product,
+                          product_of, render)
 from cdag.graphs import Admg, GraphError
 from cdag.cluster import build_cdag
 from cdag.oracle import MacroScm, StateSpaceCapError, _cap, _contract, _macro_factor
@@ -143,6 +148,87 @@ def evaluate(e: ProbExpr, t: JointTable, assignment: Dict[str, int],
         raise TypeError(f"not a ProbExpr: {node!r}")
 
     return walk(e)
+
+
+def tabulate_walk(e: ProbExpr, t: JointTable,
+                  clusters: Optional[Dict[str, Sequence[str]]] = None,
+                  zero_division: str = "raise"):
+    """The values of ``e`` at every free-variable assignment, by one walk
+    of the expression that resolves names, permutes and reshapes as it
+    goes; in "raise" mode a cell whose value needs a zero-mass
+    conditioning event is NaN.  A library plan run on ``t`` must match it
+    in bytes, shape and strides."""
+    if zero_division not in ("raise", "zero"):
+        raise FormulaError(f"bad zero_division mode {zero_division!r}")
+    clusters = clusters or {}
+    fill = 0.0 if zero_division == "zero" else np.nan
+
+    def resolve(name):
+        base = _base_name(name)
+        if base in t._index:
+            return (base,)
+        if base in clusters:
+            return tuple(clusters[base])
+        raise UnknownVariableError(f"variable {name!r} is neither a table variable "
+                                   "nor a known cluster")
+
+    # Axes are (expression name, member variable) pairs so that a bound
+    # primed name never collides with the free name sharing its base.
+    def axes_of(names):
+        return [(n, m) for n in names for m in resolve(n)]
+
+    def ones(axes):
+        return _Factor(axes, np.ones([t.card(m) for _, m in axes]))
+
+    def divide(num, den):
+        # NaN (0 in "zero" mode) where the denominator has no mass; NaN
+        # then survives every product, sum and fraction above it.  With
+        # no such cell, "raise" mode divides plainly: numpy then picks the
+        # output's memory layout, which fixes the order in which later
+        # sums add and so the last bits of the result.
+        positive = den > 0
+        if zero_division == "raise" and positive.all():
+            return num / den
+        return np.divide(num, den, out=np.full(np.broadcast_shapes(
+            num.shape, den.shape), fill), where=positive)
+
+    def walk(node):
+        if isinstance(node, _One):
+            return _Factor((), np.array(1.0))
+        if isinstance(node, CondProb):
+            all_axes = axes_of(node.target + node.given)
+            if len({m for _, m in all_axes}) != len(all_axes):
+                raise FormulaError(f"variable indexed twice in {render(node, 'text')}")
+            num = t.marginal([m for _, m in all_axes])
+            # marginal axes come in table order; label then reorder
+            table_order = [ax for v in t.variables for ax in all_axes if ax[1] == v]
+            num = np.transpose(num, [table_order.index(ax) for ax in all_axes])
+            if not node.given:
+                return _Factor(all_axes, num)
+            den = _product(_Factor(all_axes, np.ones_like(num)), walk(CondProb(node.given)))
+            return _Factor(all_axes, divide(num, den.values))
+        if isinstance(node, Product):
+            acc = _Factor((), np.array(1.0))
+            for f in node.factors:
+                acc = _product(acc, walk(f))
+            return acc
+        if isinstance(node, Fraction):
+            num, den = walk(node.numerator), walk(node.denominator)
+            axes = num.names + tuple(ax for ax in den.names if ax not in num.names)
+            return _Factor(axes, divide(_product(ones(axes), num).values,
+                                        _product(ones(axes), den).values))
+        if isinstance(node, Sum):
+            body = walk(node.body)
+            out = body.sum_out([ax for ax in body.names if ax[0] in node.bound])
+            # a bound name absent from the body counts its joint states
+            present = {n for n, _ in body.names}
+            count = math.prod(t.card(m) for _, m in
+                              axes_of([n for n in node.bound if n not in present]))
+            return out if count == 1 else _Factor(out.names, out.values * count)
+        raise TypeError(f"not a ProbExpr: {node!r}")
+
+    result = walk(e)
+    return tuple(m for _, m in result.names), result.values
 
 
 def m_separated_brute_force(g: Admg, x, y, z=()) -> bool:

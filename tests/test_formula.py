@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import itertools
+import math
 
 from cdag import (CondProb, Fraction, Identified, JointTable, ONE, Product, Sum,
                   ZeroConditioningMass, equivalent_on, evaluate, identify,
                   parse_formula_json, render, simplify)
-from cdag.formula import (FormulaError, _simplify, alpha_normalize, free_vars, sum_over,
-                          tabulate)
+from cdag.formula import (FormulaError, _Plan, _simplify, alpha_normalize, free_vars,
+                          sum_over, tabulate)
 from cdag.identify import _HedgeFound, _run
 
 import oracles
@@ -191,7 +192,7 @@ def test_simplify_matches_tree_reference_on_identification(kind, n):
     for _ in range(10):
         c, x, y = sweep_query(rng, kind, n)
         try:
-            e = _run(c, frozenset([x]), frozenset([y]))
+            e, _ = _run(c, frozenset([x]), frozenset([y]))
         except _HedgeFound:
             continue
         assert_matches_tree_reference(e, {x, y})
@@ -337,7 +338,7 @@ def test_one_pass_is_a_fixpoint_on_identification():
         for _ in range(5):
             c, x, y = sweep_query(rng, kind, n)
             try:
-                e = _run(c, frozenset([x]), frozenset([y]))
+                e, _ = _run(c, frozenset([x]), frozenset([y]))
             except _HedgeFound:
                 continue
             once = _simplify(e, {}, {})
@@ -610,3 +611,98 @@ def test_evaluate_matches_pointwise_oracle():
                         continue
                     assert got == pytest.approx(want, abs=1e-12)
     assert min(oracle_raised.values()) > 0, oracle_raised
+
+
+# -- plans: tabulate's evaluator against the walk it replaced ---------------
+
+# Expression names and the table variables behind them.  As clusters, A
+# and C have two members, and the table lists members out of name order.
+PLAN_CLUSTERS = {"A": ("a2", "a1"), "B": ("b",), "C": ("c1", "c2"), "D": ("d",)}
+PLAN_MEMBERS = ("c2", "a1", "d", "b", "a2", "c1")
+
+
+def plan_tables(rng, variables, count=3):
+    """Tables over ``variables`` with cards of 2 or 3, shared by all of
+    them: full support first, then tables with half and then nine tenths
+    of their cells zero, and so zero-mass conditioning events."""
+    cards = tuple(int(c) for c in rng.integers(2, 4, len(variables)))
+    tables = [random_table(rng, variables, cards)]
+    while len(tables) < count:
+        probs = rng.dirichlet(np.ones(math.prod(cards)))
+        probs[rng.random(probs.size) < (0.5 if len(tables) % 2 else 0.9)] = 0.0
+        probs[rng.integers(probs.size)] += 0.5
+        tables.append(JointTable(variables, (probs / probs.sum()).reshape(cards)))
+    return tables
+
+
+def outcome(fn):
+    """``fn()``, or the type and message of the FormulaError it raised."""
+    try:
+        return fn()
+    except FormulaError as err:
+        return type(err), str(err)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    # the array may be a numpy scalar, as a sum over every axis returns
+    (got_vars, got_arr), (want_vars, want_arr) = got, want
+    assert got_vars == want_vars and type(got_arr) is type(want_arr)
+    assert got_arr.shape == want_arr.shape and got_arr.strides == want_arr.strides
+    assert got_arr.tobytes() == want_arr.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), clustered=st.booleans())
+def test_plan_matches_the_walk_in_bytes_and_strides(seed, clustered):
+    # Random expression DAGs hold fractions, primed bound names and sums
+    # over names absent from their bodies; one plan runs on every table,
+    # in both modes, and must issue what the walk issues.
+    rng = rng_for(seed)
+    e = random_expression(rng, size=int(rng.integers(1, 10)))
+    clusters = PLAN_CLUSTERS if clustered else None
+    tables = plan_tables(rng, PLAN_MEMBERS if clustered else ("C", "A", "D", "B"))
+    plan = outcome(lambda: _Plan(e, tables[0].variables, tables[0].cards, clusters))
+    for t in tables:
+        for mode in ("raise", "zero"):
+            want = outcome(lambda: oracles.tabulate_walk(e, t, clusters, mode))
+            got = plan if isinstance(plan, tuple) else \
+                outcome(lambda: plan.run(t, mode, nan_ok=True))
+            assert_same_outcome(got, want)
+
+
+def test_one_plan_gives_each_table_its_own_values():
+    rng = rng_for(61)
+    e = frontdoor_expr()
+    tables = plan_tables(rng, ("S", "X", "Y", "Z"), count=4)
+    plan = _Plan(e, tables[0].variables, tables[0].cards)
+    results = [plan.run(t, "zero") for t in tables]
+    for t, got in zip(tables, results):
+        assert_same_outcome(got, oracles.tabulate_walk(e, t, None, "zero"))
+    assert len({arr.tobytes() for _, arr in results}) == len(tables)
+    # in "raise" mode NaN marks a zero-mass conditioning event
+    for t in tables:
+        raw = plan.run(t, nan_ok=True)
+        assert_same_outcome(raw, oracles.tabulate_walk(e, t))
+        if np.isnan(raw[1]).any():
+            with pytest.raises(ZeroConditioningMass):
+                plan.run(t)
+        else:
+            assert_same_outcome(plan.run(t), raw)
+
+
+def test_plan_rejects_a_table_of_other_variables_or_cards():
+    rng = rng_for(62)
+    t = random_table(rng, ("X", "Y", "Z"), (2, 3, 2))
+    plan = _Plan(backdoor_expr(), t.variables, t.cards)
+    others = [random_table(rng, ("X", "Y", "Z"), (2, 2, 2)),
+              random_table(rng, ("Z", "Y", "X"), (2, 3, 2)),
+              random_table(rng, ("X", "Y", "Z", "W"), (2, 3, 2, 2))]
+    for other in others:
+        for mode in ("raise", "zero"):
+            with pytest.raises(FormulaError, match="the plan is for variables"):
+                plan.run(other, mode)
+    with pytest.raises(FormulaError, match="bad zero_division mode"):
+        plan.run(t, "nan")

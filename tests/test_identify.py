@@ -261,7 +261,7 @@ def test_chain_factors_of_a_query_share_the_table_nodes():
         else:
             walk(node.body)
 
-    walk(_run(c, frozenset(["X"]), frozenset(["Y"])))
+    walk(_run(c, frozenset(["X"]), frozenset(["Y"]))[0])
     assert (len(seen), len(nodes)) == (7, 4)
 
 

@@ -9,7 +9,7 @@ from cdag import (Admg, ClusterDag, Partition, StateSpaceCapError,
                   counterfactual_prob, interventional_distribution,
                   joint_distribution, random_cbn, sample_dataset)
 from cdag.graphs import GraphError
-from cdag.oracle import DiscreteCbn, Mechanism, empirical_table
+from cdag.oracle import DiscreteCbn, Mechanism, _sample_columns, empirical_table
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy, expand
 
 import oracles
@@ -526,3 +526,29 @@ def test_empirical_table_rejects_out_of_range_states():
         data = np.array([[0, 1], [1, bad]], dtype=np.int64)
         with pytest.raises(ValueError):
             empirical_table(["A", "B"], [2, 2], data)
+
+
+def test_empirical_table_counts_the_narrow_view_as_the_int64_dataset():
+    # 12 binary variables make 4096 cells, more than the uint8 columns hold
+    names = [f"V{i}" for i in range(12)]
+    chain = Admg(names, directed=set(zip(names, names[1:])))
+    for cards in ({v: 2 for v in names}, {v: 2 + i % 3 for i, v in enumerate(names)}):
+        m = random_cbn(chain, cards, seed=12)
+        card_list = [cards[v] for v in m.graph.nodes]
+        for n in (1, 2000):
+            narrow = _sample_columns(m, n, seed=n)
+            wide = sample_dataset(m, n, seed=n)
+            got = empirical_table(m.graph.nodes, card_list, narrow).probs
+            want = empirical_counts_loop(card_list, wide).reshape(card_list) / n
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == empirical_table(m.graph.nodes, card_list, wide).probs.tobytes()
+
+
+def test_empirical_table_rejects_bad_narrow_and_non_integer_data():
+    # a state of 2 for a binary variable, in a plain and in a strided uint8 block
+    for data in (np.array([[0, 1], [1, 2]], dtype=np.uint8),
+                 np.array([[0, 1], [1, 1]], dtype=np.uint8)[:, ::-1] + 1):
+        with pytest.raises(ValueError, match="outside"):
+            empirical_table(["A", "B"], [2, 2], data)
+    with pytest.raises(ValueError, match="integers"):
+        empirical_table(["A", "B"], [2, 2], np.array([[0.0, 1.0]]))

@@ -14,7 +14,7 @@ import pytest
 
 from cdag import Admg, expand, random_cbn, sample_batch, sample_dataset
 from cdag.cli import parse_graph
-from cdag.oracle import DiscreteCbn, Mechanism
+from cdag.oracle import DiscreteCbn, Mechanism, _sample_columns
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy
 
 from randutil import random_cdag, rng_for
@@ -200,3 +200,20 @@ def test_backdoor_expansion_matches_reference(seed):
     (graph, _), = sample_batch(cdag, spec, 1)
     m = random_cbn(graph, {v: 2 for v in graph.nodes}, seed=seed)
     _assert_matches_reference(m, 3000, seed=seed)
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+@pytest.mark.parametrize("cards, dtype", [({"A": 2, "B": 2, "C": 2}, np.uint8),
+                                          ({"A": 3, "B": 3, "C": 2}, np.uint8),
+                                          ({"A": 300, "B": 3, "C": 2}, np.uint16)])
+def test_narrow_columns_hold_the_dataset(cards, dtype, deterministic):
+    # the (n, k) view that simulate counts from: the dataset's values in
+    # the narrowest dtype that holds every level, one column per variable
+    g = Admg(["A", "B", "C"], directed={("A", "B"), ("B", "C")}, bidirected={("A", "C")})
+    m = random_cbn(g, cards, seed=9, deterministic=deterministic)
+    for n in (1, 2000):
+        columns = _sample_columns(m, n, seed=n)
+        want = reference_sample_dataset(m, n, seed=n)
+        assert columns.dtype == dtype and columns.shape == (n, 3)
+        wide = columns.astype(np.int64)
+        assert wide.tobytes() == want.tobytes() == sample_dataset(m, n, seed=n).tobytes()
