@@ -34,8 +34,8 @@ from .cluster import (ClusterDag, InadmissibleError, Partition, PartitionError,
 from .docalc import DoQuery, rule1, rule2, rule3
 from .formula import FormulaError, JointTable, _Plan, evaluate, parse_formula_json, render
 from .identify import Identified, identify
-from .oracle import (StateSpaceCapError, _check_state_space, _sample_columns,
-                     empirical_table, joint_distribution, random_cbn)
+from .oracle import (StateSpaceCapError, _check_state_space, empirical_table,
+                     joint_distribution, random_cbn, sample_dataset)
 from .sampler import (CrossPolicy, ExpansionSpec, InternalPolicy, _derive_seed, expand,
                       sample_batch)
 
@@ -398,8 +398,8 @@ def _cmd_simulate(args) -> int:
         exact_diffs.append(abs(effect_c - effect_g))
         for n_index, n in enumerate(ns):
             for rep in range(args.datasets):
-                data = _sample_columns(model, n,
-                                       seed=_derive_seed(args.seed, index, 2, n_index, rep))
+                seed = _derive_seed(args.seed, index, 2, n_index, rep)
+                data = sample_dataset(model, n, seed=seed, narrow=True)
                 emp = empirical_table(graph.nodes, exact.cards, data)
                 eff_c = _effect(plan_c, emp, var_x, var_y, lenient=True)
                 eff_g = _effect(plan_g, emp, var_x, var_y, lenient=True)

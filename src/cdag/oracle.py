@@ -15,7 +15,8 @@ distribution through a per-row permutation of the variable's private
 noise, keeping the noise cardinality equal to the variable's own.
 
 Forward samples are drawn column by column into one narrow block, which
-``sample_dataset`` widens to int64 and ``empirical_table`` can count as is.
+``sample_dataset`` widens to int64 or, with ``narrow=True``, returns as an
+(n, k) view that ``empirical_table`` counts as is.
 """
 
 import collections
@@ -364,9 +365,25 @@ def interventional_distribution(m: DiscreteCbn, x: Dict[str, int]) -> JointTable
     return JointTable(keep, table[(..., *(x[v] for v in free))])
 
 
-def _sample_columns(m: DiscreteCbn, n: int, seed: int) -> np.ndarray:
-    # The draws of :func:`sample_dataset` as an (n, k) view of the narrow
-    # block that holds them, one contiguous column per endogenous variable.
+def sample_dataset(m: DiscreteCbn, n: int, seed: int, *, narrow: bool = False) -> np.ndarray:
+    """``n`` ancestral forward samples; rows are joint assignments in
+    ``m.graph.nodes`` column order.
+
+    Each variable is drawn as a whole column by inverse CDF from one
+    ``rng.random(n)``: exogenous variables first, in ``m.exo_names`` order
+    and exactly as ``Generator.choice(p=...)`` maps its draws, then
+    endogenous ones in topological order, each taking the first value whose
+    cumulative CPT row exceeds the draw (0 if none does).  Every seed gives
+    the same dataset, bit for bit, as drawing the rows one at a time.
+
+    All columns share one block of the narrowest unsigned dtype that holds
+    every value (uint8 up to 256 levels), each CPT row index uses the
+    narrowest one that holds the row count, and one buffer takes every
+    draw, filled as ``rng.random(n)`` would be.  The result is that block
+    widened to a C-ordered int64 array, or with ``narrow=True`` its (n, k)
+    view as is (one contiguous column per variable), which
+    ``empirical_table`` counts without a copy.
+    """
     rng = np.random.default_rng(seed)
     names = m.exo_names + m.graph.nodes
     # a value counts the levels at or below its draw, so it stays below its card
@@ -403,26 +420,8 @@ def _sample_columns(m: DiscreteCbn, n: int, seed: int) -> np.ndarray:
         # every draw is below 1, so only a last level below 1 can fall back
         if n and 1.0 > levels[-1].min() <= u.max():
             value[levels[-1].take(row) <= u] = 0
-    return columns[len(m.exo_names):].T
-
-
-def sample_dataset(m: DiscreteCbn, n: int, seed: int) -> np.ndarray:
-    """``n`` ancestral forward samples; rows are joint assignments in
-    ``m.graph.nodes`` column order.
-
-    Each variable is drawn as a whole column by inverse CDF from one
-    ``rng.random(n)``: exogenous variables first, in ``m.exo_names`` order
-    and exactly as ``Generator.choice(p=...)`` maps its draws, then
-    endogenous ones in topological order, each taking the first value whose
-    cumulative CPT row exceeds the draw (0 if none does).  Every seed gives
-    the same dataset, bit for bit, as drawing the rows one at a time.
-
-    All columns share one block of the narrowest unsigned dtype that holds
-    every value (uint8 up to 256 levels), each CPT row index uses the
-    narrowest one that holds the row count, and one buffer takes every
-    draw, filled as ``rng.random(n)`` would be.  Only the result is int64.
-    """
-    return _sample_columns(m, n, seed).astype(np.int64, order="C")
+    view = columns[len(m.exo_names):].T
+    return view if narrow else view.astype(np.int64, order="C")
 
 
 def empirical_table(m_nodes: Sequence[str], cards: Sequence[int],
@@ -432,6 +431,8 @@ def empirical_table(m_nodes: Sequence[str], cards: Sequence[int],
     row's flat cell index is built by Horner's rule in the narrowest
     unsigned dtype that holds the number of cells, then ``bincount``-ed."""
     cards = tuple(cards)
+    if data.ndim != 2 or data.shape[1] != len(cards):
+        raise ValueError(f"dataset of shape {data.shape} needs one column per card {cards}")
     if not np.issubdtype(data.dtype, np.integer):
         raise ValueError(f"dataset states must be integers, not {data.dtype}")
     if len(data) and ((data.min(axis=0) < 0) | (data.max(axis=0) >= cards)).any():

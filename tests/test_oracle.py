@@ -9,7 +9,7 @@ from cdag import (Admg, ClusterDag, Partition, StateSpaceCapError,
                   counterfactual_prob, interventional_distribution,
                   joint_distribution, random_cbn, sample_dataset)
 from cdag.graphs import GraphError
-from cdag.oracle import DiscreteCbn, Mechanism, _sample_columns, empirical_table
+from cdag.oracle import DiscreteCbn, Mechanism, empirical_table
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy, expand
 
 import oracles
@@ -536,7 +536,7 @@ def test_empirical_table_counts_the_narrow_view_as_the_int64_dataset():
         m = random_cbn(chain, cards, seed=12)
         card_list = [cards[v] for v in m.graph.nodes]
         for n in (1, 2000):
-            narrow = _sample_columns(m, n, seed=n)
+            narrow = sample_dataset(m, n, seed=n, narrow=True)
             wide = sample_dataset(m, n, seed=n)
             got = empirical_table(m.graph.nodes, card_list, narrow).probs
             want = empirical_counts_loop(card_list, wide).reshape(card_list) / n
@@ -552,3 +552,8 @@ def test_empirical_table_rejects_bad_narrow_and_non_integer_data():
             empirical_table(["A", "B"], [2, 2], data)
     with pytest.raises(ValueError, match="integers"):
         empirical_table(["A", "B"], [2, 2], np.array([[0.0, 1.0]]))
+    # one column too many or too few, and a single row
+    for data in (np.zeros((3, 3), dtype=np.uint8), np.zeros((3, 1), dtype=np.int64),
+                 np.zeros(2, dtype=np.int64)):
+        with pytest.raises(ValueError, match="one column per card"):
+            empirical_table(["A", "B"], [2, 2], data)

@@ -14,7 +14,7 @@ import pytest
 
 from cdag import Admg, expand, random_cbn, sample_batch, sample_dataset
 from cdag.cli import parse_graph
-from cdag.oracle import DiscreteCbn, Mechanism, _sample_columns
+from cdag.oracle import DiscreteCbn, Mechanism
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy
 
 from randutil import random_cdag, rng_for
@@ -212,8 +212,10 @@ def test_narrow_columns_hold_the_dataset(cards, dtype, deterministic):
     g = Admg(["A", "B", "C"], directed={("A", "B"), ("B", "C")}, bidirected={("A", "C")})
     m = random_cbn(g, cards, seed=9, deterministic=deterministic)
     for n in (1, 2000):
-        columns = _sample_columns(m, n, seed=n)
+        columns = sample_dataset(m, n, seed=n, narrow=True)
         want = reference_sample_dataset(m, n, seed=n)
         assert columns.dtype == dtype and columns.shape == (n, 3)
         wide = columns.astype(np.int64)
-        assert wide.tobytes() == want.tobytes() == sample_dataset(m, n, seed=n).tobytes()
+        dataset = sample_dataset(m, n, seed=n)
+        assert dataset.dtype == np.int64 and dataset.flags.c_contiguous
+        assert wide.tobytes() == want.tobytes() == dataset.tobytes()
