@@ -421,9 +421,9 @@ class JointTable:
     def marginal(self, variables: Iterable[str]) -> np.ndarray:
         """Marginal array over ``variables`` in table order (cached)."""
         keep = frozenset(variables)
-        unknown = keep - set(self.variables)
-        if unknown:
-            raise UnknownVariableError(f"unknown table variable(s): {sorted(unknown)}")
+        if not self._index.keys() >= keep:
+            raise UnknownVariableError(
+                f"unknown table variable(s): {sorted(keep - self._index.keys())}")
         if keep not in self._marg_cache:
             axes = tuple(i for i, v in enumerate(self.variables) if v not in keep)
             self._marg_cache[keep] = self.probs.sum(axis=axes) if axes else self.probs
@@ -503,17 +503,24 @@ class _Factor:
 def _broadcast(a_names, a_shape, b_names, b_shape, lead=()):
     # The broadcast rule of a product over the union of the axes: those of
     # ``lead`` first, then ``a``'s, then ``b``'s.  Returns the union and,
-    # per operand, the view (transpose, reshape) that lines it up with it.
-    names = a_names + tuple(n for n in b_names if n not in a_names)
+    # per operand, the view (transpose, reshape) that lines it up with it;
+    # a name both hold takes ``a``'s length.
+    a_pos = {n: i for i, n in enumerate(a_names)}
+    b_pos = {n: i for i, n in enumerate(b_names)}
+    names = a_names + tuple(n for n in b_names if n not in a_pos)
     if lead:
         names = tuple(n for n in lead if n in names) + tuple(n for n in names if n not in lead)
-    dims = dict(zip(b_names, b_shape)) | dict(zip(a_names, a_shape))
-
-    def view(f_names):
-        return ([f_names.index(n) for n in names if n in f_names],
-                [dims[n] if n in f_names else 1 for n in names])
-
-    return names, view(a_names), view(b_names)
+    a_perm, a_dims, b_perm, b_dims = [], [], [], []
+    for n in names:
+        i, j = a_pos.get(n), b_pos.get(n)
+        dim = b_shape[j] if i is None else a_shape[i]
+        if i is not None:
+            a_perm.append(i)
+        if j is not None:
+            b_perm.append(j)
+        a_dims.append(1 if i is None else dim)
+        b_dims.append(1 if j is None else dim)
+    return names, (a_perm, a_dims), (b_perm, b_dims)
 
 
 def _line_up(values, view):

@@ -5,9 +5,10 @@ its endogenous parents and its exogenous parents.  Exogenous structure
 mirrors the graph exactly: one shared noise variable per bidirected edge
 (a parent of both endpoints and nothing else) plus one private noise
 variable per endogenous variable.  Distributions are computed by exact
-summation over the exogenous variables, eliminating them one at a time,
-with a hard cap on intermediate table sizes (override with the
-CDAG_STATE_CAP environment variable).
+summation over the exogenous variables, eliminating them one at a time
+(variable elimination): each prior is folded in, and its axis summed out,
+right after the last factor that uses it, with a hard cap on intermediate
+table sizes (override with the CDAG_STATE_CAP environment variable).
 
 Counterfactual queries require deterministic mechanisms: ``random_cbn``
 offers a deterministic mode where each table row encodes its conditional
@@ -61,12 +62,16 @@ def _positive_dirichlet(rng: np.random.Generator, size: int, rows: int) -> np.nd
     return draw / draw.sum(axis=-1, keepdims=True)
 
 
+def _check_cap(size: int, axes: int, cap: int, phase: str) -> None:
+    if size > cap:
+        raise StateSpaceCapError(
+            f"{phase}: intermediate table over {axes} axes "
+            f"exceeds the cap ({cap} entries); raise CDAG_STATE_CAP to allow it")
+
+
 def _join(a: _Factor, b: _Factor, cap: int, phase: str, lead=()) -> _Factor:
     new_dims = [d for n, d in zip(b.names, b.values.shape) if n not in a.names]
-    if a.values.size * math.prod(new_dims) > cap:
-        raise StateSpaceCapError(
-            f"{phase}: intermediate table over {len(a.names) + len(new_dims)} axes "
-            f"exceeds the cap ({cap} entries); raise CDAG_STATE_CAP to allow it")
+    _check_cap(a.values.size * math.prod(new_dims), len(a.names) + len(new_dims), cap, phase)
     return _product(a, b, lead)
 
 
@@ -111,18 +116,24 @@ def _contract(factors: List[_Factor], priors: Dict[str, np.ndarray],
     for group in groups:
         if not group:
             continue
+        # the summed axes to fold in after each factor: those it uses last
+        last = {n: i for i, f in enumerate(group) for n in f.names if n in sum_axes}
+        folds = [[] for _ in group]
+        for name in sorted(last):
+            folds[last[name]].append(name)
         acc = group[0]
-        absorbed = 1
-        while True:
-            remaining = group[absorbed:]
-            for name in sorted(acc.names):
-                if name in sum_axes and not any(name in f.names for f in remaining):
-                    prior = _Factor((name,), priors[name])
-                    acc = _join(acc, prior, cap, phase).sum_out((name,))
-            if not remaining:
-                break
-            acc = _join(acc, remaining[0], cap, phase, lead)
-            absorbed += 1
+        for i, names in enumerate(folds):
+            if i:
+                acc = _join(acc, group[i], cap, phase, lead)
+            for name in names:
+                # acc times the prior along its axis, as the product of
+                # acc and a factor over that axis alone would line them up
+                _check_cap(acc.values.size, len(acc.names), cap, phase)
+                axis = acc.names.index(name)
+                shape = [1] * len(acc.names)
+                shape[axis] = -1
+                acc = _Factor(acc.names[:axis] + acc.names[axis + 1:],
+                              (acc.values * priors[name].reshape(shape)).sum(axis=(axis,)))
         results.append(acc)
 
     result = _Factor((), np.array(1.0))
@@ -179,27 +190,46 @@ class DiscreteCbn:
         self.exo_names = tuple(sorted(exo_cards))
         # np.isclose(total, 1.0, atol=1e-12) at its default rtol, failing NaN
         tol = 1e-12 + 1e-5
-        for name in self.exo_names:
-            dist = self.exo_dists[name]
-            if dist.shape != (self.exo_cards[name],) or not dist.min(initial=1.0) > 0 or \
-                    not abs(dist.sum() - 1.0) <= tol:
-                raise GraphError(f"exogenous {name!r} needs a strictly positive "
-                                 "distribution of matching cardinality summing to 1")
-        for v, mech in mechanisms.items():
-            rows = mech.cpt.reshape(-1, self.cards[v])
-            if not (rows.min(initial=0.0) >= 0 and
-                    np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0) <= tol):
-                raise GraphError(f"CPT rows of {v!r} must be nonnegative and sum to 1")
+
+        def laws_ok(rows):
+            return rows.min(initial=1.0) > 0 and np.abs(rows.sum(axis=1) - 1.0).max() <= tol
+
+        def cpts_ok(rows):
+            return rows.min(initial=0.0) >= 0 and \
+                np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0) <= tol
+
+        # Each check runs once per width on the stacked rows.  Only when one
+        # fails, or a CPT does not split into rows, does the per-table loop
+        # run, to raise for the first bad table.
+        laws = {u: self.exo_dists[u] for u in self.exo_names}
+        try:
+            ok = all(law.shape == (self.exo_cards[u],) for u, law in laws.items()) and \
+                _stacked_ok(laws.values(), laws_ok) and _stacked_ok(
+                    [m.cpt.reshape(-1, self.cards[v]) for v, m in mechanisms.items()], cpts_ok)
+        except ValueError:
+            ok = False
+        if not ok:
+            for name, law in laws.items():
+                if law.shape != (self.exo_cards[name],) or not laws_ok(law.reshape(1, -1)):
+                    raise GraphError(f"exogenous {name!r} needs a strictly positive "
+                                     "distribution of matching cardinality summing to 1")
+            for v, mech in mechanisms.items():
+                if not cpts_ok(mech.cpt.reshape(-1, self.cards[v])):
+                    raise GraphError(f"CPT rows of {v!r} must be nonnegative and sum to 1")
         # Each variable's table over its parents and shared noise, with its
-        # private noise, which feeds no other mechanism, summed out.
+        # private noise, which feeds no other mechanism, summed out by the
+        # np.dot that np.tensordot issues, on the operands it would build.
         users = collections.Counter(u for mech in mechanisms.values() for u in mech.exo_parents)
         self._factors: Dict[str, _Factor] = {}
         for v, mech in mechanisms.items():
             factor = _Factor(mech.endo_parents + mech.exo_parents + (v,), mech.cpt)
             for name in (u for u in mech.exo_parents if users[u] == 1):
-                axis = factor.names.index(name)
-                factor = _Factor(factor.names[:axis] + factor.names[axis + 1:], np.tensordot(
-                    factor.values, self.exo_dists[name], axes=([axis], [0])))
+                values, axis = factor.values, factor.names.index(name)
+                rest = [k for k in range(values.ndim) if k != axis]
+                kept, dist = [values.shape[k] for k in rest], self.exo_dists[name]
+                at = values.transpose(rest + [axis]).reshape((math.prod(kept), values.shape[axis]))
+                factor = _Factor(factor.names[:axis] + factor.names[axis + 1:],
+                                 np.dot(at, dist.reshape((dist.shape[0], 1))).reshape(kept))
             self._factors[v] = factor
         # interventional_distribution's tables, by intervened set
         self._posts: Dict[frozenset, Tuple[Tuple[str, ...], np.ndarray]] = {}
@@ -238,6 +268,14 @@ class DiscreteCbn:
                 self._solve(exo_assignment, interventions or {}).items()}
 
 
+def _stacked_ok(tables: Iterable[np.ndarray], ok) -> bool:
+    # ``ok`` once per width, on the rows of every table of that width
+    widths = collections.defaultdict(list)
+    for rows in tables:
+        widths[rows.shape[-1]].append(rows.reshape(-1, rows.shape[-1]))
+    return all(ok(np.concatenate(group)) for group in widths.values())
+
+
 def _exo_name(label: str, taken: set) -> str:
     # A fresh noise name U(label), primed until it is unused, and taken.
     name = f"U({label})"
@@ -266,22 +304,24 @@ def random_cbn(g: Admg, cards: Dict[str, int], seed: int,
         if cards.get(v, 0) < 2:
             raise GraphError(f"cardinality for {v!r} must be an integer >= 2")
 
+    cap = _cap()
     taken = set(g.nodes)
+    # keyed in sorted edge order, which every use below keeps
     edge_noise = {(a, b): _exo_name(f"{a}~{b}", taken) for a, b in sorted(g.bidirected)}
     private_noise = {v: _exo_name(v, taken) for v in g.nodes}
-    exo_cards = {name: exo_card for _, name in sorted(edge_noise.items())}
+    exo_cards = {name: exo_card for name in edge_noise.values()}
     exo_cards.update((private_noise[v], cards[v] if deterministic else exo_card)
                      for v in g.nodes)
 
     mechanisms: Dict[str, Mechanism] = {}
     shapes = {}
     for v in g.nodes:
-        incident = [edge_noise[e] for e in sorted(edge_noise) if v in e]
+        incident = [name for e, name in edge_noise.items() if v in e]
         mechanisms[v] = mech = Mechanism(tuple(sorted(g.parents([v]))),
                                          tuple(sorted(incident + [private_noise[v]])), None)
         shapes[v] = tuple(cards[p] for p in mech.endo_parents) + \
             tuple(exo_cards[u] for u in mech.exo_parents) + (cards[v],)
-        _check_state_space(shapes[v], "random_cbn", f"{v!r} CPT")
+        _check_state_space(shapes[v], "random_cbn", f"{v!r} CPT", cap)
 
     # Every Dirichlet row in stream order, the exogenous laws and then in
     # stochastic mode each CPT's rows, with one draw per run of equal widths.
@@ -292,7 +332,8 @@ def random_cbn(g: Admg, cards: Dict[str, int], seed: int,
     draws = []
     for width, run in itertools.groupby(rows, key=lambda row: row[0]):
         counts = [count for _, count in run]
-        draws += np.split(_positive_dirichlet(rng, width, sum(counts)), np.cumsum(counts)[:-1])
+        block = _positive_dirichlet(rng, width, sum(counts))
+        draws += [block[end - count:end] for count, end in zip(counts, itertools.accumulate(counts))]
     exo_dists = {name: draw.reshape(-1) for name, draw in zip(exo_cards, draws)}
     for v, draw in zip(g.nodes, draws[len(exo_cards):]):
         mechanisms[v].cpt = draw.reshape(shapes[v])
@@ -312,11 +353,12 @@ def random_cbn(g: Admg, cards: Dict[str, int], seed: int,
 # exact distributions
 # ---------------------------------------------------------------------------
 
-def _check_state_space(cards: Iterable[int], phase: str, space: str = "joint"):
-    size = math.prod(cards)
-    if size > _cap():
+def _check_state_space(cards: Iterable[int], phase: str, space: str = "joint",
+                       cap: Optional[int] = None):
+    size, cap = math.prod(cards), cap or _cap()
+    if size > cap:
         raise StateSpaceCapError(f"{phase}: {space} state space of {size} entries exceeds "
-                                 f"the cap ({_cap()}); raise CDAG_STATE_CAP")
+                                 f"the cap ({cap}); raise CDAG_STATE_CAP")
 
 
 def joint_distribution(m: DiscreteCbn) -> JointTable:

@@ -5,9 +5,32 @@ front-door adjustment, confounded clusters where the effect is lost, the
 bow graph, and split treatment/outcome clusterings.
 """
 
+import functools
+
 import pytest
 
-from cdag import Admg, ClusterDag, Partition, build_cdag
+import cdag
+import cdag.cli
+import cdag.sampler
+from cdag import Admg, ClusterDag, Partition, build_cdag, is_compatible
+
+
+# ``expand`` builds compatible graphs by construction and does not check
+# its own output.  Under test every expansion is checked, whether it comes
+# from a test, ``sample_batch``, the CLI or the hedge witness: each module
+# that holds ``expand`` gets this wrapper before any test module imports it.
+_expand = cdag.sampler.expand
+
+
+@functools.wraps(_expand)
+def _checked_expand(c, spec):
+    graph, partition = _expand(c, spec)
+    assert is_compatible(graph, c, partition), f"expansion of {c.graph.nodes} is not compatible"
+    return graph, partition
+
+
+for _module in (cdag, cdag.cli, cdag.sampler):
+    _module.expand = _checked_expand
 
 
 # Backdoor cluster graph: Z -> X, Z -> Y, X -> Y (effect identifiable by

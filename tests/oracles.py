@@ -28,6 +28,16 @@ They are deliberately naive and independent of the code they check:
   compares both sides one intervention value at a time; the library
   builds each factor once per model and answers every value of an
   intervened set from one contraction.
+* :func:`contract` scans the factors still to come for each axis after
+  every join and lines every operand up through :func:`product`, whose
+  views :func:`broadcast` finds by searching the name tuples; the library
+  records where each axis is used last and folds each prior in with one
+  broadcast multiply.  Both issue the same numpy operations, so the
+  tables above, :func:`joint_distribution` and :func:`tabulate_walk`
+  are byte references for the library.
+* :func:`model_table_error` checks a model's exogenous laws and CPT
+  rows one table at a time; the library checks all rows of one width at
+  once and loops over the tables only to name a bad one.
 
 They are exponential and meant for small inputs only.
 """
@@ -41,11 +51,10 @@ import numpy as np
 
 from cdag.formula import (ONE, CondProb, Fraction, FormulaError, JointTable, ProbExpr,
                           Product, Sum, UnknownVariableError, ZeroConditioningMass,
-                          _LATEX, _TEXT, _base_name, _Factor, _One, _product,
-                          product_of, render)
+                          _LATEX, _TEXT, _base_name, _Factor, _One, product_of, render)
 from cdag.graphs import Admg, GraphError
 from cdag.cluster import build_cdag
-from cdag.oracle import MacroScm, StateSpaceCapError, _cap, _contract, _macro_factor
+from cdag.oracle import MacroScm, StateSpaceCapError, _cap
 
 
 def _resolver(table: JointTable, clusters: Optional[Dict[str, Sequence[str]]]):
@@ -205,18 +214,18 @@ def tabulate_walk(e: ProbExpr, t: JointTable,
             num = np.transpose(num, [table_order.index(ax) for ax in all_axes])
             if not node.given:
                 return _Factor(all_axes, num)
-            den = _product(_Factor(all_axes, np.ones_like(num)), walk(CondProb(node.given)))
+            den = product(_Factor(all_axes, np.ones_like(num)), walk(CondProb(node.given)))
             return _Factor(all_axes, divide(num, den.values))
         if isinstance(node, Product):
             acc = _Factor((), np.array(1.0))
             for f in node.factors:
-                acc = _product(acc, walk(f))
+                acc = product(acc, walk(f))
             return acc
         if isinstance(node, Fraction):
             num, den = walk(node.numerator), walk(node.denominator)
             axes = num.names + tuple(ax for ax in den.names if ax not in num.names)
-            return _Factor(axes, divide(_product(ones(axes), num).values,
-                                        _product(ones(axes), den).values))
+            return _Factor(axes, divide(product(ones(axes), num).values,
+                                        product(ones(axes), den).values))
         if isinstance(node, Sum):
             body = walk(node.body)
             out = body.sum_out([ax for ax in body.names if ax[0] in node.bound])
@@ -518,6 +527,123 @@ def counterfactual_prob(model, events: Sequence[Tuple[Dict, Dict]]) -> float:
     return total
 
 
+# -- the exact oracle's contraction, walked ---------------------------------
+
+def broadcast(a_names, a_shape, b_names, b_shape, lead=()):
+    """The union of two factors' axes, ``lead``'s first, then ``a``'s, then
+    ``b``'s, and per operand the (transpose, reshape) that lines it up with
+    the union; a name both hold takes ``a``'s length."""
+    names = a_names + tuple(n for n in b_names if n not in a_names)
+    if lead:
+        names = tuple(n for n in lead if n in names) + tuple(n for n in names if n not in lead)
+    dims = dict(zip(b_names, b_shape)) | dict(zip(a_names, a_shape))
+
+    def view(f_names):
+        return ([f_names.index(n) for n in names if n in f_names],
+                [dims[n] if n in f_names else 1 for n in names])
+
+    return names, view(a_names), view(b_names)
+
+
+def product(a: _Factor, b: _Factor, lead=()) -> _Factor:
+    names, (perm_a, shape_a), (perm_b, shape_b) = broadcast(
+        a.names, a.values.shape, b.names, b.values.shape, lead)
+    return _Factor(names, np.transpose(a.values, perm_a).reshape(shape_a) *
+                   np.transpose(b.values, perm_b).reshape(shape_b))
+
+
+def _join(a: _Factor, b: _Factor, cap: int, phase: str, lead=()) -> _Factor:
+    new_dims = [d for n, d in zip(b.names, b.values.shape) if n not in a.names]
+    if a.values.size * math.prod(new_dims) > cap:
+        raise StateSpaceCapError(
+            f"{phase}: intermediate table over {len(a.names) + len(new_dims)} axes "
+            f"exceeds the cap ({cap} entries); raise CDAG_STATE_CAP to allow it")
+    return product(a, b, lead)
+
+
+def contract(factors, priors, keep, phase, lead=()) -> np.ndarray:
+    """The product of the factors summed over every prior-weighted axis, as
+    an array over ``keep``: factors grouped by shared summed axes, each
+    group joined in order, each prior folded in and its axis summed out as
+    soon as no factor still to come uses it."""
+    cap = _cap()
+    sum_axes = {n for f in factors for n in f.names if n in priors and n not in keep}
+    groups, axis_group = [], {}
+    for f in factors:
+        shared = sorted({axis_group[n] for n in f.names if n in axis_group})
+        if shared:
+            target = shared[0]
+            for g in shared[1:]:
+                groups[target].extend(groups[g])
+                groups[g] = []
+                for axis, idx in axis_group.items():
+                    if idx == g:
+                        axis_group[axis] = target
+        else:
+            target = len(groups)
+            groups.append([])
+        groups[target].append(f)
+        for n in f.names:
+            if n in sum_axes:
+                axis_group[n] = target
+
+    results = []
+    for group in groups:
+        if not group:
+            continue
+        acc = group[0]
+        absorbed = 1
+        while True:
+            remaining = group[absorbed:]
+            for name in sorted(acc.names):
+                if name in sum_axes and not any(name in f.names for f in remaining):
+                    prior = _Factor((name,), priors[name])
+                    acc = _join(acc, prior, cap, phase).sum_out((name,))
+            if not remaining:
+                break
+            acc = _join(acc, remaining[0], cap, phase, lead)
+            absorbed += 1
+        results.append(acc)
+
+    result = _Factor((), np.array(1.0))
+    for f in results:
+        result = _join(result, f, cap, phase, lead)
+    result = result.sum_out([n for n in result.names if n not in keep])
+    return np.transpose(result.values, [result.names.index(n) for n in keep])
+
+
+def macro_factor(m, members) -> _Factor:
+    # A whole cluster's table: its members' mechanisms joined in order.
+    factor = None
+    for v in members:
+        mech = m.mechanisms[v]
+        f = _Factor(mech.endo_parents + mech.exo_parents + (v,), mech.cpt)
+        factor = f if factor is None else _join(factor, f, _cap(), "cluster_factorization_check")
+    return factor
+
+
+def model_table_error(cards, exo_cards, exo_dists, mechanisms):
+    """The error that checking the model's tables one at a time raises
+    first, or None: every exogenous law, in name order, is strictly
+    positive, of its cardinality and sums to 1, then every CPT row is
+    nonnegative and sums to 1."""
+    tol = 1e-12 + 1e-5
+    try:
+        for name in sorted(exo_cards):
+            dist = np.asarray(exo_dists[name], dtype=float)
+            if dist.shape != (exo_cards[name],) or not dist.min(initial=1.0) > 0 or \
+                    not abs(dist.sum() - 1.0) <= tol:
+                raise GraphError(f"exogenous {name!r} needs a strictly positive "
+                                 "distribution of matching cardinality summing to 1")
+        for v, mech in mechanisms.items():
+            rows = mech.cpt.reshape(-1, cards[v])
+            if not (rows.min(initial=0.0) >= 0 and
+                    np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0) <= tol):
+                raise GraphError(f"CPT rows of {v!r} must be nonnegative and sum to 1")
+    except ValueError as err:    # GraphError, or a CPT that does not split into rows
+        return err
+    return None
+
 def _fix(f: _Factor, name: str, value: int) -> _Factor:
     # ``f`` at one value of ``name``, that axis taken away
     axis = f.names.index(name)
@@ -535,6 +661,13 @@ def _variable_factor(m, v: str) -> _Factor:
             weighted = np.tensordot(factor.values, m.exo_dists[name], axes=([axis], [0]))
             factor = _Factor(factor.names[:axis] + factor.names[axis + 1:], weighted)
     return factor
+
+
+def joint_distribution(m) -> JointTable:
+    """The observational table: every variable's factor, contracted."""
+    factors = [_variable_factor(m, v) for v in m.graph.topological_order()]
+    return JointTable(m.graph.nodes, contract(factors, m.exo_dists, m.graph.nodes,
+                                              "joint_distribution"))
 
 
 def interventional_distribution(m, x: Dict[str, int]) -> JointTable:
@@ -561,7 +694,7 @@ def interventional_distribution(m, x: Dict[str, int]) -> JointTable:
             if parent in x:
                 f = _fix(f, parent, x[parent])
         factors.append(f)
-    probs = _contract(factors, m.exo_dists, keep, "interventional_distribution")
+    probs = contract(factors, m.exo_dists, keep, "interventional_distribution")
     return JointTable(keep, probs)
 
 
@@ -573,7 +706,7 @@ def cluster_factorization_check(m, p, x_clusters=()) -> float:
     cdag = build_cdag(m.graph, p)
     x_vars = sorted(p.variables_of(x_clusters))
     keep = tuple(v for v in m.graph.nodes if v not in x_vars)
-    macro_factors = [_macro_factor(m, p.members(name))
+    macro_factors = [macro_factor(m, p.members(name))
                      for name in cdag.graph.topological_order() if name not in x_clusters]
     worst = 0.0
     for x_state in itertools.product(*(range(m.cards[v]) for v in x_vars)):
@@ -585,6 +718,6 @@ def cluster_factorization_check(m, p, x_clusters=()) -> float:
                 if var in x_assign:
                     f = _fix(f, var, x_assign[var])
             factors.append(f)
-        rhs = _contract(factors, m.exo_dists, keep, "cluster_factorization_check")
+        rhs = contract(factors, m.exo_dists, keep, "cluster_factorization_check")
         worst = max(worst, float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0)
     return worst

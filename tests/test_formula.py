@@ -8,8 +8,8 @@ import math
 from cdag import (CondProb, Fraction, Identified, JointTable, ONE, Product, Sum,
                   ZeroConditioningMass, equivalent_on, evaluate, identify,
                   parse_formula_json, render, simplify)
-from cdag.formula import (FormulaError, _Plan, _simplify, alpha_normalize, free_vars,
-                          sum_over, tabulate)
+from cdag.formula import (FormulaError, UnknownVariableError, _Plan, _broadcast, _simplify,
+                          alpha_normalize, free_vars, sum_over, tabulate)
 from cdag.identify import _HedgeFound, _run
 
 import oracles
@@ -478,6 +478,17 @@ def test_joint_table_validates():
         JointTable(("X",), np.array([np.nan, 1.0]))
 
 
+def test_marginal_rejects_unknown_names():
+    t = random_table(rng_for(22), ("A", "B", "C"), (2, 3, 2))
+    assert t.marginal(["A"]).shape == (2,)
+    # a cached marginal over A does not let a name beside it through
+    for names in (["Q"], ["A", "Q"], ["Q", "R", "B"]):
+        with pytest.raises(UnknownVariableError, match="'Q'"):
+            t.marginal(names)
+    with pytest.raises(UnknownVariableError, match=r"\['Q'\]"):
+        t.prob_of({"A": 0, "Q": 1})
+
+
 def test_csv_round_trip():
     rng = rng_for(21)
     t = random_table(rng, ("A", "B"), (2, 3))
@@ -671,6 +682,22 @@ def test_plan_matches_the_walk_in_bytes_and_strides(seed, clustered):
             got = plan if isinstance(plan, tuple) else \
                 outcome(lambda: plan.run(t, mode, nan_ok=True))
             assert_same_outcome(got, want)
+
+
+AXES = ("A", "B", "C", "D", "E", "F")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=st.lists(st.sampled_from(AXES), unique=True, max_size=5),
+       b=st.lists(st.sampled_from(AXES), unique=True, max_size=5),
+       lead=st.lists(st.sampled_from(AXES), unique=True, max_size=3),
+       dims=st.lists(st.integers(1, 4), min_size=10, max_size=10))
+def test_broadcast_views_match_the_reference(a, b, lead, dims):
+    # shared names may have other lengths in b: a's length wins in both
+    a_shape, b_shape = tuple(dims[:len(a)]), tuple(dims[5:5 + len(b)])
+    got = _broadcast(tuple(a), a_shape, tuple(b), b_shape, tuple(lead))
+    assert got == oracles.broadcast(tuple(a), a_shape, tuple(b), b_shape, tuple(lead))
+    assert [type(part) for view in got[1:] for part in view] == [list] * 4
 
 
 def test_one_plan_gives_each_table_its_own_values():

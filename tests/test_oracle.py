@@ -465,11 +465,23 @@ def model_on_expansion(rng, deterministic):
                       deterministic=deterministic), partition
 
 
+def assert_same_factor(got, want):
+    assert got.names == want.names and got.values.shape == want.values.shape
+    assert got.values.strides == want.values.strides
+    assert got.values.tobytes() == want.values.tobytes()
+
+
 @pytest.mark.parametrize("deterministic", [False, True])
 def test_interventional_tables_match_per_value_reference(deterministic):
+    # every model factor and the joint too, against the per-factor
+    # tensordot and the walked contraction of the reference
     rng = rng_for(950 + deterministic)
     for _ in range(6):
         m, _ = model_on_expansion(rng, deterministic)
+        assert m._factors.keys() == set(m.graph.nodes)
+        for v in m.graph.nodes:
+            assert_same_factor(m._factors[v], oracles._variable_factor(m, v))
+        assert_same_table(joint_distribution(m), oracles.joint_distribution(m))
         nodes = list(m.graph.nodes)
         sinks = [v for v in nodes if not m.graph.children([v])]
         sets = [(), tuple(nodes), (sinks[0],)]
@@ -496,6 +508,60 @@ def test_factorization_check_matches_per_value_reference(deterministic):
             x_clusters = list(rng.permutation(names)[:k])
             assert repr(cluster_factorization_check(m, partition, x_clusters)) == \
                 repr(oracles.cluster_factorization_check(m, partition, x_clusters))
+
+
+def corrupt(rng, table, law):
+    # one bad entry or row sum, a zero entry (bad in a law only), a law of
+    # the wrong shape or length, or a CPT that does not split into rows of
+    # its variable's cardinality
+    table = np.array(table, dtype=float)
+    flat = table.reshape(-1)
+    kind = rng.choice([0, 1, 2, 3, 4, 5] if law else [0, 1, 2, 3, 5])
+    if kind == 0:
+        flat[rng.integers(flat.size)] = np.nan
+    elif kind == 1:
+        flat[rng.integers(flat.size)] = -0.25
+    elif kind == 2:
+        flat[rng.integers(flat.size)] += 0.5
+    elif kind == 3:    # a zero entry, its mass moved to the next one
+        i = rng.integers(flat.size)
+        flat[(i + 1) % flat.size] += flat[i]
+        flat[i] = 0.0
+    elif kind == 4:
+        return table.reshape(1, -1)
+    else:
+        return flat[:-1]
+    return table
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_batched_model_checks_raise_as_the_per_table_loop(deterministic):
+    # cards 2-3 with ternary noise, or private noise of each variable's
+    # cardinality: exogenous laws and CPT rows of mixed widths
+    rng = rng_for(980 + deterministic)
+    seen = set()
+    for _ in range(150):
+        m, _ = model_on_expansion(rng, deterministic)
+        dists = {u: d.copy() for u, d in m.exo_dists.items()}
+        mechs = {v: Mechanism(mech.endo_parents, mech.exo_parents, mech.cpt.copy())
+                 for v, mech in m.mechanisms.items()}
+        # one or two bad tables, anywhere in the check order
+        tables = [("exo", u) for u in m.exo_names] + [("cpt", v) for v in mechs]
+        for i in rng.permutation(len(tables))[:int(rng.integers(1, 3))]:
+            kind, name = tables[i]
+            if kind == "exo":
+                dists[name] = corrupt(rng, dists[name], law=True)
+            else:
+                mechs[name].cpt = corrupt(rng, mechs[name].cpt, law=False)
+        want = oracles.model_table_error(m.cards, m.exo_cards, dists, mechs)
+        if want is None:    # a zero CPT entry, its row still summing to 1, is fine
+            DiscreteCbn(m.graph, m.cards, m.exo_cards, dists, mechs, deterministic)
+            continue
+        with pytest.raises(type(want)) as err:
+            DiscreteCbn(m.graph, m.cards, m.exo_cards, dists, mechs, deterministic)
+        assert str(err.value) == str(want)
+        seen.add((type(want), str(want).split()[0]))
+    assert seen == {(GraphError, "exogenous"), (GraphError, "CPT"), (ValueError, "cannot")}
 
 
 def test_interventional_tables_are_read_only():

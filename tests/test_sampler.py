@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cdag import ClusterDag, expand, identify, is_compatible, sample_batch, singleton_cdag
+import cdag
+import cdag.cli
+import cdag.sampler
+import conftest
+from cdag import Admg, ClusterDag, expand, identify, is_compatible, sample_batch, singleton_cdag
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy
 
 from randutil import random_cdag, random_query, rng_for
@@ -100,3 +105,30 @@ def test_separation_soundness_harness():
                                  partition.variables_of(z))
         checked += 1
     assert checked >= 40
+
+
+@pytest.mark.parametrize("internal", ["random", "chain", "full", "empty"])
+@pytest.mark.parametrize("cross", ["random", "minimal_witness", "full"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_sample_batch_is_compatible_under_every_policy(internal, cross, seed):
+    rng = rng_for(seed)
+    c = random_cdag(rng, int(rng.integers(2, 7)))
+    spec = ExpansionSpec(sizes={name: int(rng.integers(1, 4)) for name in c.graph.nodes},
+                         internal=InternalPolicy(internal, *rng.random(2)),
+                         cross=CrossPolicy(cross, rng.random()), seed=int(rng.integers(10 ** 6)))
+    for graph, partition in sample_batch(c, spec, 4):
+        assert is_compatible(graph, c, partition)
+
+
+def test_every_expansion_under_test_is_checked(monkeypatch, backdoor_cdag):
+    # the test-side check stands in for the one expand no longer makes
+    for module in (cdag, cdag.cli, cdag.sampler):
+        assert module.expand is expand is conftest._checked_expand
+    spec = ExpansionSpec(sizes={"Z": 2}, seed=3)
+    graph, partition = conftest._expand(backdoor_cdag, spec)
+    monkeypatch.setattr(conftest, "_expand", lambda c, spec: (
+        Admg(graph.nodes, [e for e in graph.directed if e != ("X", "Y")],
+             graph.bidirected), partition))
+    with pytest.raises(AssertionError, match="not compatible"):
+        sample_batch(backdoor_cdag, spec, 1)
