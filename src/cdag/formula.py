@@ -166,15 +166,16 @@ def _free_vars(node, cache):
     hit = cache.get(id(node))
     if hit is not None:
         return hit[1]
-    if isinstance(node, CondProb):
+    kind = type(node)
+    if kind is CondProb:
         out = frozenset(node.target + node.given)
-    elif isinstance(node, Product):
+    elif kind is Product:
         out = frozenset().union(*[_free_vars(f, cache) for f in node.factors])
-    elif isinstance(node, Sum):
+    elif kind is Sum:
         out = _free_vars(node.body, cache).difference(node.bound)
-    elif isinstance(node, Fraction):
+    elif kind is Fraction:
         out = _free_vars(node.numerator, cache) | _free_vars(node.denominator, cache)
-    elif isinstance(node, _One):
+    elif kind is _One:
         out = frozenset()
     else:
         raise TypeError(f"not a ProbExpr: {node!r}")
@@ -216,18 +217,21 @@ def _alpha_normalize(e, reserved, fv):
         return candidate
 
     def walk(node, env):
-        if isinstance(node, _One):
-            return node
-        if isinstance(node, CondProb):
+        kind = type(node)
+        if kind is CondProb:
             if env.keys().isdisjoint(node.target + node.given):
                 return node
-            return CondProb([env.get(v, v) for v in node.target],
-                            [env.get(v, v) for v in node.given])
-        if isinstance(node, Product):
+            # the renames are one-to-one onto names not in use, so the
+            # renamed lists stay distinct and disjoint
+            return CondProb._trusted(tuple(sorted([env.get(v, v) for v in node.target])),
+                                     tuple(sorted([env.get(v, v) for v in node.given])))
+        if kind is Product:
             return Product([walk(f, env) for f in node.factors])
-        if isinstance(node, Fraction):
+        if kind is _One:
+            return node
+        if kind is Fraction:
             return Fraction(walk(node.numerator, env), walk(node.denominator, env))
-        if isinstance(node, Sum):
+        if kind is Sum:
             env2 = dict(env)
             renamed = []
             for v in node.bound:
@@ -250,8 +254,12 @@ def _alpha_normalize(e, reserved, fv):
 def _flatten_product(node, memo, fv):
     out = []
     for f in node.factors:
+        if type(f) is CondProb:
+            # a leaf is its own normal form
+            out.append(f)
+            continue
         f = _simplify(f, memo, fv)
-        if isinstance(f, Product):
+        if type(f) is Product:
             out.extend(f.factors)
         elif f is not ONE:
             out.append(f)
@@ -304,23 +312,24 @@ def _rewrite(node, memo, fv):
     # flattens to normal factors that are neither products nor ONE, and
     # these flatten to themselves again.  A fraction's factors leave
     # ``_cancel`` with no shared factor and no ratio left to collapse.
-    if isinstance(node, (_One, CondProb)):
+    kind = type(node)
+    if kind is CondProb or kind is _One:
         return node
-    if isinstance(node, Product):
+    if kind is Product:
         return product_of(_flatten_product(node, memo, fv))
-    if isinstance(node, Fraction):
+    if kind is Sum:
+        return _sum_rules(node.bound, _simplify(node.body, memo, fv), fv)
+    if kind is Fraction:
         num = _simplify(node.numerator, memo, fv)
         den = _simplify(node.denominator, memo, fv)
         if den is ONE:
             return num
-        num_factors = list(num.factors) if isinstance(num, Product) else [num]
-        den_factors = list(den.factors) if isinstance(den, Product) else [den]
+        num_factors = list(num.factors) if type(num) is Product else [num]
+        den_factors = list(den.factors) if type(den) is Product else [den]
         num_factors, den_factors = _cancel(num_factors, den_factors)
         if not den_factors:
             return product_of(num_factors)
         return Fraction(product_of(num_factors), product_of(den_factors))
-    if isinstance(node, Sum):
-        return _sum_rules(node.bound, _simplify(node.body, memo, fv), fv)
     raise TypeError(f"not a ProbExpr: {node!r}")
 
 
@@ -328,38 +337,39 @@ def _sum_rules(bound, body, fv):
     # The Sum rules on a normal ``body``: merge a nested sum, then drop
     # normalized factors.
     bound = list(bound)
-    if isinstance(body, Sum) and not set(bound) & set(body.bound):
-        bound += list(body.bound)
+    if type(body) is Sum and set(bound).isdisjoint(body.bound):
+        bound += body.bound
         body = body.body
     # Normalization: a factor P(t|g) whose targets are bound here and
     # occur nowhere else in the body sums to one and can be dropped.
     # Only the bound variables' counts are read, so only they are kept.
-    factors = list(body.factors) if isinstance(body, Product) else [body]
+    factors = list(body.factors) if type(body) is Product else [body]
     bound_set = frozenset(bound)
     fvs = [_free_vars(f, fv) & bound_set for f in factors]
     uses = Counter(itertools.chain.from_iterable(fvs))
-    changed = True
-    while changed:
-        changed = False
-        for i, f in enumerate(factors):
-            if not isinstance(f, CondProb):
-                continue
-            targets = set(f.target)
-            if not targets <= set(bound):
-                continue
+    # Sweep from the last factor to the first until a sweep drops nothing.
+    # Counts only fall, so a droppable factor stays droppable, and a
+    # dropped factor's targets are no other factor's: every drop order
+    # keeps the same factors, in the same order, and the same bound names.
+    gone, dropped = set(), True
+    while dropped:
+        dropped = False
+        for i in range(len(factors) - 1, -1, -1):
+            f = factors[i]
             # f holds each of its targets once, so a count above one
             # means the target occurs in a sibling.
-            if any(uses[t] > 1 for t in targets):
-                continue
-            factors.pop(i)
-            uses.subtract(fvs.pop(i))
-            bound = [v for v in bound if v not in targets]
-            changed = True
-            break
+            if type(f) is CondProb and bound_set.issuperset(f.target) and \
+                    all(uses[t] == 1 for t in f.target):
+                del factors[i]
+                uses.subtract(fvs.pop(i))
+                gone.update(f.target)
+                dropped = True
+    if gone:
+        bound = [v for v in bound if v not in gone]
     body = product_of(factors)
     if not bound:
         return body
-    if isinstance(body, Sum) and not set(bound) & set(body.bound):
+    if type(body) is Sum and set(bound).isdisjoint(body.bound):
         # the drops left a lone inner sum that now merges; its body is
         # already normal, so this re-run is local
         return _sum_rules(bound, body, fv)
@@ -746,25 +756,26 @@ def _render(node, style, prec=0):
     # prec 0: bare; 1: trailing position in a product (a sum may extend
     # rightward without parentheses); 2: must be atomic.
     sep, bar, left, right, sum_head, fraction = style
-    if isinstance(node, _One):
-        return "1"
-    if isinstance(node, CondProb):
+    kind = type(node)
+    if kind is CondProb:
         # one lower() per list: no Final_Sigma context crosses a separator,
         # which is neither cased nor case-ignorable, so each name lowers alone
         head = sep.join(node.target).lower()
         if node.given:
             head += bar + sep.join(node.given).lower()
         return f"P({head})"
-    if isinstance(node, Fraction):
-        return fraction.format(_render(node.numerator, style),
-                               _render(node.denominator, style))
-    if isinstance(node, Product):
+    if kind is Product:
         parts = [_render(f, style, 2) for f in node.factors[:-1]]
         parts.append(_render(node.factors[-1], style, min(prec, 1)))
         out = " ".join(parts)
-    elif isinstance(node, Sum):
+    elif kind is Sum:
         head = sum_head(sep.join(node.bound).lower())
         out = f"{head} {_render(node.body, style, 1)}"
+    elif kind is Fraction:
+        return fraction.format(_render(node.numerator, style),
+                               _render(node.denominator, style))
+    elif kind is _One:
+        return "1"
     else:
         raise TypeError(f"not a ProbExpr: {node!r}")
     return left + out + right if prec >= 2 else out

@@ -6,6 +6,7 @@ directed edges only.  All values are immutable after construction and
 every operation is a pure function, so graphs are safe to share freely.
 """
 
+import heapq
 from collections import deque
 from typing import Iterable, Tuple, FrozenSet
 
@@ -46,8 +47,8 @@ class Admg:
 
     def __init__(self, nodes: Iterable[str], directed: Iterable[Tuple[str, str]] = (),
                  bidirected: Iterable[Tuple[str, str]] = ()):
-        self.nodes: Tuple[str, ...] = tuple(sorted(set(nodes)))
-        node_set = self._node_set = frozenset(self.nodes)
+        nodes = tuple(sorted(set(nodes)))
+        node_set = frozenset(nodes)
 
         dir_edges = set()
         for tail, head in directed:
@@ -56,7 +57,6 @@ class Admg:
             if tail == head:
                 raise GraphError(f"self loop {tail} -> {head}")
             dir_edges.add((tail, head))
-        self.directed: FrozenSet[Tuple[str, str]] = frozenset(dir_edges)
 
         bi_edges = set()
         for a, b in bidirected:
@@ -65,37 +65,49 @@ class Admg:
             if a == b:
                 raise GraphError(f"self loop {a} <-> {b}")
             bi_edges.add(_canonical_pair(a, b))
-        self.bidirected: FrozenSet[Tuple[str, str]] = frozenset(bi_edges)
 
-        self._parents = {v: set() for v in self.nodes}
-        self._children = {v: set() for v in self.nodes}
-        for tail, head in self.directed:
+        self._link(nodes, node_set, frozenset(dir_edges), frozenset(bi_edges))
+        self._topo = self._kahn_order()
+
+    @classmethod
+    def _trusted(cls, nodes, node_set, directed, bidirected) -> "Admg":
+        # A subgraph of a valid graph: sorted distinct nodes and checked
+        # edge sets, so no check runs, and it is acyclic, so its order is
+        # found on first use.
+        g = object.__new__(cls)
+        g._link(nodes, node_set, directed, bidirected)
+        return g
+
+    def _link(self, nodes, node_set, directed, bidirected):
+        self.nodes: Tuple[str, ...] = nodes
+        self._node_set = node_set
+        self.directed: FrozenSet[Tuple[str, str]] = directed
+        self.bidirected: FrozenSet[Tuple[str, str]] = bidirected
+        self._parents = {v: set() for v in nodes}
+        self._children = {v: set() for v in nodes}
+        for tail, head in directed:
             self._parents[head].add(tail)
             self._children[tail].add(head)
-        self._siblings = {v: set() for v in self.nodes}
-        for a, b in self.bidirected:
+        self._siblings = {v: set() for v in nodes}
+        for a, b in bidirected:
             self._siblings[a].add(b)
             self._siblings[b].add(a)
-
-        self._topo = self._kahn_order()
-        self._hash = hash((self.nodes, self.directed, self.bidirected))
+        self._topo = self._hash = None
 
     def _kahn_order(self):
-        # Kahn's algorithm with a lexicographic tie break; raises CycleError
-        # carrying one shortest cycle if the directed part is cyclic.
+        # Kahn's algorithm with a lexicographic tie break, the ready nodes
+        # on a heap; raises CycleError carrying one shortest cycle if the
+        # directed part is cyclic.
         in_degree = {v: len(self._parents[v]) for v in self.nodes}
-        ready = sorted(v for v in self.nodes if in_degree[v] == 0)
+        ready = [v for v in self.nodes if not in_degree[v]]    # sorted, so a heap
         order = []
         while ready:
-            v = ready.pop(0)
+            v = heapq.heappop(ready)
             order.append(v)
-            opened = []
             for ch in self._children[v]:
                 in_degree[ch] -= 1
                 if in_degree[ch] == 0:
-                    opened.append(ch)
-            if opened:
-                ready = sorted(ready + opened)
+                    heapq.heappush(ready, ch)
         if len(order) != len(self.nodes):
             raise CycleError(self._find_cycle())
         return tuple(order)
@@ -134,6 +146,8 @@ class Admg:
                 and self.bidirected == other.bidirected)
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.nodes, self.directed, self.bidirected))
         return self._hash
 
     def __repr__(self):
@@ -196,6 +210,8 @@ class Admg:
 
     def topological_order(self) -> Tuple[str, ...]:
         """Deterministic topological order (Kahn, lexicographic tie break)."""
+        if self._topo is None:
+            self._topo = self._kahn_order()
         return self._topo
 
     # -- surgery ----------------------------------------------------------
@@ -210,16 +226,16 @@ class Admg:
         """
         into = self._check_members(cut_into)
         out_of = self._check_members(cut_out_of)
-        directed = [(t, h) for t, h in self.directed if h not in into and t not in out_of]
-        bidirected = [(a, b) for a, b in self.bidirected if a not in into and b not in into]
-        return Admg(self.nodes, directed, bidirected)
+        directed = frozenset((t, h) for t, h in self.directed if h not in into and t not in out_of)
+        bidirected = frozenset((a, b) for a, b in self.bidirected if a not in into and b not in into)
+        return Admg._trusted(self.nodes, self._node_set, directed, bidirected)
 
     def induced(self, keep: Iterable[str]) -> "Admg":
         """Induced subgraph over ``keep``."""
         keep = self._check_members(keep)
-        directed = [(t, h) for t, h in self.directed if t in keep and h in keep]
-        bidirected = [(a, b) for a, b in self.bidirected if a in keep and b in keep]
-        return Admg(sorted(keep), directed, bidirected)
+        directed = frozenset((t, h) for t, h in self.directed if t in keep and h in keep)
+        bidirected = frozenset((a, b) for a, b in self.bidirected if a in keep and b in keep)
+        return Admg._trusted(tuple(sorted(keep)), keep, directed, bidirected)
 
     # -- components -------------------------------------------------------
 

@@ -198,22 +198,26 @@ class DiscreteCbn:
             return rows.min(initial=0.0) >= 0 and \
                 np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0) <= tol
 
+        # A CPT's axes are its parents', its noises' and its own states.
         # Each check runs once per width on the stacked rows.  Only when one
-        # fails, or a CPT does not split into rows, does the per-table loop
-        # run, to raise for the first bad table.
+        # fails, or a table has the wrong shape, does the per-table loop run,
+        # to raise for the first bad table.
         laws = {u: self.exo_dists[u] for u in self.exo_names}
-        try:
-            ok = all(law.shape == (self.exo_cards[u],) for u, law in laws.items()) and \
-                _stacked_ok(laws.values(), laws_ok) and _stacked_ok(
-                    [m.cpt.reshape(-1, self.cards[v]) for v, m in mechanisms.items()], cpts_ok)
-        except ValueError:
-            ok = False
-        if not ok:
+        shapes = {v: tuple(map(self.cards.get, m.endo_parents)) + tuple(
+            map(self.exo_cards.get, m.exo_parents)) + (self.cards[v],)
+            for v, m in mechanisms.items()}
+        if not (all(law.shape == (self.exo_cards[u],) for u, law in laws.items())
+                and all(m.cpt.shape == shapes[v] for v, m in mechanisms.items())
+                and _stacked_ok(laws.values(), laws_ok) and _stacked_ok(
+                    [m.cpt.reshape(-1, self.cards[v]) for v, m in mechanisms.items()], cpts_ok)):
             for name, law in laws.items():
                 if law.shape != (self.exo_cards[name],) or not laws_ok(law.reshape(1, -1)):
                     raise GraphError(f"exogenous {name!r} needs a strictly positive "
                                      "distribution of matching cardinality summing to 1")
             for v, mech in mechanisms.items():
+                if mech.cpt.shape != shapes[v]:
+                    raise GraphError(f"CPT of {v!r} has shape {mech.cpt.shape}, not "
+                                     f"{shapes[v]} from its parents, noises and states")
                 if not cpts_ok(mech.cpt.reshape(-1, self.cards[v])):
                     raise GraphError(f"CPT rows of {v!r} must be nonnegative and sum to 1")
         # Each variable's table over its parents and shared noise, with its

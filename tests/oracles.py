@@ -11,11 +11,18 @@ They are deliberately naive and independent of the code they check:
   and runs it on each table.  Both issue the same numpy operations.
 * :func:`m_separated_brute_force` enumerates every path; the library's
   :meth:`cdag.graphs.Admg.m_separated` is a reachability search.
+* :func:`kahn_order` keeps Kahn's ready nodes in a list it sorts again
+  whenever nodes open; the library keeps them on a heap.
 * :func:`simplify`, :func:`free_vars` and :func:`alpha_normalize` walk an
   expression as a tree, so a sub-expression shared by several parents is
   rewritten once per reference and free variables are recomputed at
   every sum, and :func:`simplify` repeats its rewrite pass until nothing
   changes; the library processes each shared node once, in one pass.
+  :func:`alpha_normalize` builds each renamed conditional through the
+  checked, sorting constructor; the library sorts the renamed names itself.
+* :func:`sum_rules` restarts its scan at the first factor after every
+  drop; the library sweeps from the last factor to the first until a
+  sweep drops nothing.
 * :func:`render_per_name` lowercases each variable name on its own; the
   library's :func:`cdag.formula.render` lowercases each joined name list
   once.
@@ -296,6 +303,25 @@ def m_separated_brute_force(g: Admg, x, y, z=()) -> bool:
     return True
 
 
+def kahn_order(g: Admg) -> Tuple[str, ...]:
+    """Kahn's algorithm with a lexicographic tie break, read through the
+    public kinship queries."""
+    in_degree = {v: len(g.parents([v])) for v in g.nodes}
+    ready = sorted(v for v in g.nodes if in_degree[v] == 0)
+    order = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        opened = []
+        for ch in g.children([v]):
+            in_degree[ch] -= 1
+            if in_degree[ch] == 0:
+                opened.append(ch)
+        if opened:
+            ready = sorted(ready + opened)
+    return tuple(order)
+
+
 # -- the tree-walking simplifier ----------------------------------------------
 
 def free_vars(e: ProbExpr) -> frozenset:
@@ -449,6 +475,41 @@ def _simplify(node):
             return body
         return Sum(bound, body)
     raise TypeError(f"not a ProbExpr: {node!r}")
+
+
+def sum_rules(bound, body) -> ProbExpr:
+    """The Sum rules on a normal ``body``, as one rewrite applies them:
+    merge a nested sum, drop normalized factors, restarting at the first
+    factor after every drop, and merge a lone inner sum the drops leave."""
+    bound = list(bound)
+    if isinstance(body, Sum) and not set(bound) & set(body.bound):
+        bound += list(body.bound)
+        body = body.body
+    factors = list(body.factors) if isinstance(body, Product) else [body]
+    fvs = [free_vars(f) & set(bound) for f in factors]
+    uses = Counter(v for fv in fvs for v in fv)
+    changed = True
+    while changed:
+        changed = False
+        for i, f in enumerate(factors):
+            if not isinstance(f, CondProb):
+                continue
+            targets = set(f.target)
+            if not targets <= set(bound):
+                continue
+            if any(uses[t] > 1 for t in targets):
+                continue
+            factors.pop(i)
+            uses.subtract(fvs.pop(i))
+            bound = [v for v in bound if v not in targets]
+            changed = True
+            break
+    body = product_of(factors)
+    if not bound:
+        return body
+    if isinstance(body, Sum) and not set(bound) & set(body.bound):
+        return sum_rules(bound, body)
+    return Sum(bound, body)
 
 
 def simplify(e: ProbExpr, reserved: Iterable[str] = ()) -> ProbExpr:
@@ -625,8 +686,9 @@ def macro_factor(m, members) -> _Factor:
 def model_table_error(cards, exo_cards, exo_dists, mechanisms):
     """The error that checking the model's tables one at a time raises
     first, or None: every exogenous law, in name order, is strictly
-    positive, of its cardinality and sums to 1, then every CPT row is
-    nonnegative and sums to 1."""
+    positive, of its cardinality and sums to 1, then every CPT has one
+    axis per parent, per noise and for its own states, of their
+    cardinalities, and its rows are nonnegative and sum to 1."""
     tol = 1e-12 + 1e-5
     try:
         for name in sorted(exo_cards):
@@ -636,11 +698,16 @@ def model_table_error(cards, exo_cards, exo_dists, mechanisms):
                 raise GraphError(f"exogenous {name!r} needs a strictly positive "
                                  "distribution of matching cardinality summing to 1")
         for v, mech in mechanisms.items():
+            shape = tuple(cards.get(p) for p in mech.endo_parents) + \
+                tuple(exo_cards.get(u) for u in mech.exo_parents) + (cards[v],)
+            if mech.cpt.shape != shape:
+                raise GraphError(f"CPT of {v!r} has shape {mech.cpt.shape}, not "
+                                 f"{shape} from its parents, noises and states")
             rows = mech.cpt.reshape(-1, cards[v])
             if not (rows.min(initial=0.0) >= 0 and
                     np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0) <= tol):
                 raise GraphError(f"CPT rows of {v!r} must be nonnegative and sum to 1")
-    except ValueError as err:    # GraphError, or a CPT that does not split into rows
+    except GraphError as err:
         return err
     return None
 

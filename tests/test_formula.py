@@ -9,7 +9,8 @@ from cdag import (CondProb, Fraction, Identified, JointTable, ONE, Product, Sum,
                   ZeroConditioningMass, equivalent_on, evaluate, identify,
                   parse_formula_json, render, simplify)
 from cdag.formula import (FormulaError, UnknownVariableError, _Plan, _broadcast, _simplify,
-                          alpha_normalize, free_vars, sum_over, tabulate)
+                          _sum_rules, alpha_normalize, free_vars, product_of, sum_over,
+                          tabulate)
 from cdag.identify import _HedgeFound, _run
 
 import oracles
@@ -314,6 +315,49 @@ def test_one_pass_matches_fixpoint_reference(seed):
     rng = rng_for(seed)
     e = random_expression(rng, shadowing=False)
     reserved = set(NAMES[:int(rng.integers(3))])
+    got, want = simplify(e, reserved), oracles.simplify(e, reserved)
+    assert got == want
+    for fmt in ("text", "json"):
+        assert render(got, fmt) == render(want, fmt)
+
+
+def random_sum_of_products(rng):
+    """Σ over a product of conditionals on ``NAMES`` that share names: a
+    chain P(v | earlier names) with the odd later name given, its factors
+    in random order, so that one drop can make a factor before it
+    droppable; now and then a second factor on a target; some targets
+    left unbound."""
+    order = [str(v) for v in rng.permutation(NAMES)]
+    factors, i = [], 0
+    while i < len(order):
+        k = 1 if rng.random() < 0.7 else 2
+        given = [v for v in order[:i] if rng.random() < 0.5]
+        given += [v for v in order[i + k:] if rng.random() < 0.1]
+        factors.append(CondProb(order[i:i + k], given))
+        i += k
+    if rng.random() < 0.2:
+        factors.append(CondProb([order[int(rng.integers(len(order)))]]))
+    factors = [factors[j] for j in rng.permutation(len(factors))]
+    bound = [v for v in order if rng.random() < 0.7] or order[:1]
+    return Sum([bound[j] for j in rng.permutation(len(bound))], product_of(factors))
+
+
+def test_sweeps_drop_what_one_drop_exposes():
+    # P(b) holds a name of P(a|b), so it drops only after P(a|b) does
+    e = Sum(["A", "B"], Product([CondProb(["A"], ["B"]), CondProb(["B"]), CondProb(["C"], ["B"])]))
+    assert render(_sum_rules(e.bound, e.body, {})) == "Σ_b P(b) P(c|b)"
+    e = Sum(["A", "B", "C"], e.body)
+    assert _sum_rules(e.bound, e.body, {}) is ONE
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_sum_rules_match_the_restarting_reference(seed):
+    rng = rng_for(seed)
+    e = random_sum_of_products(rng)
+    reserved = {v for v in NAMES if rng.random() < 0.3}
+    assert _sum_rules(e.bound, e.body, {}) == oracles.sum_rules(e.bound, e.body)
+    assert alpha_normalize(e, reserved) == oracles.alpha_normalize(e, reserved)
     got, want = simplify(e, reserved), oracles.simplify(e, reserved)
     assert got == want
     for fmt in ("text", "json"):

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdag import Admg, CycleError, GraphError, UnknownNodeError
 
-from oracles import m_separated_brute_force
+from oracles import kahn_order, m_separated_brute_force
 from randutil import random_admg, random_query, rng_for
 
 
@@ -198,6 +198,37 @@ def test_graph_equality_and_hash():
     g2 = Admg(["B", "A"], [("A", "B")], [("B", "A")])
     assert g1 == g2
     assert hash(g1) == hash(g2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_derived_graphs_equal_public_constructions(seed):
+    # mutilate and induced skip the constructor's checks and find their
+    # order on first use; each must equal the graph the public
+    # constructor builds from the same edges, in every derived value
+    rng = rng_for(seed)
+    g = random_admg(rng, int(rng.integers(1, 12)), p_dir=rng.random(), p_bi=rng.random())
+    assert g.topological_order() == kahn_order(g)
+
+    def pick():
+        return [v for v in g.nodes if rng.random() < 0.4]
+
+    into, out_of, keep = pick(), pick(), pick()
+    pairs = [
+        (g.mutilate(into, out_of),
+         Admg(g.nodes, [(t, h) for t, h in g.directed if h not in into and t not in out_of],
+              [(a, b) for a, b in g.bidirected if a not in into and b not in into])),
+        (g.induced(keep),
+         Admg(keep, [(t, h) for t, h in g.directed if t in keep and h in keep],
+              [(a, b) for a, b in g.bidirected if a in keep and b in keep])),
+    ]
+    for derived, public in pairs:
+        assert derived == public and hash(derived) == hash(public)
+        assert derived.nodes == public.nodes
+        assert derived.topological_order() == public.topological_order() == kahn_order(public)
+        for links in ("_parents", "_children", "_siblings"):
+            assert getattr(derived, links) == getattr(public, links)
+        assert derived.c_components() == public.c_components()
 
 
 def test_induced_subgraph(med_admg):
