@@ -32,7 +32,6 @@ from .formula import (
     Product,
     Sum,
     ZeroConditioningMass,
-    equivalent_on,
     evaluate,
     parse_formula_json,
     render,
@@ -43,22 +42,14 @@ from .identify import (
     Hedge,
     Identified,
     NonIdentified,
-    QFactor,
-    ancestral_reduce,
-    find_hedge,
     hedge_expansion_witness,
     identify,
     observational_marginal,
-    q_factor,
 )
 from .docalc import DoQuery, RuleVerdict, rule1, rule2, rule3
 from .oracle import (
     DiscreteCbn,
-    MacroScm,
     StateSpaceCapError,
-    build_macro_scm,
-    cluster_factorization_check,
-    counterfactual_prob,
     interventional_distribution,
     joint_distribution,
     random_cbn,
@@ -74,15 +65,12 @@ __all__ = [
     "build_cdag", "cdag_d_separated", "is_compatible", "mutilate_cdag",
     "singleton_cdag",
     "CondProb", "Fraction", "JointTable", "ONE", "ProbExpr", "Product",
-    "Sum", "ZeroConditioningMass", "equivalent_on", "evaluate",
-    "parse_formula_json", "render", "simplify",
+    "Sum", "ZeroConditioningMass", "evaluate", "parse_formula_json", "render",
+    "simplify",
     "EmptyInterventionError", "Hedge", "Identified", "NonIdentified",
-    "QFactor", "ancestral_reduce", "find_hedge", "hedge_expansion_witness",
-    "identify", "observational_marginal", "q_factor",
+    "hedge_expansion_witness", "identify", "observational_marginal",
     "DoQuery", "RuleVerdict", "rule1", "rule2", "rule3",
-    "DiscreteCbn", "MacroScm", "StateSpaceCapError", "build_macro_scm",
-    "cluster_factorization_check", "counterfactual_prob",
-    "interventional_distribution", "joint_distribution", "random_cbn",
-    "sample_dataset",
+    "DiscreteCbn", "StateSpaceCapError", "interventional_distribution",
+    "joint_distribution", "random_cbn", "sample_dataset",
     "CrossPolicy", "ExpansionSpec", "InternalPolicy", "expand", "sample_batch",
 ]

@@ -399,7 +399,7 @@ def _cmd_simulate(args) -> int:
         for n_index, n in enumerate(ns):
             for rep in range(args.datasets):
                 seed = _derive_seed(args.seed, index, 2, n_index, rep)
-                data = sample_dataset(model, n, seed=seed, narrow=True)
+                data = sample_dataset(model, n, seed=seed)
                 emp = empirical_table(graph.nodes, exact.cards, data)
                 eff_c = _effect(plan_c, emp, var_x, var_y, lenient=True)
                 eff_g = _effect(plan_g, emp, var_x, var_y, lenient=True)

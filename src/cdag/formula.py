@@ -12,9 +12,7 @@ table (pass the partition's cluster map).  There is one evaluator, a
 plan: built once per expression, table layout and cluster map, it runs
 on any number of tables of that layout and computes the expression at
 every free-variable assignment at once.  :func:`tabulate` builds one
-and runs it, :func:`evaluate` and :func:`equivalent_on` read the arrays.
-Equivalence of expressions is decided numerically on full-support
-tables rather than by a symbolic normal form.
+and runs it, and :func:`evaluate` reads one cell of the array.
 """
 
 import itertools
@@ -183,30 +181,16 @@ def _free_vars(node, cache):
     return out
 
 
-def free_vars(e: ProbExpr) -> frozenset:
-    """Variables occurring free in ``e`` (bound names shadow outer ones).
-
-    Computed bottom-up, once per node object: a sub-expression shared by
-    several parents is processed once, not once per reference.
-    """
-    return _free_vars(e, {})
-
-
 def _base_name(name: str) -> str:
     return name.rstrip("'")
 
 
-def alpha_normalize(e: ProbExpr, reserved: Iterable[str] = ()) -> ProbExpr:
-    """Rename bound variables so they are unique across the expression and
-    disjoint from the free variables, priming names as needed.  Names in
-    ``reserved`` are treated as taken even when they do not occur free
-    (identification reserves its query variables this way)."""
-    return _alpha_normalize(e, reserved, {})
-
-
 def _alpha_normalize(e, reserved, fv):
-    # ``fv`` is a free-variable cache as :func:`_free_vars` keeps it;
-    # simplify passes the one its rewrite pass filled.
+    # Rename bound variables so they are unique across the expression and
+    # disjoint from the free variables and from ``reserved`` (identification
+    # reserves its query variables), priming names as needed.  ``fv`` is a
+    # free-variable cache as :func:`_free_vars` keeps it; simplify passes
+    # the one its rewrite pass filled.
     used = set(_free_vars(e, fv)) | set(reserved)
 
     def fresh(name):
@@ -444,14 +428,6 @@ class JointTable:
         arr = self.marginal(assignment)
         order = [v for v in self.variables if v in assignment]
         return float(arr[tuple(assignment[v] for v in order)])
-
-    def to_csv(self) -> str:
-        """One row per joint state, header of variable names plus ``p``."""
-        lines = [",".join(self.variables + ("p",))]
-        for state in itertools.product(*(range(c) for c in self.cards)):
-            lines.append(",".join(str(s) for s in state)
-                         + f",{float(self.probs[state])!r}")
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "JointTable":
@@ -719,25 +695,6 @@ def evaluate(e: ProbExpr, t: JointTable, assignment: Dict[str, int],
     if np.isnan(value):
         raise ZeroConditioningMass("conditioning event with zero probability")
     return value
-
-
-def equivalent_on(e1: ProbExpr, e2: ProbExpr, t: JointTable,
-                  clusters: Optional[Dict[str, Sequence[str]]] = None,
-                  tol: float = 1e-9) -> bool:
-    """True iff the expressions agree within ``tol`` at every assignment
-    of their free variables (one missing a variable is constant in it)."""
-
-    def over_table(variables, arr):
-        # axes in table order, size 1 for the variables arr does not use;
-        # a variable behind two free names (X and X') keeps its diagonal
-        axes = [t._index[v] for v in variables]
-        used = sorted(set(axes))
-        shape = [c if i in used else 1 for i, c in enumerate(t.cards)]
-        return np.einsum(arr, axes, used).reshape(shape)
-
-    a1 = over_table(*tabulate(e1, t, clusters))
-    a2 = over_table(*tabulate(e2, t, clusters))
-    return bool(np.all(np.abs(a1 - a2) <= tol))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ c-component refinement.  The enclosing factors are products of chain
 terms P(v | every earlier node), built once per query in one table that
 all of them share.  Failure of that recursion yields a pair of
 root-set-rooted c-forests, one containing intervened clusters and one
-avoiding them, validated against the full graph and the full X;
+avoiding them, read from the full graph and recorded against the full X;
 expanding every cluster into a chain with parallel confounding and
 fully wiring cross-cluster pairs turns the witness into a concrete
 variable-level graph where the same query fails.
@@ -25,7 +25,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Tuple, Union
 
-from .graphs import Admg, GraphError, UnknownNodeError
+from .graphs import Admg, GraphError
 from .cluster import ClusterDag
 from .formula import (CondProb, Fraction, ProbExpr, _free_vars, _simplify_with, product_of,
                       sum_over)
@@ -90,15 +90,6 @@ class NonIdentified:
 IdResult = Union[Identified, NonIdentified]
 
 
-@dataclass(frozen=True)
-class QFactor:
-    """The factor of one c-component: its post-intervention distribution
-    under intervention on everything else, written in observed terms."""
-
-    scope: FrozenSet[str]
-    expr: ProbExpr
-
-
 class _HedgeFound(Exception):
     def __init__(self, inner, outer):
         self.inner = frozenset(inner)
@@ -117,15 +108,6 @@ def _validate_query(c: ClusterDag, x, y):
     if x & y:
         raise GraphError(f"x and y overlap: {sorted(x & y)}")
     return x, y
-
-
-def ancestral_reduce(c: ClusterDag, x: Iterable[str], y: Iterable[str]) -> FrozenSet[str]:
-    """Ancestral closure of ``y`` in the subgraph over the clusters not in ``x``."""
-    keep = frozenset(c.graph.nodes) - frozenset(x)
-    y = frozenset(y)
-    if not y <= keep:
-        raise UnknownNodeError(f"unknown node(s): {sorted(y - keep)}")
-    return _ancestral_reduce(c.graph, keep, y)
 
 
 def _ancestral_reduce(graph: Admg, keep: FrozenSet[str], y: FrozenSet[str]) -> FrozenSet[str]:
@@ -154,22 +136,10 @@ def _chain_factor(table: Dict[str, CondProb], members: Iterable[str]) -> ProbExp
     return product_of(sorted([table[v] for v in members], key=lambda p: len(p.given)))
 
 
-def q_factor(c: ClusterDag, s: Iterable[str]) -> QFactor:
-    """Observable expression for the factor of c-component ``s``.
-
-    Under the deterministic topological order C_1, ..., C_n the factor is
-    the product of P(C_i | C_1, ..., C_{i-1}) over the members of ``s``.
-    """
-    s = frozenset(s)
-    if s not in set(c.graph.c_components()):
-        raise GraphError(f"{sorted(s)} is not a c-component of the cluster graph")
-    return QFactor(s, _chain_factor(_chain_table(c.graph.topological_order()), s))
-
-
 def _identify_component(graph: Admg, order: Tuple[str, ...],
                         target: FrozenSet[str], scope: FrozenSet[str],
                         q_expr: ProbExpr) -> ProbExpr:
-    """Identify Q[target] from Q[scope], recursing on subgraph structure.
+    """Identify Q[target] from Q[scope], one refinement of the scope per step.
 
     ``target`` is bidirected-connected and contained in ``scope``, which
     is itself a c-component of the graph under consideration.  The
@@ -177,30 +147,31 @@ def _identify_component(graph: Admg, order: Tuple[str, ...],
     and to the closure, never built.  Raises :class:`_HedgeFound` when
     the ancestors of the target fill the whole scope without equalling it.
     """
-    closure = _ancestral_reduce(graph, scope, target)
-    if closure == target:
-        return sum_over(sorted(scope - target), q_expr)
-    if closure == scope:
-        raise _HedgeFound(target, scope)
+    while True:
+        closure = _ancestral_reduce(graph, scope, target)
+        if closure == target:
+            return sum_over(sorted(scope - target), q_expr)
+        if closure == scope:
+            raise _HedgeFound(target, scope)
 
-    q_closure = sum_over(sorted(scope - closure), q_expr)
-    component = _district(graph, target, closure)
+        q_closure = sum_over(sorted(scope - closure), q_expr)
+        component = _district(graph, target, closure)
 
-    # Factor of the refined component, as telescoping prefix ratios of
-    # Q[closure] under the global topological order.
-    ordered = [v for v in order if v in closure]
-    prefix_exprs = {len(ordered): q_closure}
-    for i in range(len(ordered) - 1, 0, -1):
-        prefix_exprs[i] = sum_over([ordered[i]], prefix_exprs[i + 1])
-    factors = []
-    for i, node in enumerate(ordered, start=1):
-        if node not in component:
-            continue
-        if i == 1:
-            factors.append(prefix_exprs[1])
-        else:
-            factors.append(Fraction(prefix_exprs[i], prefix_exprs[i - 1]))
-    return _identify_component(graph, order, target, component, product_of(factors))
+        # Factor of the refined component, as telescoping prefix ratios of
+        # Q[closure] under the global topological order.
+        ordered = [v for v in order if v in closure]
+        prefix_exprs = {len(ordered): q_closure}
+        for i in range(len(ordered) - 1, 0, -1):
+            prefix_exprs[i] = sum_over([ordered[i]], prefix_exprs[i + 1])
+        factors = []
+        for i, node in enumerate(ordered, start=1):
+            if node not in component:
+                continue
+            if i == 1:
+                factors.append(prefix_exprs[1])
+            else:
+                factors.append(Fraction(prefix_exprs[i], prefix_exprs[i - 1]))
+        scope, q_expr = component, product_of(factors)
 
 
 def _run(c: ClusterDag, x: FrozenSet[str], y: FrozenSet[str]) -> Tuple[ProbExpr, Dict]:
@@ -240,7 +211,7 @@ def _run(c: ClusterDag, x: FrozenSet[str], y: FrozenSet[str]) -> Tuple[ProbExpr,
     return expr, fv
 
 
-def _build_hedge(c: ClusterDag, x: FrozenSet[str], y: FrozenSet[str],
+def _build_hedge(c: ClusterDag, x: FrozenSet[str],
                  inner: FrozenSet[str], outer: FrozenSet[str]) -> Hedge:
     graph = c.graph
 
@@ -263,42 +234,8 @@ def _build_hedge(c: ClusterDag, x: FrozenSet[str], y: FrozenSet[str],
     forest_f = Admg(sorted(outer), chosen, bidirected)
     forest_fprime = Admg(sorted(inner), (),
                          [(a, b) for a, b in bidirected if a in inner and b in inner])
-    hedge = Hedge(root_set=inner, forest_f=forest_f, forest_fprime=forest_fprime,
-                  intersected_x=frozenset(outer & x))
-    _validate_hedge(c, hedge, x, y)
-    return hedge
-
-
-def _validate_hedge(c: ClusterDag, h: Hedge, x: FrozenSet[str], y: FrozenSet[str]):
-    def check_forest(forest: Admg, name: str):
-        children = {}
-        for t, head in forest.directed:
-            children.setdefault(t, []).append(head)
-            if len(children[t]) > 1:
-                raise AssertionError(f"{name}: node {t} has more than one child")
-        roots = frozenset(v for v in forest.nodes if v not in children)
-        if roots != h.root_set:
-            raise AssertionError(f"{name}: root set {sorted(roots)} is not "
-                                 f"{sorted(h.root_set)}")
-        if len(forest.c_components()) != 1:
-            raise AssertionError(f"{name}: not a single c-component")
-
-    check_forest(h.forest_f, "forest F")
-    check_forest(h.forest_fprime, "forest F'")
-    if not set(h.forest_fprime.nodes) <= set(h.forest_f.nodes):
-        raise AssertionError("F' is not contained in F")
-    if not h.forest_fprime.directed <= h.forest_f.directed or \
-            not h.forest_fprime.bidirected <= h.forest_f.bidirected:
-        raise AssertionError("F' edges are not contained in F")
-    if set(h.forest_fprime.nodes) & x:
-        raise AssertionError("F' intersects the intervention set")
-    if not (set(h.forest_f.nodes) & x):
-        raise AssertionError("F does not intersect the intervention set")
-    if frozenset(h.forest_f.nodes) & x != h.intersected_x:
-        raise AssertionError("recorded intersection with X is wrong")
-    mutilated = c.graph.mutilate(cut_into=x)
-    if not h.root_set <= mutilated.ancestral_closure(y):
-        raise AssertionError("root set is not ancestral for Y after cutting into X")
+    return Hedge(root_set=inner, forest_f=forest_f, forest_fprime=forest_fprime,
+                 intersected_x=frozenset(outer & x))
 
 
 def identify(c: ClusterDag, x: Iterable[str], y: Iterable[str]) -> IdResult:
@@ -306,7 +243,7 @@ def identify(c: ClusterDag, x: Iterable[str], y: Iterable[str]) -> IdResult:
 
     Returns :class:`Identified` carrying a simplified expression over the
     observational cluster distribution, valid in every compatible
-    underlying model, or :class:`NonIdentified` carrying a validated
+    underlying model, or :class:`NonIdentified` carrying a
     :class:`Hedge`.
     """
     x, y = _validate_query(c, x, y)
@@ -316,16 +253,8 @@ def identify(c: ClusterDag, x: Iterable[str], y: Iterable[str]) -> IdResult:
     try:
         expr, fv = _run(c, x, y)
     except _HedgeFound as found:
-        return NonIdentified(_build_hedge(c, x, y, found.inner, found.outer))
+        return NonIdentified(_build_hedge(c, x, found.inner, found.outer))
     return Identified(_simplify_with(expr, x | y, fv))
-
-
-def find_hedge(c: ClusterDag, x: Iterable[str], y: Iterable[str]) -> Hedge:
-    """The hedge of a non-identifiable query; error if identification succeeds."""
-    result = identify(c, x, y)
-    if isinstance(result, Identified):
-        raise ValueError("identification succeeded; there is no hedge for this query")
-    return result.hedge
 
 
 def observational_marginal(c: ClusterDag, y: Iterable[str]) -> ProbExpr:

@@ -10,14 +10,14 @@ summation over the exogenous variables, eliminating them one at a time
 right after the last factor that uses it, with a hard cap on intermediate
 table sizes (override with the CDAG_STATE_CAP environment variable).
 
-Counterfactual queries require deterministic mechanisms: ``random_cbn``
-offers a deterministic mode where each table row encodes its conditional
-distribution through a per-row permutation of the variable's private
-noise, keeping the noise cardinality equal to the variable's own.
+``random_cbn`` also offers a deterministic mode, for counterfactual
+queries, where each table row encodes its conditional distribution
+through a per-row permutation of the variable's private noise, keeping
+the noise cardinality equal to the variable's own.
 
 Forward samples are drawn column by column into one narrow block, which
-``sample_dataset`` widens to int64 or, with ``narrow=True``, returns as an
-(n, k) view that ``empirical_table`` counts as is.
+``sample_dataset`` returns as an (n, k) view that ``empirical_table``
+counts as is.
 """
 
 import collections
@@ -29,7 +29,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .graphs import Admg, GraphError
-from .cluster import Partition, build_cdag
 from .formula import JointTable, _Factor, _product
 
 
@@ -157,22 +156,14 @@ class Mechanism:
         self.cpt = cpt
 
 
-def _check_intervention(x: Dict, cards: Dict[str, int],
-                        members: Optional[Dict[str, Sequence[str]]] = None,
-                        what: str = "intervention") -> None:
-    # Every name in ``x`` (an intervention, or the assignment ``what``
-    # names) must be a variable, or with ``members`` a cluster given a
-    # tuple of one value per member, set to integer states in range.
-    kind = "variable" if members is None else "cluster"
-    unknown = x.keys() - (cards if members is None else members).keys()
+def _check_intervention(x: Dict, cards: Dict[str, int]) -> None:
+    # Every intervened name must be a variable, set to an integer state in range.
+    unknown = x.keys() - cards.keys()
     if unknown:
-        raise GraphError(f"unknown {kind}(s) in {what}: {sorted(unknown)}")
+        raise GraphError(f"unknown variable(s) in intervention: {sorted(unknown)}")
     for name, value in x.items():
-        group, values = ((name,), (value,)) if members is None else (members[name], value)
-        if not (isinstance(values, (tuple, list)) and len(values) == len(group) and all(
-                isinstance(val, (int, np.integer)) and 0 <= val < cards[v]
-                for v, val in zip(group, values))):
-            raise GraphError(f"{value!r} is not a state of {kind} {name!r}")
+        if not (isinstance(value, (int, np.integer)) and 0 <= value < cards[name]):
+            raise GraphError(f"{value!r} is not a state of variable {name!r}")
 
 
 class DiscreteCbn:
@@ -237,39 +228,6 @@ class DiscreteCbn:
             self._factors[v] = factor
         # interventional_distribution's tables, by intervened set
         self._posts: Dict[frozenset, Tuple[Tuple[str, ...], np.ndarray]] = {}
-        # The value each deterministic mechanism takes: the argmax of its
-        # CPT row, in the narrowest unsigned dtype.  Stochastic models
-        # have no responses and build none.
-        self._responses = {
-            v: np.argmax(mech.cpt, axis=-1).astype(np.min_scalar_type(self.cards[v] - 1))
-            for v, mech in mechanisms.items()} if deterministic else None
-
-    def _respond(self, order: Iterable[str], values: Dict, exo: Dict) -> Dict:
-        # Fill in the response of each variable of ``order`` (parents
-        # first).  Values and exogenous states are integers, or integer
-        # arrays broadcasting over an open grid of exogenous states.
-        for v in order:
-            mech = self.mechanisms[v]
-            idx = tuple(values[p] for p in mech.endo_parents) + \
-                tuple(exo[u] for u in mech.exo_parents)
-            values[v] = self._responses[v][idx]
-        return values
-
-    def _solve(self, exo: Dict, interventions: Dict) -> Dict:
-        if not self.deterministic:
-            raise GraphError("potential responses need deterministic mechanisms; "
-                             "build the model in deterministic mode")
-        _check_intervention(interventions, self.cards)
-        order = self.graph.topological_order()
-        return self._respond([v for v in order if v not in interventions],
-                             {v: interventions[v] for v in order if v in interventions},
-                             exo)
-
-    def solve(self, exo_assignment: Dict[str, int],
-              interventions: Optional[Dict[str, int]] = None) -> Dict[str, int]:
-        """Potential response of every variable at a fixed exogenous state."""
-        return {v: int(val) for v, val in
-                self._solve(exo_assignment, interventions or {}).items()}
 
 
 def _stacked_ok(tables: Iterable[np.ndarray], ok) -> bool:
@@ -411,7 +369,7 @@ def interventional_distribution(m: DiscreteCbn, x: Dict[str, int]) -> JointTable
     return JointTable(keep, table[(..., *(x[v] for v in free))])
 
 
-def sample_dataset(m: DiscreteCbn, n: int, seed: int, *, narrow: bool = False) -> np.ndarray:
+def sample_dataset(m: DiscreteCbn, n: int, seed: int) -> np.ndarray:
     """``n`` ancestral forward samples; rows are joint assignments in
     ``m.graph.nodes`` column order.
 
@@ -425,9 +383,8 @@ def sample_dataset(m: DiscreteCbn, n: int, seed: int, *, narrow: bool = False) -
     All columns share one block of the narrowest unsigned dtype that holds
     every value (uint8 up to 256 levels), each CPT row index uses the
     narrowest one that holds the row count, and one buffer takes every
-    draw, filled as ``rng.random(n)`` would be.  The result is that block
-    widened to a C-ordered int64 array, or with ``narrow=True`` its (n, k)
-    view as is (one contiguous column per variable), which
+    draw, filled as ``rng.random(n)`` would be.  The result is that block's
+    (n, k) view (one contiguous column per variable), which
     ``empirical_table`` counts without a copy.
     """
     rng = np.random.default_rng(seed)
@@ -466,8 +423,7 @@ def sample_dataset(m: DiscreteCbn, n: int, seed: int, *, narrow: bool = False) -
         # every draw is below 1, so only a last level below 1 can fall back
         if n and 1.0 > levels[-1].min() <= u.max():
             value[levels[-1].take(row) <= u] = 0
-    view = columns[len(m.exo_names):].T
-    return view if narrow else view.astype(np.int64, order="C")
+    return columns[len(m.exo_names):].T
 
 
 def empirical_table(m_nodes: Sequence[str], cards: Sequence[int],
@@ -490,169 +446,3 @@ def empirical_table(m_nodes: Sequence[str], cards: Sequence[int],
     counts = np.bincount(flat, minlength=math.prod(cards))
     probs = counts.reshape(cards) / len(data)
     return JointTable(tuple(m_nodes), probs)
-
-
-# ---------------------------------------------------------------------------
-# cluster-level factorization check
-# ---------------------------------------------------------------------------
-
-def _macro_factor(m: DiscreteCbn, members: Sequence[str]) -> _Factor:
-    # Conditional table of a whole cluster given its external parents and
-    # all exogenous parents of its members, built as an explicit product
-    # and verified to normalize over the member axes.
-    factor = None
-    cap = _cap()
-    for v in members:
-        mech = m.mechanisms[v]
-        f = _Factor(mech.endo_parents + mech.exo_parents + (v,), mech.cpt)
-        factor = f if factor is None else _join(factor, f, cap, "cluster_factorization_check")
-    member_axes = tuple(factor.names.index(v) for v in members)
-    totals = factor.values.sum(axis=member_axes)
-    if not np.allclose(totals, 1.0, atol=1e-9):
-        raise GraphError("cluster factor does not normalize over its members")
-    return factor
-
-
-def cluster_factorization_check(m: DiscreteCbn, p: Partition,
-                                x_clusters: Iterable[str] = ()) -> float:
-    """Max deviation between the variable-level truncated factorization and
-    its cluster-level reassembly, over every intervention value.
-
-    The left side is the truncated factorization.  The right side groups
-    the model into per-cluster conditional tables first (explicitly
-    normalized), then contracts the cluster-level network over the shared
-    exogenous variables.  Both hold every intervention value free.  With
-    no intervened clusters this checks the observational factorization.
-    """
-    x_clusters = frozenset(x_clusters)
-    cdag = build_cdag(m.graph, p)
-    unknown = x_clusters - set(cdag.graph.nodes)
-    if unknown:
-        raise GraphError(f"unknown cluster(s): {sorted(unknown)}")
-    x_vars = p.variables_of(x_clusters)
-    keep = tuple(v for v in m.graph.nodes if v not in x_vars)
-    macro_factors = [_macro_factor(m, p.members(name))
-                     for name in cdag.graph.topological_order() if name not in x_clusters]
-    factors = [m._factors[v] for v in m.graph.topological_order() if v not in x_vars]
-    _, lhs = _contract_free(factors, x_vars, m.exo_dists, keep, "interventional_distribution")
-    _, rhs = _contract_free(macro_factors, x_vars, m.exo_dists, keep,
-                            "cluster_factorization_check")
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-# ---------------------------------------------------------------------------
-# macro-variable structural model
-# ---------------------------------------------------------------------------
-
-class MacroScm:
-    """A structural model over cluster-valued variables, built from a
-    deterministic base model by recursive substitution of intra-cluster
-    mechanisms.  It shares the base model's exogenous variables and
-    distribution, and its induced cluster diagram is the quotient."""
-
-    def __init__(self, base: DiscreteCbn, partition: Partition):
-        if not base.deterministic:
-            raise GraphError("macro construction needs deterministic mechanisms")
-        self.base = base
-        self.partition = partition
-        self.cdag = build_cdag(base.graph, partition)
-
-        self.cluster_order = self.cdag.graph.topological_order()
-        self.members = {name: partition.members(name) for name in self.cluster_order}
-
-        self.parent_clusters: Dict[str, Tuple[str, ...]] = {}
-        self.exo_groups: Dict[str, Tuple[str, ...]] = {}
-        for name in self.cluster_order:
-            mem = set(self.members[name])
-            external = set()
-            exo = set()
-            for v in sorted(mem):
-                external |= set(base.mechanisms[v].endo_parents) - mem
-                exo |= set(base.mechanisms[v].exo_parents)
-            self.parent_clusters[name] = tuple(sorted({partition.cluster_of(u)
-                                                       for u in external}))
-            self.exo_groups[name] = tuple(sorted(exo))
-
-        # Induced diagram check: parents from the variable-level structure
-        # must reproduce the quotient, and exogenous sharing must mirror
-        # the quotient's bidirected edges.
-        for name in self.cluster_order:
-            quotient_parents = tuple(sorted(
-                t for t, h in self.cdag.graph.directed if h == name))
-            if quotient_parents != self.parent_clusters[name]:
-                raise GraphError(f"macro parents of {name!r} diverge from the quotient")
-        for a, b in itertools.combinations(self.cluster_order, 2):
-            shares = bool(set(self.exo_groups[a]) & set(self.exo_groups[b]))
-            edge = tuple(sorted((a, b))) in self.cdag.graph.bidirected
-            if shares != edge:
-                raise GraphError(f"exogenous sharing between {a!r} and {b!r} "
-                                 "diverges from the quotient")
-
-        order = base.graph.topological_order()
-        self._local_order = {name: [v for v in order if v in self.members[name]]
-                             for name in self.cluster_order}
-
-    def _solve(self, exo: Dict, interventions: Dict) -> Dict[str, tuple]:
-        # Substitute each cluster's member mechanisms in cluster order.  A
-        # cluster reads only its parent clusters' members and its own
-        # exogenous group; reading anything else is a KeyError.
-        _check_intervention(interventions, self.base.cards, self.members)
-        out: Dict[str, tuple] = {}
-        for name in self.cluster_order:
-            if name in interventions:
-                out[name] = tuple(interventions[name])
-                continue
-            inputs = {v: val for pc in self.parent_clusters[name]
-                      for v, val in zip(self.members[pc], out[pc])}
-            noise = {u: exo[u] for u in self.exo_groups[name]}
-            values = self.base._respond(self._local_order[name], inputs, noise)
-            out[name] = tuple(values[v] for v in self.members[name])
-        return out
-
-    def solve(self, exo_assignment: Dict[str, int],
-              interventions: Optional[Dict[str, tuple]] = None) -> Dict[str, tuple]:
-        """Cluster-valued potential response at a fixed exogenous state."""
-        return {name: tuple(int(val) for val in vals) for name, vals in
-                self._solve(exo_assignment, interventions or {}).items()}
-
-
-def build_macro_scm(m: DiscreteCbn, p: Partition) -> MacroScm:
-    """Cluster-level structural model by recursive mechanism substitution."""
-    return MacroScm(m, p)
-
-
-def counterfactual_prob(model, events: Sequence[Tuple[Dict, Dict]]) -> float:
-    """Probability that every counterfactual event holds simultaneously.
-
-    Each event pairs a target assignment with an intervention assignment;
-    the potential response under that intervention must match the target.
-    For a :class:`DiscreteCbn` both dictionaries map variables to values;
-    for a :class:`MacroScm` they map clusters to member-value tuples.
-    Each event is solved once over the whole grid of exogenous states,
-    and the probability is the prior-weighted sum of the states where
-    every event holds.
-    """
-    macro = isinstance(model, MacroScm)
-    base = model.base if macro else model
-    if not base.deterministic:
-        raise GraphError("counterfactual queries need deterministic mechanisms")
-
-    names = base.exo_names
-    shape = [base.exo_cards[name] for name in names]
-    _check_state_space(shape, "counterfactual_prob", "exogenous")
-    grid = dict(zip(names, np.ix_(*(np.arange(card) for card in shape))))
-    holds = np.True_
-    for targets, interventions in events:
-        _check_intervention(targets, base.cards, model.members if macro else None,
-                            "event target")
-        solution = model._solve(grid, interventions)
-        for k, want in targets.items():
-            # a cluster matches where every member does
-            pairs = zip(solution[k], want, strict=True) if macro else [(solution[k], want)]
-            for got, value in pairs:
-                holds = holds & (got == value)
-    # the prior-weighted sum of the mask, one exogenous axis at a time
-    mass = np.broadcast_to(holds, shape)
-    for name in reversed(names):
-        mass = mass.reshape(-1, base.exo_cards[name]) @ base.exo_dists[name]
-    return float(mass.sum())

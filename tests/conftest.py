@@ -6,13 +6,16 @@ bow graph, and split treatment/outcome clusterings.
 """
 
 import functools
+import sys
 
 import pytest
 
 import cdag
 import cdag.cli
 import cdag.sampler
-from cdag import Admg, ClusterDag, Partition, build_cdag, is_compatible
+from cdag import Admg, ClusterDag, NonIdentified, Partition, build_cdag, is_compatible
+
+from oracles import check_hedge
 
 
 # ``expand`` builds compatible graphs by construction and does not check
@@ -31,6 +34,26 @@ def _checked_expand(c, spec):
 
 for _module in (cdag, cdag.cli, cdag.sampler):
     _module.expand = _checked_expand
+
+
+# Nor does ``identify`` check the hedges it returns: under test each one is
+# checked against the definition.  The package rebinds ``cdag.identify`` to
+# the function, so the module is reached through ``sys.modules``.
+_identify_module = sys.modules["cdag.identify"]
+_identify = _identify_module.identify
+
+
+@functools.wraps(_identify)
+def _checked_identify(c, x, y):
+    x, y = list(x), list(y)    # each is read twice
+    result = _identify(c, x, y)
+    if isinstance(result, NonIdentified):
+        check_hedge(c, result.hedge, x, y)
+    return result
+
+
+for _module in (cdag, cdag.cli, _identify_module):
+    _module.identify = _checked_identify
 
 
 # Backdoor cluster graph: Z -> X, Z -> Y, X -> Y (effect identifiable by

@@ -27,14 +27,16 @@ They are deliberately naive and independent of the code they check:
   library's :func:`cdag.formula.render` lowercases each joined name list
   once.
 * :func:`counterfactual_prob` solves every exogenous state one at a time
-  through the public ``solve``; the library solves each event once over
-  the whole exogenous grid.
+  through :func:`solve`, which takes the argmax of each CPT row in
+  topological order, or through :class:`MacroScm`, which substitutes each
+  cluster's member mechanisms in cluster order.  They are the only copies:
+  the library keeps no counterfactual engine.
 * :func:`interventional_distribution` fixes the intervened values in
   every factor and contracts once per value, finding private noise by
-  scanning every mechanism, and :func:`cluster_factorization_check`
-  compares both sides one intervention value at a time; the library
-  builds each factor once per model and answers every value of an
-  intervened set from one contraction.
+  scanning every mechanism; the library builds each factor once per
+  model and answers every value of an intervened set from one
+  contraction.  :func:`cluster_factorization_check` compares it with the
+  cluster-level reassembly one intervention value at a time.
 * :func:`contract` scans the factors still to come for each axis after
   every join and lines every operand up through :func:`product`, whose
   views :func:`broadcast` finds by searching the name tuples; the library
@@ -45,10 +47,15 @@ They are deliberately naive and independent of the code they check:
 * :func:`model_table_error` checks a model's exogenous laws and CPT
   rows one table at a time; the library checks all rows of one width at
   once and loops over the tables only to name a bad one.
+* :func:`check_hedge` checks a returned hedge against Shpitser and
+  Pearl's (2006) definition, and :func:`has_hedge` searches every pair
+  of node sets for one; both scan edge lists over explicit node sets and
+  share no code with ``cdag.identify`` or ``Admg``'s reachability.
 
 They are exponential and meant for small inputs only.
 """
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -58,10 +65,11 @@ import numpy as np
 
 from cdag.formula import (ONE, CondProb, Fraction, FormulaError, JointTable, ProbExpr,
                           Product, Sum, UnknownVariableError, ZeroConditioningMass,
-                          _LATEX, _TEXT, _base_name, _Factor, _One, product_of, render)
+                          _LATEX, _TEXT, _base_name, _Factor, _One, product_of, render,
+                          tabulate)
 from cdag.graphs import Admg, GraphError
-from cdag.cluster import build_cdag
-from cdag.oracle import MacroScm, StateSpaceCapError, _cap
+from cdag.cluster import Partition, build_cdag
+from cdag.oracle import DiscreteCbn, StateSpaceCapError, _cap
 
 
 def _resolver(table: JointTable, clusters: Optional[Dict[str, Sequence[str]]]):
@@ -550,18 +558,140 @@ def _render(node, style, prec=0):
     return left + out + right if prec >= 2 else out
 
 
+# -- potential responses and the macro-variable model ----------------------
+
+def check_assignment(x: Dict, cards: Dict[str, int],
+                     members: Optional[Dict[str, Sequence[str]]] = None,
+                     what: str = "intervention") -> None:
+    """Raise :class:`GraphError` unless every name in ``x`` is a variable,
+    or with ``members`` a cluster given a tuple of one value per member,
+    set to integer states in range."""
+    kind = "variable" if members is None else "cluster"
+    unknown = x.keys() - (cards if members is None else members).keys()
+    if unknown:
+        raise GraphError(f"unknown {kind}(s) in {what}: {sorted(unknown)}")
+    for name, value in x.items():
+        group, values = ((name,), (value,)) if members is None else (members[name], value)
+        if not (isinstance(values, (tuple, list)) and len(values) == len(group) and all(
+                isinstance(val, (int, np.integer)) and 0 <= val < cards[v]
+                for v, val in zip(group, values))):
+            raise GraphError(f"{value!r} is not a state of {kind} {name!r}")
+
+
+def _respond(model: DiscreteCbn, order: Sequence[str], values: Dict, exo: Dict) -> Dict:
+    # Fill in each variable of ``order`` (parents first) as the argmax of
+    # its CPT row at its parents' values and its noise states.
+    for v in order:
+        mech = model.mechanisms[v]
+        row = mech.cpt[tuple(values[p] for p in mech.endo_parents) +
+                       tuple(exo[u] for u in mech.exo_parents)]
+        values[v] = int(row.argmax())
+    return values
+
+
+def solve(model: DiscreteCbn, exo: Dict[str, int],
+          interventions: Optional[Dict[str, int]] = None) -> Dict[str, int]:
+    """Potential response of every variable of a deterministic model at one
+    exogenous state, under ``interventions``."""
+    if not model.deterministic:
+        raise GraphError("potential responses need deterministic mechanisms; "
+                         "build the model in deterministic mode")
+    interventions = interventions or {}
+    check_assignment(interventions, model.cards)
+    return _respond(model, [v for v in model.graph.topological_order() if v not in interventions],
+                    {v: int(val) for v, val in interventions.items()}, exo)
+
+
+class MacroScm:
+    """A structural model over cluster-valued variables, built from a
+    deterministic base model by recursive substitution of intra-cluster
+    mechanisms.  It shares the base model's exogenous variables and
+    distribution, and its induced cluster diagram is the quotient."""
+
+    def __init__(self, base: DiscreteCbn, partition: Partition):
+        if not base.deterministic:
+            raise GraphError("macro construction needs deterministic mechanisms")
+        self.base = base
+        self.partition = partition
+        self.cdag = build_cdag(base.graph, partition)
+
+        self.cluster_order = self.cdag.graph.topological_order()
+        self.members = {name: partition.members(name) for name in self.cluster_order}
+
+        self.parent_clusters: Dict[str, Tuple[str, ...]] = {}
+        self.exo_groups: Dict[str, Tuple[str, ...]] = {}
+        for name in self.cluster_order:
+            mem = set(self.members[name])
+            external = set()
+            exo = set()
+            for v in sorted(mem):
+                external |= set(base.mechanisms[v].endo_parents) - mem
+                exo |= set(base.mechanisms[v].exo_parents)
+            self.parent_clusters[name] = tuple(sorted({partition.cluster_of(u)
+                                                       for u in external}))
+            self.exo_groups[name] = tuple(sorted(exo))
+
+        # Induced diagram check: parents from the variable-level structure
+        # must reproduce the quotient, and exogenous sharing must mirror
+        # the quotient's bidirected edges.
+        for name in self.cluster_order:
+            quotient_parents = tuple(sorted(
+                t for t, h in self.cdag.graph.directed if h == name))
+            if quotient_parents != self.parent_clusters[name]:
+                raise GraphError(f"macro parents of {name!r} diverge from the quotient")
+        for a, b in itertools.combinations(self.cluster_order, 2):
+            shares = bool(set(self.exo_groups[a]) & set(self.exo_groups[b]))
+            edge = tuple(sorted((a, b))) in self.cdag.graph.bidirected
+            if shares != edge:
+                raise GraphError(f"exogenous sharing between {a!r} and {b!r} "
+                                 "diverges from the quotient")
+
+        order = base.graph.topological_order()
+        self._local_order = {name: [v for v in order if v in self.members[name]]
+                             for name in self.cluster_order}
+
+    def solve(self, exo: Dict[str, int],
+              interventions: Optional[Dict[str, tuple]] = None) -> Dict[str, tuple]:
+        """Cluster-valued potential response at one exogenous state.  Each
+        cluster's member mechanisms are substituted in cluster order; a
+        cluster reads only its parent clusters' members and its own
+        exogenous group, and reading anything else is a KeyError."""
+        interventions = interventions or {}
+        check_assignment(interventions, self.base.cards, self.members)
+        out: Dict[str, tuple] = {}
+        for name in self.cluster_order:
+            if name in interventions:
+                out[name] = tuple(int(val) for val in interventions[name])
+                continue
+            inputs = {v: val for pc in self.parent_clusters[name]
+                      for v, val in zip(self.members[pc], out[pc])}
+            noise = {u: exo[u] for u in self.exo_groups[name]}
+            values = _respond(self.base, self._local_order[name], inputs, noise)
+            out[name] = tuple(values[v] for v in self.members[name])
+        return out
+
+
 def counterfactual_prob(model, events: Sequence[Tuple[Dict, Dict]]) -> float:
     """Probability that every counterfactual event holds simultaneously.
 
     Each event pairs a target assignment with an intervention assignment;
     the potential response under that intervention must match the target.
     For a :class:`DiscreteCbn` both dictionaries map variables to values;
-    for a :class:`MacroScm` they map clusters to member-value tuples.
-    Computed by exhaustive enumeration of the exogenous state space.
+    for a :class:`MacroScm` they map clusters to member-value tuples.  A
+    target or intervention naming an unknown variable or cluster, or a
+    state out of range, raises :class:`GraphError`.  Computed by
+    exhaustive enumeration of the exogenous state space.
     """
-    base = model.base if isinstance(model, MacroScm) else model
+    macro = isinstance(model, MacroScm)
+    base = model.base if macro else model
     if not base.deterministic:
         raise GraphError("counterfactual queries need deterministic mechanisms")
+    members = model.members if macro else None
+    for targets, interventions in events:
+        check_assignment(targets, base.cards, members, "event target")
+        check_assignment(interventions, base.cards, members)
+    events = [({k: tuple(v) if macro else v for k, v in targets.items()}, interventions)
+              for targets, interventions in events]
 
     names = base.exo_names
     size = 1
@@ -571,12 +701,13 @@ def counterfactual_prob(model, events: Sequence[Tuple[Dict, Dict]]) -> float:
         raise StateSpaceCapError(f"counterfactual_prob: exogenous state space of {size} "
                                  f"entries exceeds the cap ({_cap()})")
 
+    respond = model.solve if macro else functools.partial(solve, model)
     total = 0.0
     for state in itertools.product(*(range(base.exo_cards[n]) for n in names)):
         exo = dict(zip(names, state))
         ok = True
         for targets, interventions in events:
-            solution = model.solve(exo, interventions)
+            solution = respond(exo, interventions)
             if any(solution[k] != v for k, v in targets.items()):
                 ok = False
                 break
@@ -674,13 +805,45 @@ def contract(factors, priors, keep, phase, lead=()) -> np.ndarray:
 
 
 def macro_factor(m, members) -> _Factor:
-    # A whole cluster's table: its members' mechanisms joined in order.
+    # A whole cluster's table given its external parents and all exogenous
+    # parents of its members: their mechanisms joined in order, which must
+    # normalize over the member axes.
     factor = None
     for v in members:
         mech = m.mechanisms[v]
         f = _Factor(mech.endo_parents + mech.exo_parents + (v,), mech.cpt)
         factor = f if factor is None else _join(factor, f, _cap(), "cluster_factorization_check")
+    totals = factor.values.sum(axis=tuple(factor.names.index(v) for v in members))
+    if not np.allclose(totals, 1.0, atol=1e-9):
+        raise GraphError("cluster factor does not normalize over its members")
     return factor
+
+
+def equivalent_on(e1: ProbExpr, e2: ProbExpr, t: JointTable,
+                  clusters: Optional[Dict[str, Sequence[str]]] = None,
+                  tol: float = 1e-9) -> bool:
+    """True iff the expressions agree within ``tol`` at every assignment
+    of their free variables (one missing a variable is constant in it)."""
+
+    def over_table(variables, arr):
+        # axes in table order, size 1 for the variables arr does not use;
+        # a variable behind two free names (X and X') keeps its diagonal
+        axes = [t._index[v] for v in variables]
+        used = sorted(set(axes))
+        shape = [c if i in used else 1 for i, c in enumerate(t.cards)]
+        return np.einsum(arr, axes, used).reshape(shape)
+
+    a1 = over_table(*tabulate(e1, t, clusters))
+    a2 = over_table(*tabulate(e2, t, clusters))
+    return bool(np.all(np.abs(a1 - a2) <= tol))
+
+
+def to_csv(t: JointTable) -> str:
+    """The table as CSV: one row per joint state, header of variable names plus ``p``."""
+    lines = [",".join(t.variables + ("p",))]
+    for state in itertools.product(*(range(c) for c in t.cards)):
+        lines.append(",".join(str(s) for s in state) + f",{float(t.probs[state])!r}")
+    return "\n".join(lines) + "\n"
 
 
 def model_table_error(cards, exo_cards, exo_dists, mechanisms):
@@ -788,3 +951,89 @@ def cluster_factorization_check(m, p, x_clusters=()) -> float:
         rhs = contract(factors, m.exo_dists, keep, "cluster_factorization_check")
         worst = max(worst, float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0)
     return worst
+
+
+# -- hedges, from the definition ----------------------------------------------
+
+def _cut_ancestors(directed, x, y) -> set:
+    # An(y) once every edge into x is cut, by rescanning the edge list
+    # until no edge adds a node
+    ancestors, grown = set(y), True
+    while grown:
+        grown = False
+        for t, h in directed:
+            if h in ancestors and h not in x and t not in ancestors:
+                ancestors.add(t)
+                grown = True
+    return ancestors
+
+
+def _linked(nodes, edges) -> bool:
+    # whether ``edges`` within the nonempty set ``nodes`` join all of it
+    reached, grown = {min(nodes)}, True
+    while grown:
+        grown = False
+        for a, b in edges:
+            if a in nodes and b in nodes and (a in reached) != (b in reached):
+                reached |= {a, b}
+                grown = True
+    return reached == set(nodes)
+
+
+def check_hedge(c, hedge, x, y) -> None:
+    """Raise AssertionError unless ``hedge`` is a hedge for P(y|do(x)) in
+    the cluster graph of ``c``: forests F' ⊆ F, edge subgraphs of the
+    graph, each a single c-component whose nodes have at most one child
+    and whose childless nodes are the root set R; F meets X at
+    ``intersected_x``, F' avoids X, and R ⊆ An(Y) once the edges into X
+    are cut."""
+    x, y, graph = frozenset(x), frozenset(y), c.graph
+    f, fprime = hedge.forest_f, hedge.forest_fprime
+    for name, forest in (("F", f), ("F'", fprime)):
+        nodes = set(forest.nodes)
+        assert nodes and nodes <= set(graph.nodes), f"{name}: not a nonempty set of clusters"
+        assert forest.directed <= graph.directed and forest.bidirected <= graph.bidirected, \
+            f"{name}: an edge that is not in the cluster graph"
+        children = Counter(t for t, _ in forest.directed)
+        assert max(children.values(), default=1) == 1, f"{name}: a node with two children"
+        assert nodes - children.keys() == hedge.root_set, \
+            f"{name}: its childless nodes are not the root set"
+        assert _linked(nodes, forest.bidirected), f"{name}: not a single c-component"
+    assert set(fprime.nodes) <= set(f.nodes) and fprime.directed <= f.directed and \
+        fprime.bidirected <= f.bidirected, "F' is not contained in F"
+    assert not set(fprime.nodes) & x, "F' meets X"
+    assert set(f.nodes) & x, "F does not meet X"
+    assert hedge.intersected_x == set(f.nodes) & x, "intersected_x is not the meet of F and X"
+    assert hedge.root_set <= _cut_ancestors(graph.directed, x, y), \
+        "the root set is not ancestral to Y once the edges into X are cut"
+
+
+def rooted_forests(g: Admg) -> Dict[frozenset, list]:
+    """For every nonempty node set R, the node sets F ⊇ R that are R-rooted
+    c-forests: G[F] is bidirected-connected and every node of F has a
+    directed path inside G[F] into R."""
+    nodes = sorted(g.nodes)
+    subsets = [frozenset(s) for k in range(1, len(nodes) + 1)
+               for s in itertools.combinations(nodes, k)]
+    forests = {r: [] for r in subsets}
+    for s in subsets:
+        if not _linked(s, g.bidirected):
+            continue
+        inside = [(t, h) for t, h in g.directed if t in s and h in s]
+        for r in subsets:
+            if r <= s and _cut_ancestors(inside, (), r) == s:
+                forests[r].append(s)
+    return forests
+
+
+def has_hedge(g: Admg, x, y, forests: Optional[Dict[frozenset, list]] = None) -> bool:
+    """Whether P(y|do(x)) has a hedge in ``g``, by a search over node sets:
+    R-rooted c-forests F' ⊂ F (see :func:`rooted_forests`) with F ∩ X ≠ ∅,
+    F' ∩ X = ∅ and R ⊆ An(Y) once the edges into X are cut.  Pass the
+    graph's ``forests`` to share them across queries."""
+    x, y = frozenset(x), frozenset(y)
+    forests = rooted_forests(g) if forests is None else forests
+    ancestors = _cut_ancestors(g.directed, x, y)
+    return any(fprime < f and f & x and not fprime & x
+               for r, sets in forests.items() if r <= ancestors
+               for fprime in sets for f in sets)

@@ -12,17 +12,16 @@ import numpy as np
 import pytest
 
 from cdag import (Admg, ClusterDag, CondProb, DoQuery, Identified, NonIdentified,
-                  Product, Sum, build_macro_scm, cluster_factorization_check,
-                  counterfactual_prob, equivalent_on, find_hedge,
-                  hedge_expansion_witness, identify, interventional_distribution,
-                  joint_distribution, random_cbn, rule1, rule2, rule3,
-                  sample_batch, singleton_cdag)
+                  Product, Sum, hedge_expansion_witness, identify,
+                  interventional_distribution, joint_distribution, random_cbn, rule1,
+                  rule2, rule3, sample_batch, singleton_cdag)
 from cdag.cli import main as cli_main
 from cdag.cluster import Partition
 from cdag.formula import tabulate
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy, expand
 
-from oracles import m_separated_brute_force
+from oracles import (MacroScm, cluster_factorization_check, counterfactual_prob, equivalent_on,
+                     m_separated_brute_force)
 from randutil import (licensed_equality_deviation, random_admg, random_cdag,
                       random_disjoint_sets, random_query, rng_for)
 
@@ -348,7 +347,7 @@ def test_criterion_09_macro_counterfactuals():
             exo_size *= model.exo_cards[name]
         if exo_size > 2 ** 13:
             continue
-        macro = build_macro_scm(model, partition)
+        macro = MacroScm(model, partition)
         members = partition.to_cluster_map()
         for events in random_event_sets(rng, names, members, 5):
             base_events = []

@@ -10,6 +10,8 @@ from cdag import CondProb, JointTable, random_cbn, joint_distribution, render
 from cdag import cli
 from cdag.cli import ParseError, main, parse_graph, render_graph_file
 
+from oracles import to_csv
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRAPHS = os.path.join(ROOT, "graphs")
 
@@ -263,7 +265,7 @@ def test_eval_command(capsys, tmp_path):
     formula_file = tmp_path / "f.json"
     formula_file.write_text(render(expr, "json"))
     table_file = tmp_path / "t.csv"
-    table_file.write_text(table.to_csv())
+    table_file.write_text(to_csv(table))
     code, out, _ = run_cli(capsys, "eval", str(formula_file), str(table_file),
                            "--at", "X=1,Y=1")
     assert code == 0
@@ -277,7 +279,7 @@ def test_eval_rejects_bad_assignment(capsys, tmp_path, at):
     formula_file = tmp_path / "f.json"
     formula_file.write_text(render(CondProb(["Y"], ["X"]), "json"))
     table_file = tmp_path / "t.csv"
-    table_file.write_text(JointTable(("X", "Y"), np.full((2, 2), 0.25)).to_csv())
+    table_file.write_text(to_csv(JointTable(("X", "Y"), np.full((2, 2), 0.25))))
     code, out, err = run_cli(capsys, "eval", str(formula_file), str(table_file),
                              "--at", at)
     assert code == 3
@@ -314,7 +316,7 @@ def test_eval_rejects_bad_formula(capsys, tmp_path, formula, message):
     formula_file = tmp_path / "f.json"
     formula_file.write_text(formula)
     table_file = tmp_path / "t.csv"
-    table_file.write_text(JointTable(("X", "Y"), np.full((2, 2), 0.25)).to_csv())
+    table_file.write_text(to_csv(JointTable(("X", "Y"), np.full((2, 2), 0.25))))
     code, out, err = run_cli(capsys, "eval", str(formula_file), str(table_file),
                              "--at", "X=1,Y=1")
     assert (code, out) == (3, "")
@@ -327,7 +329,7 @@ def test_eval_rejects_deeply_nested_formula(capsys, tmp_path):
     formula_file = tmp_path / "f.json"
     formula_file.write_text('{"kind": "product", "children": [' * 2000 + leaf + "]}" * 2000)
     table_file = tmp_path / "t.csv"
-    table_file.write_text(JointTable(("X",), np.array([0.4, 0.6])).to_csv())
+    table_file.write_text(to_csv(JointTable(("X",), np.array([0.4, 0.6]))))
     code, out, err = run_cli(capsys, "eval", str(formula_file), str(table_file), "--at", "X=1")
     assert (code, out) == (3, "")
     assert err == "error: formula JSON is nested too deeply\n"

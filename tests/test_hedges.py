@@ -1,0 +1,96 @@
+"""Hedges checked both ways: every hedge ``identify`` returns against the
+definition (``tests/conftest.py`` runs :func:`oracles.check_hedge` on each
+one made under test), and every verdict against a search over node sets.
+
+Every ADMG on four nodes is isomorphic to one whose directed edges follow
+one fixed order, so the 2^6 directed by 2^6 bidirected edge sets below
+cover them all, and each takes every query of disjoint nonempty x and y
+(50 of them).  The default run takes one graph of each 16 consecutive
+indices; ``tests/sweep_hedges.py`` takes all 4,096.  The definition leaves
+``identify`` a choice of forest, so a digest of every hedge description
+pins the one it makes (``cdag identify`` prints it).
+"""
+
+import dataclasses
+import hashlib
+import itertools
+
+import pytest
+
+from cdag import Admg, ClusterDag, identify
+
+from oracles import check_hedge, has_hedge, rooted_forests
+
+NODES = ("A", "B", "C", "D")
+PAIRS = list(itertools.combinations(NODES, 2))
+
+
+def four_node_admg(index):
+    """Graph ``index`` of 4,096: bit k puts a directed edge on the kth pair,
+    tail first, and bit 6 + k a bidirected one."""
+    return Admg(NODES, [p for k, p in enumerate(PAIRS) if index >> k & 1],
+                [p for k, p in enumerate(PAIRS) if index >> (6 + k) & 1])
+
+
+def disjoint_queries(nodes):
+    """Every (x, y) of disjoint nonempty node sets."""
+    for roles in itertools.product((None, "x", "y"), repeat=len(nodes)):
+        x = [v for v, role in zip(nodes, roles) if role == "x"]
+        y = [v for v, role in zip(nodes, roles) if role == "y"]
+        if x and y:
+            yield x, y
+
+
+def assert_identify_agrees_with_hedge_search(indices, hedges, digest):
+    """Each verdict is the search's, and the descriptions of the ``hedges``
+    hedges hash to ``digest``."""
+    queries = list(disjoint_queries(NODES))
+    assert len(queries) == 50
+    described, count = hashlib.sha256(), 0
+    for index in indices:
+        g = four_node_admg(index)
+        c, forests = ClusterDag(g), rooted_forests(g)
+        for x, y in queries:
+            # under test, identify also checks each hedge it returns
+            result = identify(c, x, y)
+            assert result.identifiable != has_hedge(g, x, y, forests), (index, x, y)
+            if not result.identifiable:
+                described.update(result.hedge.describe().encode() + b"\1")
+                count += 1
+    assert (count, described.hexdigest()) == (hedges, digest)
+
+
+def test_identify_agrees_with_hedge_search_on_a_slice_of_four_node_admgs():
+    # one graph per 16, at an offset that turns through all 16, so that
+    # every edge slot is both present and absent in the slice
+    assert_identify_agrees_with_hedge_search(
+        [16 * i + i % 16 for i in range(256)], 3956,
+        "bec2de64f601fb41b18cdc863253975da5f2c18ad3aa4f121f96085007cefff9")
+
+
+def test_check_hedge_rejects_each_broken_condition(confounded_cdag):
+    # R = {Y, Z}; F: X -> Y, X <-> Z, Y <-> Z; F': Y <-> Z
+    hedge = identify(confounded_cdag, ["X"], ["Y"]).hedge
+    check_hedge(confounded_cdag, hedge, ["X"], ["Y"])
+    f, fprime = hedge.forest_f, hedge.forest_fprime
+    fork = Admg(["X", "Y", "Z"], [("X", "Y"), ("X", "Z")], [("X", "Y"), ("Y", "Z")])
+    cases = [
+        (dataclasses.replace(hedge, forest_fprime=Admg([])), "nonempty"),
+        (dataclasses.replace(hedge, forest_f=Admg(f.nodes, f.directed, f.bidirected | {
+            ("X", "Y")})), "not in the cluster graph"),
+        (dataclasses.replace(hedge, forest_f=Admg(f.nodes, f.directed)), "c-component"),
+        (dataclasses.replace(hedge, root_set=frozenset(f.nodes)), "childless"),
+        (dataclasses.replace(hedge, forest_f=fprime, forest_fprime=f), "not contained"),
+        (dataclasses.replace(hedge, forest_fprime=f), "F' meets X"),
+        (dataclasses.replace(hedge, intersected_x=frozenset()), "meet of F and X"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(AssertionError, match=message):
+            check_hedge(confounded_cdag, bad, ["X"], ["Y"])
+    with pytest.raises(AssertionError, match="does not meet X"):
+        check_hedge(confounded_cdag, hedge, [], ["Y"])
+    # An(Z) is {Z} alone
+    with pytest.raises(AssertionError, match="ancestral"):
+        check_hedge(confounded_cdag, hedge, ["X"], ["Z"])
+    with pytest.raises(AssertionError, match="two children"):
+        check_hedge(ClusterDag(fork), dataclasses.replace(hedge, forest_f=fork), ["X"], ["Y"])

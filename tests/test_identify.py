@@ -6,15 +6,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cdag import (Admg, ClusterDag, CondProb, EmptyInterventionError, Identified,
-                  NonIdentified, Product, Sum, ancestral_reduce, equivalent_on,
-                  evaluate, find_hedge, hedge_expansion_witness, identify,
+                  NonIdentified, Product, Sum, evaluate, hedge_expansion_witness, identify,
                   interventional_distribution, joint_distribution,
-                  observational_marginal, q_factor, random_cbn, render,
-                  singleton_cdag, UnknownNodeError)
+                  observational_marginal, random_cbn, render, singleton_cdag)
 from cdag.cli import main
 from cdag.graphs import GraphError
-from cdag.identify import _chain_table, _run
+from cdag.identify import _ancestral_reduce, _chain_factor, _chain_table, _run
 
+from oracles import equivalent_on
 from randutil import random_admg, rng_for, sweep_query
 
 
@@ -169,28 +168,21 @@ def test_hedge_validates_with_treatment_outside_ancestors(confounded_cdag):
                         g.bidirected | {("W", "X")}))
     result = identify(c, ["X", "W"], ["Y"])
     assert isinstance(result, NonIdentified)
-    assert result.hedge == find_hedge(confounded_cdag, ["X"], ["Y"])
+    assert result.hedge == identify(confounded_cdag, ["X"], ["Y"]).hedge
     assert result.hedge.intersected_x == {"X"}
-
-
-def test_find_hedge_requires_failure(backdoor_cdag, confounded_cdag):
-    with pytest.raises(ValueError):
-        find_hedge(backdoor_cdag, ["X"], ["Y"])
-    h = find_hedge(confounded_cdag, ["X"], ["Y"])
-    assert h.intersected_x == {"X"}
 
 
 # -- witnesses ----------------------------------------------------------------
 
 def test_hedge_expansion_witness_sizes_one(confounded_cdag):
-    h = find_hedge(confounded_cdag, ["X"], ["Y"])
+    h = identify(confounded_cdag, ["X"], ["Y"]).hedge
     g = hedge_expansion_witness(confounded_cdag, h, {"X": 1, "Y": 1, "Z": 1})
     assert g == confounded_cdag.graph
     assert isinstance(identify(singleton_cdag(g), ["X"], ["Y"]), NonIdentified)
 
 
 def test_hedge_expansion_witness_chain(confounded_cdag):
-    h = find_hedge(confounded_cdag, ["X"], ["Y"])
+    h = identify(confounded_cdag, ["X"], ["Y"]).hedge
     g = hedge_expansion_witness(confounded_cdag, h, {"X": 1, "Y": 1, "Z": 3})
     assert len(g.nodes) == 5
     assert ("Z_1", "Z_2") in g.directed and ("Z_2", "Z_3") in g.directed
@@ -200,30 +192,29 @@ def test_hedge_expansion_witness_chain(confounded_cdag):
 
 
 def test_hedge_expansion_witness_validates_sizes(confounded_cdag):
-    h = find_hedge(confounded_cdag, ["X"], ["Y"])
+    h = identify(confounded_cdag, ["X"], ["Y"]).hedge
     with pytest.raises(ValueError):
         hedge_expansion_witness(confounded_cdag, h, {"X": 1, "Y": 0, "Z": 1})
 
 
 # -- the pieces ---------------------------------------------------------------
 
+# The factor of a c-component: the chain terms of its members.
 def test_q_factor_single_root():
-    c = ClusterDag(Admg(["A", "B"], [("A", "B")]))
-    qf = q_factor(c, ["A"])
-    assert qf.expr == CondProb(["A"])
+    table = _chain_table(Admg(["A", "B"], [("A", "B")]).topological_order())
+    assert _chain_factor(table, ["A"]) == CondProb(["A"])
 
 
 def test_q_factor_whole_graph_is_chain_product():
-    c = ClusterDag(Admg(["X", "Y"], [("X", "Y")], [("X", "Y")]))
-    qf = q_factor(c, ["X", "Y"])
-    assert qf.expr == Product([CondProb(["X"]), CondProb(["Y"], ["X"])])
+    table = _chain_table(Admg(["X", "Y"], [("X", "Y")], [("X", "Y")]).topological_order())
+    assert _chain_factor(table, ["X", "Y"]) == Product([CondProb(["X"]), CondProb(["Y"], ["X"])])
 
 
 def test_q_factor_confounded(confounded_cdag):
     # Deterministic topological order is X, Z, Y (lexicographic roots first).
-    qf = q_factor(confounded_cdag, ["X", "Y", "Z"])
-    assert qf.expr == Product([CondProb(["X"]), CondProb(["Z"], ["X"]),
-                               CondProb(["Y"], ["X", "Z"])])
+    table = _chain_table(confounded_cdag.graph.topological_order())
+    assert _chain_factor(table, ["X", "Y", "Z"]) == Product(
+        [CondProb(["X"]), CondProb(["Z"], ["X"]), CondProb(["Y"], ["X", "Z"])])
 
 
 # Primed names between their neighbours in name order: the prime sorts
@@ -265,17 +256,13 @@ def test_chain_factors_of_a_query_share_the_table_nodes():
     assert (len(seen), len(nodes)) == (7, 4)
 
 
-def test_q_factor_rejects_non_component(backdoor_cdag):
-    with pytest.raises(GraphError):
-        q_factor(backdoor_cdag, ["X", "Y"])
-
-
 def test_q_decomposition_identity(med_admg):
     # The product of all c-component factors evaluates to the joint.
     c = singleton_cdag(med_admg)
     m = random_cbn(med_admg, {v: 2 for v in med_admg.nodes}, seed=31)
     t = joint_distribution(m)
-    exprs = [q_factor(c, comp).expr for comp in c.graph.c_components()]
+    table = _chain_table(c.graph.topological_order())
+    exprs = [_chain_factor(table, comp) for comp in c.graph.c_components()]
     for state in itertools.product(range(2), repeat=len(med_admg.nodes)):
         assignment = dict(zip(med_admg.nodes, state))
         prod = 1.0
@@ -284,23 +271,20 @@ def test_q_decomposition_identity(med_admg):
         assert prod == pytest.approx(t.prob_of(assignment), abs=1e-9)
 
 
+# An(y) within the clusters kept, which leave X out
 def test_ancestral_reduce_chain():
-    c = ClusterDag(Admg(["M", "X", "Y"], [("X", "M"), ("M", "Y")]))
-    assert ancestral_reduce(c, ["X"], ["Y"]) == {"M", "Y"}
+    g = Admg(["M", "X", "Y"], [("X", "M"), ("M", "Y")])
+    assert _ancestral_reduce(g, frozenset({"M", "Y"}), frozenset({"Y"})) == {"M", "Y"}
 
 
 def test_ancestral_reduce_drops_isolated():
-    c = ClusterDag(Admg(["W", "X", "Y"], [("X", "Y")]))
-    assert ancestral_reduce(c, ["X"], ["Y"]) == {"Y"}
+    g = Admg(["W", "X", "Y"], [("X", "Y")])
+    assert _ancestral_reduce(g, frozenset({"W", "Y"}), frozenset({"Y"})) == {"Y"}
 
 
 def test_ancestral_reduce_frontdoor(frontdoor_cdag):
-    assert ancestral_reduce(frontdoor_cdag, ["X"], ["Y"]) == {"S", "Y", "Z"}
-
-
-def test_ancestral_reduce_rejects_target_in_x(frontdoor_cdag):
-    with pytest.raises(UnknownNodeError, match=r"\['X'\]"):
-        ancestral_reduce(frontdoor_cdag, ["X"], ["X", "Y"])
+    keep = frozenset(frontdoor_cdag.graph.nodes) - {"X"}
+    assert _ancestral_reduce(frontdoor_cdag.graph, keep, frozenset({"Y"})) == {"S", "Y", "Z"}
 
 
 def test_empty_intervention_rejected(backdoor_cdag):

@@ -129,7 +129,6 @@ def test_draws_match_row_wise_reference(deterministic, exo_card):
         for n in (0, 1, 7, 3000):
             data = sample_dataset(got, n, seed=case + n)
             expected = reference_sample_dataset(want, n, seed=case + n)
-            assert data.dtype == expected.dtype and data.flags.c_contiguous
             assert np.array_equal(data, expected)
     assert seen_cards == {2, 3, 4}
 
@@ -149,10 +148,7 @@ def test_sample_dataset_edge_cases_match_reference():
 
 
 def _assert_matches_reference(m, n, seed):
-    data = sample_dataset(m, n, seed)
-    expected = reference_sample_dataset(m, n, seed)
-    assert data.dtype == expected.dtype and data.flags.c_contiguous
-    assert np.array_equal(data, expected)
+    assert np.array_equal(sample_dataset(m, n, seed), reference_sample_dataset(m, n, seed))
 
 
 def test_values_wider_than_uint8_match_reference():
@@ -212,10 +208,6 @@ def test_narrow_columns_hold_the_dataset(cards, dtype, deterministic):
     g = Admg(["A", "B", "C"], directed={("A", "B"), ("B", "C")}, bidirected={("A", "C")})
     m = random_cbn(g, cards, seed=9, deterministic=deterministic)
     for n in (1, 2000):
-        columns = sample_dataset(m, n, seed=n, narrow=True)
-        want = reference_sample_dataset(m, n, seed=n)
+        columns = sample_dataset(m, n, seed=n)
         assert columns.dtype == dtype and columns.shape == (n, 3)
-        wide = columns.astype(np.int64)
-        dataset = sample_dataset(m, n, seed=n)
-        assert dataset.dtype == np.int64 and dataset.flags.c_contiguous
-        assert wide.tobytes() == want.tobytes() == dataset.tobytes()
+        assert np.array_equal(columns, reference_sample_dataset(m, n, seed=n))
