@@ -263,8 +263,14 @@ class Admg:
         Bidirected edges act as segments with arrowheads at both ends.  A
         collider on a path is active iff it or one of its descendants is in
         ``z``; a non-collider is active iff it is not in ``z``.  Implemented
-        as Bayes-ball style reachability over (node, arrived-by-arrowhead)
-        states, which is linear in the number of edges.
+        as Bayes-ball (Shachter 1998) over (node, entered-by-an-arrowhead)
+        states, linear in the number of edges: a node outside ``z`` passes
+        the ball on to its children, and also to its parents and siblings
+        when the ball came in by a tail, as it does at the ``x`` nodes; a
+        node in ``z`` sends a ball that came in by an arrowhead back out to
+        its parents and siblings, and stops every other ball.  A collider
+        with a descendant in ``z`` needs no ancestor set: the ball walks on
+        down to that descendant, bounces, and climbs back by a tail.
         """
         x = self._check_members(x)
         y = self._check_members(y)
@@ -274,59 +280,24 @@ class Admg:
         if not x or not y:
             return True
 
-        # Nodes that unblock a collider: z and all its ancestors.
-        collider_open = z | self.ancestors(z)
-
-        # State (v, True) means v was entered through an arrowhead at v,
-        # (v, False) through a tail at v.
-        queue = deque()
-        visited = set()
-
-        def push(node, by_head):
-            if node in y:
-                return True
-            if (node, by_head) not in visited:
-                visited.add((node, by_head))
-                queue.append((node, by_head))
-            return False
-
-        for s in x:
-            for ch in self._children[s]:
-                if push(ch, True):
-                    return False
-            for pa in self._parents[s]:
-                if push(pa, False):
-                    return False
-            for sib in self._siblings[s]:
-                if push(sib, True):
-                    return False
-
-        while queue:
-            v, by_head = queue.popleft()
-            if by_head:
-                if v not in z:
-                    # pass through as a non-collider, leaving by a tail
-                    for ch in self._children[v]:
-                        if push(ch, True):
-                            return False
-                if v in collider_open:
-                    # bounce as a collider, leaving by an arrowhead
-                    for pa in self._parents[v]:
-                        if push(pa, False):
-                            return False
-                    for sib in self._siblings[v]:
-                        if push(sib, True):
-                            return False
-            else:
-                if v in z:
+        children, parents, siblings = self._children, self._parents, self._siblings
+        stack = [(v, False) for v in x]
+        visited = set(stack)
+        while stack:
+            v, by_head = stack.pop()
+            if v in z:
+                if not by_head:
                     continue
-                for ch in self._children[v]:
-                    if push(ch, True):
-                        return False
-                for pa in self._parents[v]:
-                    if push(pa, False):
-                        return False
-                for sib in self._siblings[v]:
-                    if push(sib, True):
-                        return False
+                moves = ((parents[v], False), (siblings[v], True))
+            elif by_head:
+                moves = ((children[v], True),)
+            else:
+                moves = ((children[v], True), (parents[v], False), (siblings[v], True))
+            for nodes, head in moves:
+                for w in nodes:
+                    if (w, head) not in visited:
+                        if w in y:
+                            return False
+                        visited.add((w, head))
+                        stack.append((w, head))
         return True

@@ -15,6 +15,7 @@ import numpy as np
 
 from .graphs import Admg
 from .cluster import ClusterDag, Partition
+from .oracle import StateSpaceCapError, _cap
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,23 @@ def expand(c: ClusterDag, spec: ExpansionSpec) -> Tuple[Admg, Partition]:
     """A variable-level graph and partition with quotient exactly ``c``.
 
     With all sizes 1 and any policies the result is the cluster graph
-    itself under the singleton partition.
+    itself under the singleton partition.  Raises ``StateSpaceCapError``
+    when the policies would walk more member pairs than ``CDAG_STATE_CAP``.
     """
+    size = {name: spec.size_of(name) for name in c.graph.nodes}
+    # every member pair the policies walk, counted before any name is built
+    kind = spec.internal.kind
+    pairs = sum(n - 1 if kind == "chain" else 0 if kind == "empty" else n * (n - 1) // 2
+                for n in size.values())
+    pairs += sum(size[a] * size[b] for edges in (c.graph.directed, c.graph.bidirected)
+                 for a, b in edges)
+    cap = _cap()
+    if pairs > cap:
+        raise StateSpaceCapError(f"expand: {pairs} member pairs exceed the cap ({cap}); "
+                                 "raise CDAG_STATE_CAP")
+
     rng = _item_rng(spec.seed, 0)
-    members = {name: _member_names(name, spec.size_of(name)) for name in c.graph.nodes}
+    members = {name: _member_names(name, size[name]) for name in c.graph.nodes}
     partition = Partition([(name, members[name]) for name in c.graph.nodes])
 
     directed: List[Tuple[str, str]] = []

@@ -9,8 +9,10 @@ They are deliberately naive and independent of the code they check:
   resolving names and working out every permutation and shape at each
   node; the library builds a plan once per expression and table layout
   and runs it on each table.  Both issue the same numpy operations.
-* :func:`m_separated_brute_force` enumerates every path; the library's
-  :meth:`cdag.graphs.Admg.m_separated` is a reachability search.
+* :func:`m_separated_brute_force` enumerates every path, and
+  :func:`m_separated_augmented` searches Richardson's (2003) augmented
+  graph from the three edge collections alone, with no ``Admg`` method;
+  the library's :meth:`cdag.graphs.Admg.m_separated` is Bayes-ball.
 * :func:`kahn_order` keeps Kahn's ready nodes in a list it sorts again
   whenever nodes open; the library keeps them on a heap.
 * :func:`simplify`, :func:`free_vars` and :func:`alpha_normalize` walk an
@@ -308,6 +310,61 @@ def m_separated_brute_force(g: Admg, x, y, z=()) -> bool:
                 continue
             if dfs(w, head_fwd, frozenset({s, w})):
                 return False
+    return True
+
+
+def m_separated_augmented(nodes, directed, bidirected, x, y, z=()) -> bool:
+    """m-separation by the augmentation criterion (Richardson 2003), the
+    ADMG form of moralization: x and y are m-separated given z iff z
+    separates them in the undirected graph over A = An(x ∪ y ∪ z) that
+    joins every pair inside D ∪ pa(D), for each district D of G[A].
+    Polynomial, so it reaches graphs far beyond path enumeration."""
+    x, y, z = set(x), set(y), set(z)
+    parents = {v: set() for v in nodes}
+    for t, h in directed:
+        parents[h].add(t)
+    ancestral = x | y | z
+    frontier = list(ancestral)
+    while frontier:
+        for p in parents[frontier.pop()] - ancestral:
+            ancestral.add(p)
+            frontier.append(p)
+
+    # districts of G[A] by union-find over its bidirected edges
+    root = {v: v for v in ancestral}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for a, b in bidirected:
+        if a in ancestral and b in ancestral:
+            root[find(a)] = find(b)
+    districts = {}
+    for v in ancestral:
+        districts.setdefault(find(v), set()).add(v)
+
+    # Each D ∪ pa(D) is kept whole, as the list of sets holding each node,
+    # and a search step crosses all its pairs at once.  A is ancestral, so
+    # pa(D) lies inside it.
+    joined = [d.union(*(parents[v] for v in d)) for d in districts.values()]
+    holding = {v: [] for v in ancestral}
+    for k, members in enumerate(joined):
+        for v in members:
+            holding[v].append(k)
+    reached, frontier, crossed = set(x), list(x), set()
+    while frontier:
+        for k in holding[frontier.pop()]:
+            if k in crossed:
+                continue
+            crossed.add(k)
+            for w in joined[k] - reached - z:
+                if w in y:
+                    return False
+                reached.add(w)
+                frontier.append(w)
     return True
 
 

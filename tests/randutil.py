@@ -20,6 +20,21 @@ def random_admg(rng, n_nodes, p_dir=0.4, p_bi=0.25, prefix="V"):
     return Admg(names, directed, bidirected)
 
 
+def sparse_admg(rng, n_nodes, degree, bi_degree, prefix="V"):
+    """A random ADMG with about ``degree`` directed and ``bi_degree``
+    bidirected edges per node, drawn as one matrix, so cheap at 160 nodes;
+    directed edges follow a random order, so acyclic."""
+    names = [f"{prefix}{i}" for i in range(1, n_nodes + 1)]
+    order = [names[i] for i in rng.permutation(n_nodes)]
+
+    def edges(mean_degree):
+        p = min(0.6, mean_degree / (n_nodes - 1))
+        i, j = np.nonzero(np.triu(rng.random((n_nodes, n_nodes)) < p, 1))
+        return [(order[a], order[b]) for a, b in zip(i, j)]
+
+    return Admg(names, edges(degree), edges(bi_degree))
+
+
 def random_cdag(rng, n_clusters, p_dir=0.4, p_bi=0.25):
     return ClusterDag(random_admg(rng, n_clusters, p_dir, p_bi, prefix="C"))
 

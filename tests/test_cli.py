@@ -466,6 +466,18 @@ def test_simulate_checks_each_cpt_against_the_cap(capsys, monkeypatch):
     assert err.endswith("exceeds the cap (4194304); raise CDAG_STATE_CAP\n")
 
 
+@pytest.mark.parametrize("command", ["expand", "simulate"])
+def test_unbounded_sizes_are_refused_before_expanding(capsys, monkeypatch, command):
+    # 10^11 members would take every byte of memory to name
+    monkeypatch.delenv("CDAG_STATE_CAP", raising=False)
+    query = ["-x", "X", "-y", "Y"] if command == "simulate" else []
+    code, out, err = run_cli(capsys, command, path("backdoor.cdag"), *query,
+                             "--sizes", "Z=99999999999")
+    assert (code, out) == (3, "")
+    assert err == ("error: expand: 5000000000050000000000 member pairs exceed the cap "
+                   "(4194304); raise CDAG_STATE_CAP\n")
+
+
 def test_console_entry_point():
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(

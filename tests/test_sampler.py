@@ -6,6 +6,7 @@ import cdag.cli
 import cdag.sampler
 import conftest
 from cdag import Admg, ClusterDag, expand, identify, is_compatible, sample_batch, singleton_cdag
+from cdag.oracle import StateSpaceCapError
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy
 
 from randutil import random_cdag, random_query, rng_for
@@ -132,3 +133,22 @@ def test_every_expansion_under_test_is_checked(monkeypatch, backdoor_cdag):
              graph.bidirected), partition))
     with pytest.raises(AssertionError, match="not compatible"):
         sample_batch(backdoor_cdag, spec, 1)
+
+
+@pytest.mark.parametrize("policy, fits, refused, pairs", [
+    # Z -> X, Z -> Y and X -> Y add 2 * size + 1 cross pairs to the cluster's own
+    ("random", 12, 13, 105), ("full", 12, 13, 105), ("chain", 33, 34, 102),
+    ("empty", 49, 50, 101)])
+def test_expand_checks_the_member_pairs_against_the_cap(monkeypatch, backdoor_cdag,
+                                                        policy, fits, refused, pairs):
+    monkeypatch.setenv("CDAG_STATE_CAP", "100")
+
+    def spec(size):
+        return ExpansionSpec(sizes={"Z": size}, internal=InternalPolicy(policy, 0.5, 0.5),
+                             cross=CrossPolicy("full"))
+
+    graph, _ = expand(backdoor_cdag, spec(fits))
+    assert len(graph.nodes) == fits + 2
+    with pytest.raises(StateSpaceCapError, match=f"^expand: {pairs} member pairs exceed "
+                                                 r"the cap \(100\); raise CDAG_STATE_CAP$"):
+        expand(backdoor_cdag, spec(refused))
