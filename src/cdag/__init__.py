@@ -38,13 +38,11 @@ from .formula import (
     simplify,
 )
 from .identify import (
-    EmptyInterventionError,
     Hedge,
     Identified,
     NonIdentified,
     hedge_expansion_witness,
     identify,
-    observational_marginal,
 )
 from .docalc import DoQuery, RuleVerdict, rule1, rule2, rule3
 from .oracle import (
@@ -67,8 +65,7 @@ __all__ = [
     "CondProb", "Fraction", "JointTable", "ONE", "ProbExpr", "Product",
     "Sum", "ZeroConditioningMass", "evaluate", "parse_formula_json", "render",
     "simplify",
-    "EmptyInterventionError", "Hedge", "Identified", "NonIdentified",
-    "hedge_expansion_witness", "identify", "observational_marginal",
+    "Hedge", "Identified", "NonIdentified", "hedge_expansion_witness", "identify",
     "DoQuery", "RuleVerdict", "rule1", "rule2", "rule3",
     "DiscreteCbn", "StateSpaceCapError", "interventional_distribution",
     "joint_distribution", "random_cbn", "sample_dataset",

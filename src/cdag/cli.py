@@ -55,38 +55,28 @@ def _quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+# One token per match: a run of whitespace and commas, a comment to the
+# end of the line, a quoted name (backslash escapes the next character), a
+# quote left open, an arrow, a brace or ``=``, a bare name, or any other
+# character.
+_TOKEN = re.compile(r'(?P<skip>[\s,]+)|(?P<comment>#)|"(?P<quoted>(?:\\.|[^"\\])*)"|'
+                    rf'(?P<open>")|(?P<token><?->|[{{}}=]|{_BARE_NAME.pattern})|(?P<other>.)', re.S)
+
+
 def _tokenize(line: str, line_no: int) -> List[str]:
     tokens = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch.isspace() or ch == ",":
-            i += 1
-            continue
-        if ch == "#":
+    for m in _TOKEN.finditer(line):
+        kind = m.lastgroup
+        if kind == "comment":
             break
-        if ch == '"':
-            out = []
-            i += 1
-            while i < len(line) and line[i] != '"':
-                if line[i] == "\\" and i + 1 < len(line):
-                    i += 1
-                out.append(line[i])
-                i += 1
-            if i >= len(line):
-                raise ParseError(line_no, "unterminated quoted name")
-            i += 1
-            tokens.append('"' + "".join(out))
-            continue
-        if ch in "{}=":
-            tokens.append(ch)
-            i += 1
-            continue
-        m = re.match(r"->|<->|[A-Za-z0-9_.\-]+", line[i:])
-        if not m:
-            raise ParseError(line_no, f"unexpected character {ch!r}")
-        tokens.append(m.group(0))
-        i += len(m.group(0))
+        if kind == "open":
+            raise ParseError(line_no, "unterminated quoted name")
+        if kind == "other":
+            raise ParseError(line_no, f"unexpected character {m[0]!r}")
+        if kind == "quoted":
+            tokens.append('"' + re.sub(r"\\(.)", r"\1", m["quoted"], flags=re.S))
+        elif kind == "token":
+            tokens.append(m[0])
     return tokens
 
 
@@ -501,8 +491,8 @@ def main(argv=None) -> int:
         # rebound ``_cmd_*`` name takes effect
         return globals()[f"_cmd_{args.command}"](args)
     except (ParseError, OSError, GraphError, PartitionError, FormulaError,
-            StateSpaceCapError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+            StateSpaceCapError, ValueError, MemoryError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 3
 
 

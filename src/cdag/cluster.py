@@ -130,10 +130,6 @@ class ClusterDag:
         self.graph = graph
         self.partition = partition
 
-    @property
-    def clusters(self) -> Tuple[str, ...]:
-        return self.graph.nodes
-
     def __eq__(self, other):
         if not isinstance(other, ClusterDag):
             return NotImplemented

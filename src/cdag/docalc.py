@@ -65,12 +65,15 @@ def _p_of(y, args) -> str:
     return f"P({_names(y)} | {inner})" if inner else f"P({_names(y)})"
 
 
-def _separation(c: ClusterDag, q: DoQuery, cut_into, cut_out_of, graph_label: str):
-    mutilated = mutilate_cdag(c, cut_into=cut_into, cut_out_of=cut_out_of)
-    separated = cdag_d_separated(mutilated, q.y, q.z, q.x | q.w)
-    description = (f"({_names(q.y)} _||_ {_names(q.z)} | "
-                   f"{_names(q.x | q.w) or '∅'}) in {graph_label}")
-    return separated, description
+def _verdict(rule: str, c: ClusterDag, q: DoQuery, cut_into, cut_out_of, label: str,
+             lhs, rhs) -> RuleVerdict:
+    # Cut the graph, test (Y _||_ Z | X, W) in it and, if that holds, spell
+    # out the equality P(y | lhs) = P(y | rhs) that the rule grants.
+    cut = mutilate_cdag(c, cut_into=cut_into, cut_out_of=cut_out_of)
+    applies = cdag_d_separated(cut, q.y, q.z, q.x | q.w)
+    tested = f"({_names(q.y)} _||_ {_names(q.z)} | {_names(q.x | q.w) or '∅'}) in {label}"
+    return RuleVerdict(rule, applies, tested,
+                       f"{_p_of(q.y, lhs)} = {_p_of(q.y, rhs)}" if applies else "")
 
 
 def rule1(c: ClusterDag, q: DoQuery) -> RuleVerdict:
@@ -78,13 +81,8 @@ def rule1(c: ClusterDag, q: DoQuery) -> RuleVerdict:
     P(y | do(x), z, w) = P(y | do(x), w) when Y and Z are separated by
     X and W after cutting edges into X."""
     q.validate_for(c)
-    applies, tested = _separation(c, q, cut_into=q.x, cut_out_of=(),
-                                  graph_label=f"G[cut into {_names(q.x) or '∅'}]")
-    equality = ""
-    if applies:
-        equality = (_p_of(q.y, [_do(q.x), _names(q.z), _names(q.w)])
-                    + " = " + _p_of(q.y, [_do(q.x), _names(q.w)]))
-    return RuleVerdict("R1", applies, tested, equality)
+    return _verdict("R1", c, q, q.x, (), f"G[cut into {_names(q.x) or '∅'}]",
+                    [_do(q.x), _names(q.z), _names(q.w)], [_do(q.x), _names(q.w)])
 
 
 def rule2(c: ClusterDag, q: DoQuery) -> RuleVerdict:
@@ -92,14 +90,9 @@ def rule2(c: ClusterDag, q: DoQuery) -> RuleVerdict:
     P(y | do(x), do(z), w) = P(y | do(x), z, w) when Y and Z are separated
     by X and W after cutting edges into X and out of Z."""
     q.validate_for(c)
-    applies, tested = _separation(
-        c, q, cut_into=q.x, cut_out_of=q.z,
-        graph_label=f"G[cut into {_names(q.x) or '∅'}, out of {_names(q.z)}]")
-    equality = ""
-    if applies:
-        equality = (_p_of(q.y, [_do(q.x), _do(q.z), _names(q.w)])
-                    + " = " + _p_of(q.y, [_do(q.x), _names(q.z), _names(q.w)]))
-    return RuleVerdict("R2", applies, tested, equality)
+    return _verdict("R2", c, q, q.x, q.z,
+                    f"G[cut into {_names(q.x) or '∅'}, out of {_names(q.z)}]",
+                    [_do(q.x), _do(q.z), _names(q.w)], [_do(q.x), _names(q.z), _names(q.w)])
 
 
 def rule3(c: ClusterDag, q: DoQuery) -> RuleVerdict:
@@ -111,12 +104,6 @@ def rule3(c: ClusterDag, q: DoQuery) -> RuleVerdict:
     x_cut = mutilate_cdag(c, cut_into=q.x)
     w_ancestral = x_cut.graph.ancestral_closure(q.w) if q.w else frozenset()
     z_of_w = frozenset(zc for zc in q.z if zc not in w_ancestral)
-    applies, tested = _separation(
-        c, q, cut_into=q.x | z_of_w, cut_out_of=(),
-        graph_label=(f"G[cut into {_names(q.x | z_of_w) or '∅'}] "
-                     f"with Z(W) = {{{_names(z_of_w)}}}"))
-    equality = ""
-    if applies:
-        equality = (_p_of(q.y, [_do(q.x), _do(q.z), _names(q.w)])
-                    + " = " + _p_of(q.y, [_do(q.x), _names(q.w)]))
-    return RuleVerdict("R3", applies, tested, equality)
+    return _verdict("R3", c, q, q.x | z_of_w, (),
+                    f"G[cut into {_names(q.x | z_of_w) or '∅'}] with Z(W) = {{{_names(z_of_w)}}}",
+                    [_do(q.x), _do(q.z), _names(q.w)], [_do(q.x), _names(q.w)])

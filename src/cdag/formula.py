@@ -43,6 +43,9 @@ class ZeroConditioningMass(FormulaError):
 class ProbExpr:
     __slots__ = ()
 
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
     def __eq__(self, other):
         return type(self) is type(other) and self._key() == other._key()
 
@@ -87,9 +90,6 @@ class CondProb(ProbExpr):
         object.__setattr__(node, "given", given)
         return node
 
-    def __setattr__(self, *a):
-        raise AttributeError("CondProb is immutable")
-
     def _key(self):
         return (self.target, self.given)
 
@@ -99,9 +99,6 @@ class Product(ProbExpr):
 
     def __init__(self, factors: Sequence[ProbExpr]):
         object.__setattr__(self, "factors", tuple(factors))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Product is immutable")
 
     def _key(self):
         return self.factors
@@ -119,9 +116,6 @@ class Sum(ProbExpr):
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "body", body)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Sum is immutable")
-
     def _key(self):
         return (self.bound, self.body)
 
@@ -132,9 +126,6 @@ class Fraction(ProbExpr):
     def __init__(self, numerator: ProbExpr, denominator: ProbExpr):
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Fraction is immutable")
 
     def _key(self):
         return (self.numerator, self.denominator)
@@ -468,8 +459,9 @@ class JointTable:
 class _Factor:
     """A named-axis array: axis ``i`` of ``values`` is ``names[i]``.
 
-    Shared by :func:`tabulate` and the exact oracle, whose products and
-    sums both broadcast by axis name."""
+    The exact oracle's factor, multiplied by :func:`_product`; a plan
+    shares only that product's broadcast rule, :func:`_broadcast` and
+    :func:`_line_up`, on bare arrays."""
 
     __slots__ = ("names", "values")
 

@@ -31,11 +31,6 @@ from .formula import (CondProb, Fraction, ProbExpr, _free_vars, _simplify_with, 
                       sum_over)
 
 
-class EmptyInterventionError(ValueError):
-    """Raised for an empty intervention set; use plain marginalization
-    (:func:`observational_marginal`) instead."""
-
-
 @dataclass(frozen=True)
 class Hedge:
     """Witness of non-identifiability.
@@ -244,25 +239,14 @@ def identify(c: ClusterDag, x: Iterable[str], y: Iterable[str]) -> IdResult:
     Returns :class:`Identified` carrying a simplified expression over the
     observational cluster distribution, valid in every compatible
     underlying model, or :class:`NonIdentified` carrying a
-    :class:`Hedge`.
+    :class:`Hedge`.  An empty ``x`` gives the marginal P(y) (line 1 of ID).
     """
     x, y = _validate_query(c, x, y)
-    if not x:
-        raise EmptyInterventionError(
-            "empty intervention set; use observational_marginal for plain marginals")
     try:
         expr, fv = _run(c, x, y)
     except _HedgeFound as found:
         return NonIdentified(_build_hedge(c, x, found.inner, found.outer))
     return Identified(_simplify_with(expr, x | y, fv))
-
-
-def observational_marginal(c: ClusterDag, y: Iterable[str]) -> ProbExpr:
-    """Expression for the plain marginal P(y), via ancestral reduction and
-    the c-component factorization (the degenerate empty-intervention case)."""
-    _, y = _validate_query(c, (), y)
-    expr, fv = _run(c, frozenset(), y)
-    return _simplify_with(expr, y, fv)
 
 
 def hedge_expansion_witness(c: ClusterDag, h: Hedge,

@@ -172,45 +172,45 @@ class DiscreteCbn:
     def __init__(self, graph: Admg, cards: Dict[str, int],
                  exo_cards: Dict[str, int], exo_dists: Dict[str, np.ndarray],
                  mechanisms: Dict[str, Mechanism], deterministic: bool):
+        exo_dists = {k: np.asarray(v, dtype=float) for k, v in exo_dists.items()}
+        # Each table in turn, raising for the first bad one.  A CPT's axes
+        # are its parents', its noises' and its own states; a row sums to 1
+        # as np.isclose(total, 1.0, atol=1e-12) at its default rtol, failing NaN.
+        tol = 1e-12 + 1e-5
+        shapes = {v: tuple(map(cards.get, m.endo_parents)) + tuple(
+            map(exo_cards.get, m.exo_parents)) + (cards[v],) for v, m in mechanisms.items()}
+        for name in sorted(exo_cards):
+            law = exo_dists[name]
+            if law.shape != (exo_cards[name],) or not law.min(initial=1.0) > 0 or \
+                    not abs(law.sum() - 1.0) <= tol:
+                raise GraphError(f"exogenous {name!r} needs a strictly positive "
+                                 "distribution of matching cardinality summing to 1")
+        for v, mech in mechanisms.items():
+            if mech.cpt.shape != shapes[v]:
+                raise GraphError(f"CPT of {v!r} has shape {mech.cpt.shape}, not "
+                                 f"{shapes[v]} from its parents, noises and states")
+            rows = mech.cpt.reshape(-1, cards[v])
+            if not (rows.min(initial=0.0) >= 0 and
+                    np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0) <= tol):
+                raise GraphError(f"CPT rows of {v!r} must be nonnegative and sum to 1")
+        self._link(graph, cards, exo_cards, exo_dists, mechanisms, deterministic)
+
+    @classmethod
+    def _trusted(cls, *fields) -> "DiscreteCbn":
+        # For random_cbn's own draws, every table of its shape and every row
+        # a law, with float laws in a dict of their own: no check runs.
+        m = object.__new__(cls)
+        m._link(*fields)
+        return m
+
+    def _link(self, graph, cards, exo_cards, exo_dists, mechanisms, deterministic):
         self.graph = graph
         self.cards = dict(cards)
         self.exo_cards = dict(exo_cards)
-        self.exo_dists = {k: np.asarray(v, dtype=float) for k, v in exo_dists.items()}
+        self.exo_dists = exo_dists
         self.mechanisms = mechanisms
         self.deterministic = deterministic
         self.exo_names = tuple(sorted(exo_cards))
-        # np.isclose(total, 1.0, atol=1e-12) at its default rtol, failing NaN
-        tol = 1e-12 + 1e-5
-
-        def laws_ok(rows):
-            return rows.min(initial=1.0) > 0 and np.abs(rows.sum(axis=1) - 1.0).max() <= tol
-
-        def cpts_ok(rows):
-            return rows.min(initial=0.0) >= 0 and \
-                np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0) <= tol
-
-        # A CPT's axes are its parents', its noises' and its own states.
-        # Each check runs once per width on the stacked rows.  Only when one
-        # fails, or a table has the wrong shape, does the per-table loop run,
-        # to raise for the first bad table.
-        laws = {u: self.exo_dists[u] for u in self.exo_names}
-        shapes = {v: tuple(map(self.cards.get, m.endo_parents)) + tuple(
-            map(self.exo_cards.get, m.exo_parents)) + (self.cards[v],)
-            for v, m in mechanisms.items()}
-        if not (all(law.shape == (self.exo_cards[u],) for u, law in laws.items())
-                and all(m.cpt.shape == shapes[v] for v, m in mechanisms.items())
-                and _stacked_ok(laws.values(), laws_ok) and _stacked_ok(
-                    [m.cpt.reshape(-1, self.cards[v]) for v, m in mechanisms.items()], cpts_ok)):
-            for name, law in laws.items():
-                if law.shape != (self.exo_cards[name],) or not laws_ok(law.reshape(1, -1)):
-                    raise GraphError(f"exogenous {name!r} needs a strictly positive "
-                                     "distribution of matching cardinality summing to 1")
-            for v, mech in mechanisms.items():
-                if mech.cpt.shape != shapes[v]:
-                    raise GraphError(f"CPT of {v!r} has shape {mech.cpt.shape}, not "
-                                     f"{shapes[v]} from its parents, noises and states")
-                if not cpts_ok(mech.cpt.reshape(-1, self.cards[v])):
-                    raise GraphError(f"CPT rows of {v!r} must be nonnegative and sum to 1")
         # Each variable's table over its parents and shared noise, with its
         # private noise, which feeds no other mechanism, summed out by the
         # np.dot that np.tensordot issues, on the operands it would build.
@@ -228,14 +228,6 @@ class DiscreteCbn:
             self._factors[v] = factor
         # interventional_distribution's tables, by intervened set
         self._posts: Dict[frozenset, Tuple[Tuple[str, ...], np.ndarray]] = {}
-
-
-def _stacked_ok(tables: Iterable[np.ndarray], ok) -> bool:
-    # ``ok`` once per width, on the rows of every table of that width
-    widths = collections.defaultdict(list)
-    for rows in tables:
-        widths[rows.shape[-1]].append(rows.reshape(-1, rows.shape[-1]))
-    return all(ok(np.concatenate(group)) for group in widths.values())
 
 
 def _exo_name(label: str, taken: set) -> str:
@@ -308,7 +300,7 @@ def random_cbn(g: Admg, cards: Dict[str, int], seed: int,
         perms = [rng.permutation(cards[v]) for _ in range(math.prod(others[:-1]))]
         mech.cpt = np.moveaxis(np.eye(cards[v])[perms].reshape(others + (cards[v],)), -2, k)
 
-    return DiscreteCbn(g, cards, exo_cards, exo_dists, mechanisms, deterministic)
+    return DiscreteCbn._trusted(g, cards, exo_cards, exo_dists, mechanisms, deterministic)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ import pytest
 
 import cdag
 import cdag.cli
+import cdag.oracle
 import cdag.sampler
 from cdag import Admg, ClusterDag, NonIdentified, Partition, build_cdag, is_compatible
 
-from oracles import check_hedge
+from oracles import check_hedge, model_table_error
 
 
 # ``expand`` builds compatible graphs by construction and does not check
@@ -54,6 +55,23 @@ def _checked_identify(c, x, y):
 
 for _module in (cdag, cdag.cli, _identify_module):
     _module.identify = _checked_identify
+
+
+# Nor does ``random_cbn`` check the tables it draws: under test each model
+# it builds goes through the per-table checks a hand-built model gets.
+_random_cbn = cdag.oracle.random_cbn
+
+
+@functools.wraps(_random_cbn)
+def _checked_random_cbn(*args, **kwargs):
+    m = _random_cbn(*args, **kwargs)
+    error = model_table_error(m.cards, m.exo_cards, m.exo_dists, m.mechanisms)
+    assert error is None, f"random_cbn drew a bad table: {error}"
+    return m
+
+
+for _module in (cdag, cdag.cli, cdag.oracle):
+    _module.random_cbn = _checked_random_cbn
 
 
 # Backdoor cluster graph: Z -> X, Z -> Y, X -> Y (effect identifiable by

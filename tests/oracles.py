@@ -47,14 +47,19 @@ They are deliberately naive and independent of the code they check:
   tables above, :func:`joint_distribution` and :func:`tabulate_walk`
   are byte references for the library.
 * :func:`model_table_error` checks a model's exogenous laws and CPT
-  rows one table at a time; the library checks all rows of one width at
-  once and loops over the tables only to name a bad one.
+  rows one table at a time, as the library checks a hand-built model;
+  ``tests/conftest.py`` runs it on every model ``random_cbn`` builds,
+  which the library does not check.
 * :func:`check_hedge` checks a returned hedge against Shpitser and
   Pearl's (2006) definition, and :func:`has_hedge` searches every pair
   of node sets for one; both scan edge lists over explicit node sets and
   share no code with ``cdag.identify`` or ``Admg``'s reachability.
+  :func:`identified_by_fixed_point` certifies the identified side at any
+  size by ID's own fixed point, over adjacency lists it builds from the
+  edge collections alone; it is independent of the library in code only.
 
-They are exponential and meant for small inputs only.
+The enumerations among them are exponential and meant for small inputs
+only; the augmentation criterion and the fixed point are polynomial.
 """
 
 import functools
@@ -1094,3 +1099,47 @@ def has_hedge(g: Admg, x, y, forests: Optional[Dict[frozenset, list]] = None) ->
     return any(fprime < f and f & x and not fprime & x
                for r, sets in forests.items() if r <= ancestors
                for fprime in sets for f in sets)
+
+
+def identified_by_fixed_point(nodes, directed, bidirected, x, y) -> bool:
+    """Whether P(y|do(x)) is identifiable, by the fixed point of Shpitser
+    and Pearl's (2006) ID.  For each c-component S of G[An(Y) \\ X], the
+    ancestors of Y taken with the edges into X cut, F starts at S's
+    district in G[An(Y)] and alternates "ancestors of S within G[F]" and
+    "district of S within G[F]" until it stops changing.  The query fails
+    iff F ≠ S for some S.  Reads only the three edge collections."""
+    x, y = frozenset(x), frozenset(y)
+    parents, siblings = {v: [] for v in nodes}, {v: [] for v in nodes}
+    for t, h in directed:
+        parents[h].append(t)
+    for a, b in bidirected:
+        siblings[a].append(b)
+        siblings[b].append(a)
+
+    def reach(start, links, within):
+        # the nodes of ``within`` that ``links`` reach from ``start``, itself included
+        reached, stack = set(start), list(start)
+        while stack:
+            for u in links[stack.pop()]:
+                if u in within and u not in reached:
+                    reached.add(u)
+                    stack.append(u)
+        return frozenset(reached)
+
+    an_y = reach(y, parents, set(nodes))
+    reduced = reach(y, parents, an_y - x)
+    seen = set()
+    for v in sorted(reduced):
+        if v in seen:
+            continue
+        s = reach([v], siblings, reduced)
+        seen |= s
+        f = reach(s, siblings, an_y)
+        while True:
+            refined = reach(s, siblings, reach(s, parents, f))
+            if refined == f:
+                break
+            f = refined
+        if f != s:
+            return False
+    return True

@@ -61,6 +61,47 @@ def test_parse_reports_line_numbers():
         parse_graph("node X\nnode Y\nedge X -> -> Y\n")
 
 
+# Tokens, or the error, of lines that test the tokenizer's edges: escapes,
+# comments, unspaced arrows and braces, commas and Unicode whitespace.
+TOKENIZED = [
+    ('edge A -> B', ['edge', 'A', '->', 'B']),
+    ('edge A->B', "line 7: unexpected character '>'"),    # 'A-' is a name
+    ('edge A<->B', ['edge', 'A', '<->', 'B']),
+    ('edge "A"->"B"', ['edge', '"A', '->', '"B']),
+    ('edge A <- B', "line 7: unexpected character '<'"),
+    ('edge ->->', ['edge', '->', '->']),
+    ('cluster Z = {A, B,C}', ['cluster', 'Z', '=', '{', 'A', 'B', 'C', '}']),
+    ('cluster Z={A B}', ['cluster', 'Z', '=', '{', 'A', 'B', '}']),
+    ('node A# comment', ['node', 'A']),
+    ('node "A#B" # comment', ['node', '"A#B']),
+    ('node "say \\"hi\\""', ['node', '"say "hi"']),
+    ('node "back\\\\slash"', ['node', '"back\\slash']),
+    ('node "a\\b"', ['node', '"ab']),
+    ('node ""', ['node', '"']),
+    ('node "x"y"z"', ['node', '"x', 'y', '"z']),
+    ('node "open', "line 7: unterminated quoted name"),
+    ('node "ends in escape\\"', "line 7: unterminated quoted name"),
+    ('node "trailing backslash\\', "line 7: unterminated quoted name"),
+    ('node A\xa0B', ['node', 'A', 'B']),
+    ('node A', ['node', 'A']),
+    ('node\tA\x0b,B\x1c', ['node', 'A', 'B']),
+    ('node $A', "line 7: unexpected character '$'"),
+    ('node é', "line 7: unexpected character 'é'"),
+    ('node A-B.c_9', ['node', 'A-B.c_9']),
+    ('   # only a comment', []),
+    ('', []),
+]
+
+
+@pytest.mark.parametrize("line, want", TOKENIZED)
+def test_tokenizer_pins(line, want):
+    try:
+        got = cli._tokenize(line, 7)
+    except ParseError as err:
+        got = str(err)
+    assert got == want
+
+
 def test_parse_quoted_names_round_trip():
     text = 'node "weird name"\nnode Y\nedge "weird name" -> Y\n'
     parsed = parse_graph(text)
@@ -416,6 +457,25 @@ def test_simulate_bad_dataset_count_is_input_error(capsys):
     code, out, err = run_simulate_counts(capsys, "--datasets", "-1")
     assert (code, out) == (3, "")
     assert err == "error: --datasets must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 8.19 TiB for an array with shape (9, 1000000000000) "
+                 "and data type uint8"),
+     "error: Unable to allocate 8.19 TiB for an array with shape (9, 1000000000000) "
+     "and data type uint8\n"),
+    (MemoryError(), "error: MemoryError\n"),
+])
+def test_simulate_refused_allocation_is_input_error(capsys, monkeypatch, error, line):
+    # numpy raises MemoryError when the host refuses a dataset's block; the
+    # draw is replaced here, so no memory is asked of the host
+    def refuse(m, n, seed):
+        raise error
+
+    monkeypatch.setattr(cli, "sample_dataset", refuse)
+    code, out, err = run_simulate_counts(capsys, "--diagrams", "1", "--datasets", "1",
+                                         "--n", "1000000000000")
+    assert (code, out, err) == (3, "", line)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])

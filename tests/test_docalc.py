@@ -1,3 +1,6 @@
+import hashlib
+from collections import Counter
+
 import pytest
 
 from cdag import (Admg, ClusterDag, DoQuery, Partition, random_cbn, rule1,
@@ -5,7 +8,7 @@ from cdag import (Admg, ClusterDag, DoQuery, Partition, random_cbn, rule1,
 from cdag.graphs import GraphError
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy, expand
 
-from randutil import licensed_equality_deviation, random_cdag, rng_for
+from randutil import licensed_equality_deviation, random_cdag, random_disjoint_sets, rng_for
 
 
 RULES = {"1": rule1, "2": rule2, "3": rule3}
@@ -155,3 +158,22 @@ def test_applied_rules_hold_numerically():
             dev = licensed_equality_deviation(m, partition, rule_name, q)
             assert dev < 1e-9, (rule_name, c.graph, q, dev)
             checked[rule_name] += 1
+
+
+def test_verdict_digest_over_random_cluster_dags():
+    # 2,000 queries on graphs of 3 to 8 clusters, each put to all three
+    # rules: the digest pins every field of all 6,000 verdicts
+    rng = rng_for(1800)
+    digest, applied = hashlib.sha256(), Counter()
+    for _ in range(2000):
+        c = random_cdag(rng, int(rng.integers(3, 9)))
+        y, z, x, w = random_disjoint_sets(rng, c.graph.nodes, 4, min_sizes=[1, 1, 0, 0])
+        q = DoQuery(x=x, y=y, z=z, w=w)
+        for rule in RULES.values():
+            v = rule(c, q)
+            digest.update(f"{v.rule}\t{v.applies}\t{v.separation_tested}\t"
+                          f"{v.equality_granted}\n".encode())
+            applied[v.rule] += v.applies
+    assert applied == {"R1": 185, "R2": 378, "R3": 908}
+    assert digest.hexdigest() == \
+        "45878ad13e8d935c05c7e4d04244f82ce365d593538222dc5bb30209ddb0dcdb"

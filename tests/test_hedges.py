@@ -1,6 +1,7 @@
 """Hedges checked both ways: every hedge ``identify`` returns against the
 definition (``tests/conftest.py`` runs :func:`oracles.check_hedge` on each
-one made under test), and every verdict against a search over node sets.
+one made under test), and every verdict against a search over node sets
+and, at 10 to 160 nodes, against ID's fixed point.
 
 Every ADMG on four nodes is isomorphic to one whose directed edges follow
 one fixed order, so the 2^6 directed by 2^6 bidirected edge sets below
@@ -19,7 +20,9 @@ import pytest
 
 from cdag import Admg, ClusterDag, identify
 
-from oracles import check_hedge, has_hedge, rooted_forests
+from oracles import (_cut_ancestors, check_hedge, has_hedge, identified_by_fixed_point,
+                     rooted_forests)
+from randutil import rng_for, sparse_admg, sweep_query
 
 NODES = ("A", "B", "C", "D")
 PAIRS = list(itertools.combinations(NODES, 2))
@@ -94,3 +97,34 @@ def test_check_hedge_rejects_each_broken_condition(confounded_cdag):
         check_hedge(confounded_cdag, hedge, ["X"], ["Z"])
     with pytest.raises(AssertionError, match="two children"):
         check_hedge(ClusterDag(fork), dataclasses.replace(hedge, forest_f=fork), ["X"], ["Y"])
+
+
+def test_identify_agrees_with_the_fixed_point_at_10_to_160_nodes():
+    # the identified side of the certificate, where no search over node
+    # sets reaches: 320 sweep queries with x of 1 to 3 nodes, then 300 on
+    # random sparse graphs with y of 1 to 3 nodes and x of 1 to 3 of their
+    # ancestors
+    rng = rng_for(183)
+    queries = []
+    for kind, sizes in (("sparse", (10, 20, 40, 80, 160)), ("dense", (20, 40, 60))):
+        for n in sizes:
+            for _ in range(40):
+                c, x, y = sweep_query(rng, kind, n)
+                others = [v for v in c.graph.nodes if v not in (x, y)]
+                extra = rng.choice(others, size=int(rng.integers(0, 3)), replace=False)
+                queries.append((c.graph, [x, *map(str, extra)], [y]))
+    for _ in range(300):
+        g = sparse_admg(rng, int(rng.integers(10, 161)), rng.uniform(1.0, 3.0),
+                        rng.uniform(0.5, 2.0))
+        names = [g.nodes[i] for i in rng.permutation(len(g.nodes))]
+        y = names[:int(rng.integers(1, 4))]
+        above = sorted(_cut_ancestors(g.directed, (), y) - set(y)) or names[len(y):]
+        x = rng.choice(above, size=min(len(above), int(rng.integers(1, 4))), replace=False)
+        queries.append((g, list(map(str, x)), y))
+    failed = 0
+    for g, x, y in queries:
+        verdict = identify(ClusterDag(g), x, y).identifiable
+        assert verdict == identified_by_fixed_point(g.nodes, g.directed, g.bidirected, x, y), \
+            (g, x, y)
+        failed += not verdict
+    assert failed == 76, failed     # not identifiable: 64 sweep, 12 sparse

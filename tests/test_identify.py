@@ -5,10 +5,9 @@ import os
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cdag import (Admg, ClusterDag, CondProb, EmptyInterventionError, Identified,
-                  NonIdentified, Product, Sum, evaluate, hedge_expansion_witness, identify,
-                  interventional_distribution, joint_distribution,
-                  observational_marginal, random_cbn, render, singleton_cdag)
+from cdag import (Admg, ClusterDag, CondProb, Identified, NonIdentified, Product, Sum,
+                  evaluate, hedge_expansion_witness, identify, interventional_distribution,
+                  joint_distribution, random_cbn, render, singleton_cdag)
 from cdag.cli import main
 from cdag.graphs import GraphError
 from cdag.identify import _ancestral_reduce, _chain_factor, _chain_table, _run
@@ -287,13 +286,9 @@ def test_ancestral_reduce_frontdoor(frontdoor_cdag):
     assert _ancestral_reduce(frontdoor_cdag.graph, keep, frozenset({"Y"})) == {"S", "Y", "Z"}
 
 
-def test_empty_intervention_rejected(backdoor_cdag):
-    with pytest.raises(EmptyInterventionError):
-        identify(backdoor_cdag, [], ["Y"])
-
-
 def test_observational_marginal(backdoor_cdag):
-    expr = observational_marginal(backdoor_cdag, ["Y"])
+    # an empty intervention is line 1 of ID: the plain marginal P(y)
+    expr = identify(backdoor_cdag, [], ["Y"]).expr
     m = random_cbn(backdoor_cdag.graph, {v: 2 for v in "XYZ"}, seed=32)
     t = joint_distribution(m)
     for y in range(2):
