@@ -57,10 +57,11 @@ def _quote(name: str) -> str:
 
 # One token per match: a run of whitespace and commas, a comment to the
 # end of the line, a quoted name (backslash escapes the next character), a
-# quote left open, an arrow, a brace or ``=``, a bare name, or any other
-# character.
+# quote left open, an arrow, a brace or ``=``, a bare name, which ends
+# before a ``->`` (so ``A->B`` is an edge), or any other character.
 _TOKEN = re.compile(r'(?P<skip>[\s,]+)|(?P<comment>#)|"(?P<quoted>(?:\\.|[^"\\])*)"|'
-                    rf'(?P<open>")|(?P<token><?->|[{{}}=]|{_BARE_NAME.pattern})|(?P<other>.)', re.S)
+                    r'(?P<open>")|(?P<token><?->|[{}=]|(?:[A-Za-z0-9_.]|-(?!>))+)|(?P<other>.)',
+                    re.S)
 
 
 def _tokenize(line: str, line_no: int) -> List[str]:
@@ -368,32 +369,36 @@ def _cmd_simulate(args) -> int:
     diffs = {n: [] for n in ns}
     exact_diffs = []
     for index, (graph, partition) in enumerate(diagrams):
-        var_x = sorted(partition.variables_of(args.x))
-        var_y = sorted(partition.variables_of(args.y))
-        result = identify(singleton_cdag(graph), var_x, var_y)
-        id_flags.append(isinstance(result, Identified))
-        if cdag_expr is None or not isinstance(result, Identified):
-            continue
-        cards = {v: 2 for v in graph.nodes}
-        # random_cbn's tables grow with the diagram as well: check first
-        _check_state_space(cards.values(), "joint_distribution")
-        model = random_cbn(graph, cards, seed=_derive_seed(args.seed, index, 1))
-        clusters = partition.to_cluster_map()
-        exact = joint_distribution(model)
-        # one plan per expression, run on the exact table and every dataset's
-        plan_c = _Plan(cdag_expr, exact.variables, exact.cards, clusters)
-        plan_g = _Plan(result.expr, exact.variables, exact.cards)
-        effect_c = _effect(plan_c, exact, var_x, var_y)
-        effect_g = _effect(plan_g, exact, var_x, var_y)
-        exact_diffs.append(abs(effect_c - effect_g))
-        for n_index, n in enumerate(ns):
-            for rep in range(args.datasets):
-                seed = _derive_seed(args.seed, index, 2, n_index, rep)
-                data = sample_dataset(model, n, seed=seed)
-                emp = empirical_table(graph.nodes, exact.cards, data)
-                eff_c = _effect(plan_c, emp, var_x, var_y, lenient=True)
-                eff_g = _effect(plan_g, emp, var_x, var_y, lenient=True)
-                diffs[n].append(abs(eff_c - eff_g))
+        try:
+            var_x = sorted(partition.variables_of(args.x))
+            var_y = sorted(partition.variables_of(args.y))
+            result = identify(singleton_cdag(graph), var_x, var_y)
+            id_flags.append(isinstance(result, Identified))
+            if cdag_expr is None or not isinstance(result, Identified):
+                continue
+            cards = {v: 2 for v in graph.nodes}
+            # random_cbn's tables grow with the diagram as well: check first
+            _check_state_space(cards.values(), "joint_distribution")
+            model = random_cbn(graph, cards, seed=_derive_seed(args.seed, index, 1))
+            clusters = partition.to_cluster_map()
+            exact = joint_distribution(model)
+            # one plan per expression, run on the exact table and every dataset's
+            plan_c = _Plan(cdag_expr, exact.variables, exact.cards, clusters)
+            plan_g = _Plan(result.expr, exact.variables, exact.cards)
+            effect_c = _effect(plan_c, exact, var_x, var_y)
+            effect_g = _effect(plan_g, exact, var_x, var_y)
+            exact_diffs.append(abs(effect_c - effect_g))
+            for n_index, n in enumerate(ns):
+                for rep in range(args.datasets):
+                    seed = _derive_seed(args.seed, index, 2, n_index, rep)
+                    data = sample_dataset(model, n, seed=seed)
+                    emp = empirical_table(graph.nodes, exact.cards, data)
+                    eff_c = _effect(plan_c, emp, var_x, var_y, lenient=True)
+                    eff_g = _effect(plan_g, emp, var_x, var_y, lenient=True)
+                    diffs[n].append(abs(eff_c - eff_g))
+        except StateSpaceCapError as err:    # one line still, naming the query
+            query = f"diagram {index}, x={','.join(args.x)}, y={','.join(args.y)}"
+            raise StateSpaceCapError(f"{err} ({query})") from None
 
     lines = ["metric,n,value,std_error"]
     for n in ns:

@@ -513,13 +513,13 @@ def _product(a: _Factor, b: _Factor, lead=()) -> _Factor:
 
 
 def _divide(num, den, zero, shape):
-    # NaN (0 with ``zero``) where the denominator has no mass; NaN survives
-    # every step above.  With no such cell and no ``zero``, divide plainly:
-    # numpy then picks the output's layout, which fixes the order in which
-    # later sums add and so the last bits of the result.
+    # ``num`` over ``den``, which broadcasts to it: NaN (0 with ``zero``) where
+    # the denominator has no mass; NaN survives every step above.  With no such
+    # cell and no ``zero``, the quotient takes ``num``'s layout, which fixes the
+    # order in which later sums add and so the last bits of the result.
     positive = den > 0
     if not zero and positive.all():
-        return num / den
+        return np.divide(num, den, out=np.empty_like(num))
     return np.divide(num, den, out=np.full(shape, 0.0 if zero else np.nan), where=positive)
 
 
@@ -529,7 +529,9 @@ class _Plan:
     resolves every name and fixes each product's views, each sum's axes and
     each absent bound name's count; a run issues only the numpy operations
     of a walk of the expression, in its order and on arrays of its layout,
-    and so gives the walk's bytes."""
+    and so gives the walk's bytes.  A conditional divides by the broadcast
+    view of its denominator: the walk's full-size copy holds the same
+    values, so each quotient is the same."""
 
     __slots__ = ("variables", "cards", "out", "_run")
 
@@ -582,9 +584,7 @@ class _Plan:
                 den, den_view, full = marginal(given), view(axes, given), shape(axes)
 
                 def cond(t, zero):
-                    values = num(t, zero)
-                    den_values = np.ones_like(values) * _line_up(den(t, zero), den_view)
-                    return _divide(values, den_values, zero, full)
+                    return _divide(num(t, zero), _line_up(den(t, zero), den_view), zero, full)
                 return axes, cond
             if isinstance(node, Product):
                 axes, steps = (), []
@@ -607,8 +607,8 @@ class _Plan:
 
                 def fraction(t, zero):
                     n, d = n_run(t, zero), d_run(t, zero)
-                    return _divide(np.ones(full) * _line_up(n, n_view),
-                                   np.ones(full) * _line_up(d, d_view), zero, full)
+                    return _divide(np.ones(full) * _line_up(n, n_view), _line_up(d, d_view),
+                                   zero, full)
                 return axes, fraction
             if isinstance(node, Sum):
                 b_axes, b_run = build(node.body)

@@ -228,6 +228,7 @@ class DiscreteCbn:
             self._factors[v] = factor
         # interventional_distribution's tables, by intervened set
         self._posts: Dict[frozenset, Tuple[Tuple[str, ...], np.ndarray]] = {}
+        self._draw = None    # sample_dataset's plan, built by the first draw
 
 
 def _exo_name(label: str, taken: set) -> str:
@@ -361,6 +362,34 @@ def interventional_distribution(m: DiscreteCbn, x: Dict[str, int]) -> JointTable
     return JointTable(keep, table[(..., *(x[v] for v in free))])
 
 
+def _draw_plan(m: DiscreteCbn):
+    # What each draw from ``m`` reads: the block's dtype, each exogenous
+    # column with its CDF, and each endogenous one in topological order with
+    # its levels, its parents' (column, axis length) pairs, its row-index
+    # dtype and the least of its last levels.
+    column = {name: i for i, name in enumerate(m.exo_names + m.graph.nodes)}
+    # a value counts the levels at or below its draw, so it stays below its card
+    widest = max([*m.exo_cards.values(), *m.cards.values()], default=1)
+    exo = []
+    for name in m.exo_names:
+        cdf = m.exo_dists[name].cumsum()
+        cdf /= cdf[-1]
+        exo.append((column[name], cdf))
+    endo = []
+    for v in m.graph.topological_order():
+        mech = m.mechanisms[v]
+        # levels[j] holds every CPT row's cumulative sum up to value j; the
+        # rows are nondecreasing, so the first level above u is the count
+        # of levels at or below it.
+        levels = mech.cpt.cumsum(axis=-1).reshape(-1, m.cards[v]).T.copy()
+        parents = [(column[p], dim) for p, dim in
+                   zip(mech.endo_parents + mech.exo_parents, mech.cpt.shape)]
+        # holds the row count itself, so each axis length fits as a scalar too
+        endo.append((column[v], levels, parents, np.min_scalar_type(levels.shape[1]),
+                     levels[-1].min()))
+    return np.min_scalar_type(widest - 1), exo, endo
+
+
 def sample_dataset(m: DiscreteCbn, n: int, seed: int) -> np.ndarray:
     """``n`` ancestral forward samples; rows are joint assignments in
     ``m.graph.nodes`` column order.
@@ -372,50 +401,44 @@ def sample_dataset(m: DiscreteCbn, n: int, seed: int) -> np.ndarray:
     cumulative CPT row exceeds the draw (0 if none does).  Every seed gives
     the same dataset, bit for bit, as drawing the rows one at a time.
 
-    All columns share one block of the narrowest unsigned dtype that holds
-    every value (uint8 up to 256 levels), each CPT row index uses the
-    narrowest one that holds the row count, and one buffer takes every
-    draw, filled as ``rng.random(n)`` would be.  The result is that block's
-    (n, k) view (one contiguous column per variable), which
-    ``empirical_table`` counts without a copy.
+    The first draw keeps on the model a plan of what depends on it alone
+    (each CPT's cumulative levels and each exogenous CDF), so a table
+    edited after that draw is not seen.  All columns share one block of the
+    narrowest unsigned dtype that holds every value (uint8 up to 256
+    levels), each CPT row index is built in the narrowest one that holds
+    the row count, and one buffer takes every draw, filled as
+    ``rng.random(n)`` would be.  The result is that block's (n, k) view (one
+    contiguous column per variable), which ``empirical_table`` counts as is.
     """
+    if m._draw is None:
+        m._draw = _draw_plan(m)
+    dtype, exo, endo = m._draw
     rng = np.random.default_rng(seed)
-    names = m.exo_names + m.graph.nodes
-    # a value counts the levels at or below its draw, so it stays below its card
-    widest = max([*m.exo_cards.values(), *m.cards.values()], default=1)
-    columns = np.zeros((len(names), n), dtype=np.min_scalar_type(widest - 1))
-    values = dict(zip(names, columns))
-    u = np.empty(n)
-    # A column's first comparison is written into it and the rest added.  A
-    # one-level column compares with its last level: 1 for exogenous ones,
-    # above every draw, and undone by the fallback for endogenous ones.
-    for name in m.exo_names:
-        cdf = m.exo_dists[name].cumsum()
-        cdf /= cdf[-1]
+    columns = np.empty((len(exo) + len(endo), n), dtype=dtype)
+    u, index = np.empty(n), np.empty(n, dtype=np.intp)
+    # A column's first comparison is written into it, so the block needs no
+    # zeros, and the rest added.  A one-level column compares with its last
+    # level: 1 for exogenous ones, above every draw, and undone by the
+    # fallback for endogenous ones.
+    for j, cdf in exo:
         rng.random(out=u)
-        value = np.less_equal(cdf[0], u, out=values[name], casting="unsafe")
+        value = np.less_equal(cdf[0], u, out=columns[j], casting="unsafe")
         for level in cdf[1:-1]:
             value += level <= u
-    for v in m.graph.topological_order():
-        mech = m.mechanisms[v]
-        # levels[j] holds every CPT row's cumulative sum up to value j; the
-        # rows are nondecreasing, so the first level above u is the count
-        # of levels at or below it.
-        levels = mech.cpt.cumsum(axis=-1).reshape(-1, m.cards[v]).T.copy()
-        # holds the row count itself, so each axis length fits as a scalar too
-        row = np.zeros(n, dtype=np.min_scalar_type(levels.shape[1]))
-        for p, dim in zip(mech.endo_parents + mech.exo_parents, mech.cpt.shape):
+    for j, levels, parents, row_dtype, lowest in endo:
+        row = np.zeros(n, dtype=row_dtype)
+        for p, dim in parents:
             row *= dim
-            row += values[p]
-        row = row.astype(np.intp)
+            row += columns[p]
+        np.copyto(index, row)
         rng.random(out=u)
-        value = np.less_equal(levels[0].take(row), u, out=values[v], casting="unsafe")
+        value = np.less_equal(levels[0].take(index), u, out=columns[j], casting="unsafe")
         for level in levels[1:-1]:
-            value += level.take(row) <= u
+            value += level.take(index) <= u
         # every draw is below 1, so only a last level below 1 can fall back
-        if n and 1.0 > levels[-1].min() <= u.max():
-            value[levels[-1].take(row) <= u] = 0
-    return columns[len(m.exo_names):].T
+        if n and 1.0 > lowest <= u.max():
+            value[levels[-1].take(index) <= u] = 0
+    return columns[len(exo):].T
 
 
 def empirical_table(m_nodes: Sequence[str], cards: Sequence[int],

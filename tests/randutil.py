@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from cdag import Admg, ClusterDag
+from cdag import Admg, ClusterDag, CrossPolicy, ExpansionSpec, InternalPolicy, expand
 
 
 def random_admg(rng, n_nodes, p_dir=0.4, p_bi=0.25, prefix="V"):
@@ -71,6 +71,19 @@ def sweep_query(rng, kind, n):
                   for pair in zip(shuffled[s:s + block], shuffled[s + 1:s + block])]
     x = order[int(rng.integers(n - 1))]
     return ClusterDag(Admg(order, sorted(directed), bidirected)), x, y
+
+
+def random_expansion(rng, c):
+    """``expand`` of ``c`` with 1 to 3 members per cluster and internal and
+    cross policies drawn from every kind, densities uniform."""
+    internal = [InternalPolicy("random", float(rng.uniform()), float(rng.uniform())),
+                InternalPolicy("chain"), InternalPolicy("full"), InternalPolicy("empty")]
+    cross = [CrossPolicy("minimal_witness"), CrossPolicy("random", float(rng.uniform())),
+             CrossPolicy("full")]
+    spec = ExpansionSpec(sizes={name: int(rng.integers(1, 4)) for name in c.graph.nodes},
+                         internal=internal[int(rng.integers(4))],
+                         cross=cross[int(rng.integers(3))], seed=int(rng.integers(10 ** 6)))
+    return expand(c, spec)
 
 
 def random_disjoint_sets(rng, names, k, min_sizes=None):

@@ -65,7 +65,7 @@ def test_parse_reports_line_numbers():
 # comments, unspaced arrows and braces, commas and Unicode whitespace.
 TOKENIZED = [
     ('edge A -> B', ['edge', 'A', '->', 'B']),
-    ('edge A->B', "line 7: unexpected character '>'"),    # 'A-' is a name
+    ('edge A->B', ['edge', 'A', '->', 'B']),    # a name ends before '->'
     ('edge A<->B', ['edge', 'A', '<->', 'B']),
     ('edge "A"->"B"', ['edge', '"A', '->', '"B']),
     ('edge A <- B', "line 7: unexpected character '<'"),
@@ -90,6 +90,7 @@ TOKENIZED = [
     ('node A-B.c_9', ['node', 'A-B.c_9']),
     ('   # only a comment', []),
     ('', []),
+    ('edge A-->B', ['edge', 'A-', '->', 'B']),
 ]
 
 
@@ -498,7 +499,7 @@ def test_simulate_state_cap_error_names_the_phase(capsys, monkeypatch):
                              "--n", "100", "--seed", "5")
     assert (code, out) == (3, "")
     assert err == ("error: joint_distribution: joint state space of 16 entries "
-                   "exceeds the cap (8); raise CDAG_STATE_CAP\n")
+                   "exceeds the cap (8); raise CDAG_STATE_CAP (diagram 0, x=X, y=Y)\n")
 
 
 def test_simulate_checks_the_cap_before_building_the_model(capsys, monkeypatch):
@@ -510,7 +511,7 @@ def test_simulate_checks_the_cap_before_building_the_model(capsys, monkeypatch):
                              "--diagrams", "1", "--datasets", "1", "--n", "10")
     assert (code, out) == (3, "")
     assert err == ("error: joint_distribution: joint state space of 4294967296 entries "
-                   "exceeds the cap (4194304); raise CDAG_STATE_CAP\n")
+                   "exceeds the cap (4194304); raise CDAG_STATE_CAP (diagram 0, x=X, y=Y)\n")
 
 
 def test_simulate_checks_each_cpt_against_the_cap(capsys, monkeypatch):
@@ -523,7 +524,8 @@ def test_simulate_checks_each_cpt_against_the_cap(capsys, monkeypatch):
                              "--diagrams", "1", "--datasets", "1", "--n", "10")
     assert (code, out) == (3, "")
     assert err.startswith("error: random_cbn: ") and err.count("\n") == 1
-    assert err.endswith("exceeds the cap (4194304); raise CDAG_STATE_CAP\n")
+    assert err.endswith("exceeds the cap (4194304); raise CDAG_STATE_CAP "
+                        "(diagram 0, x=X, y=Y)\n")
 
 
 @pytest.mark.parametrize("command", ["expand", "simulate"])

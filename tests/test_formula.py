@@ -4,10 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 import itertools
 import math
+import os
 
-from cdag import (CondProb, Fraction, Identified, JointTable, ONE, Product, Sum,
-                  ZeroConditioningMass, evaluate, identify, parse_formula_json, render,
-                  simplify)
+from cdag import (ClusterDag, CondProb, CrossPolicy, ExpansionSpec, Fraction, Identified,
+                  InternalPolicy, JointTable, ONE, Product, Sum, ZeroConditioningMass, evaluate,
+                  identify, joint_distribution, parse_formula_json, random_cbn, render,
+                  sample_batch, sample_dataset, simplify)
+from cdag.cli import parse_graph
+from cdag.oracle import empirical_table
 from cdag.formula import (FormulaError, UnknownVariableError, _Plan, _alpha_normalize,
                           _broadcast, _free_vars, _simplify, _sum_rules, product_of, sum_over,
                           tabulate)
@@ -763,6 +767,37 @@ def test_one_plan_gives_each_table_its_own_values():
                 plan.run(t)
         else:
             assert_same_outcome(plan.run(t), raw)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_criterion_10_plans_match_the_walk_on_sparse_empirical_tables(seed):
+    # The plans simulate runs: the backdoor formula over a Z cluster of 10
+    # and the variable-level formula of its expansion, each on the exact
+    # table and on empirical tables of 20 rows, where most of the 4,096
+    # cells are empty and so most conditioning events have no mass.
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "graphs", "backdoor.cdag")
+    with open(path, encoding="utf-8") as fh:
+        c = parse_graph(fh.read()).cdag
+    spec = ExpansionSpec(sizes={"Z": 10}, internal=InternalPolicy("random", 0.5, 0.3),
+                         cross=CrossPolicy("random", 0.15), seed=seed)
+    (graph, partition), = sample_batch(c, spec, 1)
+    clusters = partition.to_cluster_map()
+    var_x, var_y = partition.variables_of(["X"]), partition.variables_of(["Y"])
+    model = random_cbn(graph, {v: 2 for v in graph.nodes}, seed=seed)
+    exact = joint_distribution(model)
+    tables = [exact] + [empirical_table(graph.nodes, exact.cards,
+                                        sample_dataset(model, 20, seed=seed + k))
+                        for k in range(4)]
+    assert all((t.probs == 0).mean() > 0.99 for t in tables[1:])
+    for e, groups in ((identify(c, ["X"], ["Y"]).expr, clusters),
+                      (identify(ClusterDag(graph), var_x, var_y).expr, None)):
+        plan = _Plan(e, exact.variables, exact.cards, groups)
+        for t in tables:
+            for mode in ("raise", "zero"):
+                want = oracles.tabulate_walk(e, t, groups, mode)
+                assert_same_outcome(plan.run(t, mode, nan_ok=True), want)
+        assert np.isnan(plan.run(tables[1], nan_ok=True)[1]).any()
 
 
 def test_plan_rejects_a_table_of_other_variables_or_cards():

@@ -18,11 +18,11 @@ import itertools
 
 import pytest
 
-from cdag import Admg, ClusterDag, identify
+from cdag import Admg, ClusterDag, Partition, hedge_expansion_witness, identify
 
 from oracles import (_cut_ancestors, check_hedge, has_hedge, identified_by_fixed_point,
                      rooted_forests)
-from randutil import rng_for, sparse_admg, sweep_query
+from randutil import random_expansion, rng_for, sparse_admg, sweep_query
 
 NODES = ("A", "B", "C", "D")
 PAIRS = list(itertools.combinations(NODES, 2))
@@ -128,3 +128,33 @@ def test_identify_agrees_with_the_fixed_point_at_10_to_160_nodes():
             (g, x, y)
         failed += not verdict
     assert failed == 76, failed     # not identifiable: 64 sweep, 12 sparse
+
+
+def test_cluster_verdicts_hold_on_expansions_at_40_to_160_clusters():
+    # The paper's identification theorem on sweep graphs: a query identified
+    # on the cluster graph is identified on a random expansion (1 to 3
+    # members per cluster, random internal and cross policies), and a hedge
+    # stays one on its witness expansion.
+    rng = rng_for(191)
+    verdicts = []
+    for kind, sizes in (("sparse", (40, 80, 160)), ("dense", (40, 60))):
+        for n in sizes:
+            for _ in range(8):
+                c, x, y = sweep_query(rng, kind, n)
+                others = [v for v in c.graph.nodes if v not in (x, y)]
+                x = [x, *map(str, rng.choice(others, size=int(rng.integers(0, 3)),
+                                             replace=False))]
+                result = identify(c, x, [y])
+                if result.identifiable:
+                    graph, partition = random_expansion(rng, c)
+                else:
+                    sizes = {name: int(rng.integers(1, 4)) for name in c.graph.nodes}
+                    graph = hedge_expansion_witness(c, result.hedge, sizes)
+                    partition = Partition([(name, [v for v in graph.nodes if v == name or
+                                                   v.startswith(f"{name}_")])
+                                           for name in c.graph.nodes])
+                expanded = identify(ClusterDag(graph), sorted(partition.variables_of(x)),
+                                    sorted(partition.variables_of([y])))
+                assert expanded.identifiable == result.identifiable, (c.graph, x, y)
+                verdicts.append(result.identifiable)
+    assert (len(verdicts), verdicts.count(False)) == (40, 8)

@@ -211,3 +211,50 @@ def test_narrow_columns_hold_the_dataset(cards, dtype, deterministic):
         columns = sample_dataset(m, n, seed=n)
         assert columns.dtype == dtype and columns.shape == (n, 3)
         assert np.array_equal(columns, reference_sample_dataset(m, n, seed=n))
+
+
+def _assert_draws_do_not_depend_on_earlier_ones(build, seed):
+    # one model drawn from in a shuffled order of (n, seed) pairs: each
+    # dataset equals a fresh model's first draw and the row-wise reference,
+    # and still does once every later draw is made
+    m = build()
+    pairs = [(n, s) for n in (0, 1, 7, 500) for s in range(3)]
+    drawn = []
+    for k in np.random.default_rng(seed).permutation(len(pairs)):
+        n, s = pairs[k]
+        drawn.append((n, s, sample_dataset(m, n, seed=s)))
+        assert np.array_equal(drawn[-1][2], sample_dataset(build(), n, seed=s))
+    for n, s, data in drawn:
+        assert np.array_equal(data, reference_sample_dataset(m, n, seed=s))
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_a_model_keeps_one_plan_for_every_draw(deterministic):
+    seen_cards = set()
+    for case in range(4):
+        graph, cards = _random_expansion(500 + 10 * deterministic + case)
+        seen_cards |= set(cards.values())
+        _assert_draws_do_not_depend_on_earlier_ones(
+            lambda: random_cbn(graph, cards, case, 3, deterministic), case)
+    assert seen_cards == {2, 3, 4}
+
+
+def test_a_last_level_below_one_falls_back_on_every_draw():
+    # V's cumulative CPT, edited after the model's checks, stops at 0.75:
+    # about a quarter of its draws fall back to 0, whatever the draws before
+    g = Admg(["V", "W"], directed={("V", "W")})
+
+    def build():
+        m = DiscreteCbn(g, {"V": 3, "W": 4}, {}, {},
+                        {"V": Mechanism((), (), np.array([0.25, 0.25, 0.5])),
+                         "W": Mechanism(("V",), (), np.full((3, 4), 0.25))},
+                        deterministic=False)
+        m.mechanisms["V"].cpt = np.array([0.25, 0.25, 0.25])
+        return m
+    _assert_draws_do_not_depend_on_earlier_ones(build, 3)
+    # a first draw whose one row (u = 0.64 for V) falls back nowhere
+    m = build()
+    assert sample_dataset(m, 1, seed=0)[0, 0] == 2
+    data = sample_dataset(m, 4000, seed=5)
+    assert np.array_equal(data, reference_sample_dataset(m, 4000, seed=5))
+    assert np.bincount(data[:, 0])[0] > 1700

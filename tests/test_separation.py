@@ -15,12 +15,10 @@ import functools
 import itertools
 import math
 
-from cdag import (CrossPolicy, DoQuery, ExpansionSpec, InternalPolicy, cdag_d_separated, expand,
-                  rule1, rule2, rule3)
-from cdag import ClusterDag
+from cdag import ClusterDag, DoQuery, cdag_d_separated, rule1, rule2, rule3
 
 from oracles import _cut_ancestors, m_separated_augmented, m_separated_brute_force
-from randutil import rng_for, sparse_admg
+from randutil import random_expansion, rng_for, sparse_admg
 from test_hedges import NODES, four_node_admg
 
 
@@ -80,17 +78,6 @@ def test_m_separated_agrees_with_augmentation_on_4_to_160_nodes():
 
 
 # -- the separation theorem and do-calculus at 40 to 160 clusters ---------------
-
-def random_expansion(rng, c):
-    internal = [InternalPolicy("random", float(rng.uniform()), float(rng.uniform())),
-                InternalPolicy("chain"), InternalPolicy("full"), InternalPolicy("empty")]
-    cross = [CrossPolicy("minimal_witness"), CrossPolicy("random", float(rng.uniform())),
-             CrossPolicy("full")]
-    spec = ExpansionSpec(sizes={name: int(rng.integers(1, 4)) for name in c.graph.nodes},
-                         internal=internal[int(rng.integers(4))],
-                         cross=cross[int(rng.integers(3))], seed=int(rng.integers(10 ** 6)))
-    return expand(c, spec)
-
 
 @functools.cache
 def cluster_graphs():
