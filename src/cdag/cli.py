@@ -228,16 +228,16 @@ def _parse_sizes(text: Optional[str], parsed: ParsedGraph) -> Dict[str, int]:
     return sizes
 
 
-def _internal_policy(args) -> InternalPolicy:
-    if args.policy == "random":
-        return InternalPolicy("random", args.edge_density, args.bidirected_density)
-    return InternalPolicy(args.policy)
-
-
-def _cross_policy(args) -> CrossPolicy:
-    if args.cross == "random":
-        return CrossPolicy("random", args.cross_density)
-    return CrossPolicy(args.cross)
+def _expansion_spec(args, parsed: ParsedGraph) -> ExpansionSpec:
+    # the sizes, policies and seed of sampler.expand, shared by expand and simulate
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    internal = (InternalPolicy("random", args.edge_density, args.bidirected_density)
+                if args.policy == "random" else InternalPolicy(args.policy))
+    cross = (CrossPolicy("random", args.cross_density) if args.cross == "random"
+             else CrossPolicy(args.cross))
+    return ExpansionSpec(sizes=_parse_sizes(args.sizes, parsed), internal=internal,
+                         cross=cross, seed=args.seed)
 
 
 def _cmd_check(args) -> int:
@@ -296,10 +296,7 @@ def _cmd_identify(args) -> int:
 
 def _cmd_expand(args) -> int:
     parsed = _load(args.file)
-    sizes = _parse_sizes(args.sizes, parsed)
-    spec = ExpansionSpec(sizes=sizes, internal=_internal_policy(args),
-                         cross=_cross_policy(args), seed=args.seed)
-    graph, partition = expand(parsed.cdag, spec)
+    graph, partition = expand(parsed.cdag, _expansion_spec(args, parsed))
     print(render_graph_file(ParsedGraph(kind="admg", cdag=build_cdag(graph, partition),
                                         admg=graph, partition=partition,
                                         member_hints=partition.to_cluster_map())), end="")
@@ -357,9 +354,7 @@ def _cmd_simulate(args) -> int:
         raise ValueError(f"--datasets must be at least 0, got {args.datasets}")
     parsed = _load(args.file)
     cdag = parsed.cdag
-    sizes = _parse_sizes(args.sizes, parsed)
-    spec = ExpansionSpec(sizes=sizes, internal=_internal_policy(args),
-                         cross=_cross_policy(args), seed=args.seed)
+    spec = _expansion_spec(args, parsed)
 
     cluster_result = identify(cdag, args.x, args.y)
     cdag_expr = cluster_result.expr if isinstance(cluster_result, Identified) else None

@@ -15,10 +15,10 @@ c-component refinement.  The enclosing factors are products of chain
 terms P(v | every earlier node), built once per query in one table that
 all of them share.  Failure of that recursion yields a pair of
 root-set-rooted c-forests, one containing intervened clusters and one
-avoiding them, read from the full graph and recorded against the full X;
-expanding every cluster into a chain with parallel confounding and
-fully wiring cross-cluster pairs turns the witness into a concrete
-variable-level graph where the same query fails.
+avoiding them, read from the full graph and recorded against the full X.
+The default expansion turns the witness into a concrete variable-level
+graph where the same query fails: the first members of the clusters
+carry a copy of the cluster graph, hedge included.
 """
 
 import bisect
@@ -253,19 +253,16 @@ def hedge_expansion_witness(c: ClusterDag, h: Hedge,
                             sizes: Dict[str, int]) -> Admg:
     """A compatible variable-level graph on which the query still fails.
 
-    Every cluster becomes a chain with parallel bidirected edges between
-    consecutive members, and every cross-cluster variable pair is wired
-    according to the cluster edge types.  The construction preserves the
-    hedge, so identification of the induced variable-level query fails on
-    the result for any choice of cluster sizes.
+    This is the default expansion: every cross-cluster edge joins the
+    first members of its clusters, and every other member is isolated.
+    The first members then carry a copy of the cluster graph and so of
+    the hedge, so identification of the induced variable-level query
+    fails on the result for any choice of cluster sizes.
     """
     if not set(h.forest_f.nodes) <= set(c.graph.nodes):
         raise ValueError("hedge does not belong to this cluster DAG")
     for name in c.graph.nodes:
         if sizes.get(name, 0) < 1:
             raise ValueError(f"size for cluster {name!r} must be a positive integer")
-    from .sampler import ExpansionSpec, InternalPolicy, CrossPolicy, expand
-    spec = ExpansionSpec(sizes=dict(sizes), internal=InternalPolicy("chain"),
-                         cross=CrossPolicy("full"), seed=0)
-    graph, _ = expand(c, spec)
-    return graph
+    from .sampler import ExpansionSpec, expand
+    return expand(c, ExpansionSpec(sizes=dict(sizes)))[0]

@@ -52,8 +52,9 @@ They are deliberately naive and independent of the code they check:
   which the library does not check.
 * :func:`check_hedge` checks a returned hedge against Shpitser and
   Pearl's (2006) definition, and :func:`has_hedge` searches every pair
-  of node sets for one; both scan edge lists over explicit node sets and
-  share no code with ``cdag.identify`` or ``Admg``'s reachability.
+  of node sets for one, which :func:`find_hedge` returns as a hedge; they
+  scan edge lists over explicit node sets and share no code with
+  ``cdag.identify`` or ``Admg``'s reachability.
   :func:`identified_by_fixed_point` certifies the identified side at any
   size by ID's own fixed point, over adjacency lists it builds from the
   edge collections alone; it is independent of the library in code only.
@@ -75,6 +76,7 @@ from cdag.formula import (ONE, CondProb, Fraction, FormulaError, JointTable, Pro
                           _LATEX, _TEXT, _base_name, _Factor, _One, product_of, render,
                           tabulate)
 from cdag.graphs import Admg, GraphError
+from cdag.identify import Hedge
 from cdag.cluster import Partition, build_cdag
 from cdag.oracle import DiscreteCbn, StateSpaceCapError, _cap
 
@@ -1088,17 +1090,52 @@ def rooted_forests(g: Admg) -> Dict[frozenset, list]:
     return forests
 
 
+def _hedge_sets(g: Admg, x, y, forests):
+    # every (R, F', F) that makes a hedge, as node sets
+    x, y = frozenset(x), frozenset(y)
+    forests = rooted_forests(g) if forests is None else forests
+    ancestors = _cut_ancestors(g.directed, x, y)
+    return ((r, fprime, f) for r, sets in forests.items() if r <= ancestors
+            for fprime in sets for f in sets if fprime < f and f & x and not fprime & x)
+
+
 def has_hedge(g: Admg, x, y, forests: Optional[Dict[frozenset, list]] = None) -> bool:
     """Whether P(y|do(x)) has a hedge in ``g``, by a search over node sets:
     R-rooted c-forests F' ⊂ F (see :func:`rooted_forests`) with F ∩ X ≠ ∅,
     F' ∩ X = ∅ and R ⊆ An(Y) once the edges into X are cut.  Pass the
     graph's ``forests`` to share them across queries."""
-    x, y = frozenset(x), frozenset(y)
-    forests = rooted_forests(g) if forests is None else forests
-    ancestors = _cut_ancestors(g.directed, x, y)
-    return any(fprime < f and f & x and not fprime & x
-               for r, sets in forests.items() if r <= ancestors
-               for fprime in sets for f in sets)
+    return next(_hedge_sets(g, x, y, forests), None) is not None
+
+
+def find_hedge(g: Admg, x, y, forests: Optional[Dict[frozenset, list]] = None):
+    """The first hedge :func:`has_hedge`'s search meets, as a
+    :class:`cdag.Hedge`, or None.  Each forest keeps every bidirected edge
+    within its nodes, and each node outside R one child on a shortest
+    directed path into R, into F' first for the nodes of F outside F'."""
+    found = next(_hedge_sets(g, x, y, forests), None)
+    if found is None:
+        return None
+    r, fprime, f = found
+
+    def children(reached, nodes):
+        # breadth-first from ``reached`` against the directed edges within ``nodes``
+        chosen, reached = {}, set(reached)
+        while reached != nodes:
+            layer = {}
+            for t, h in sorted(g.directed):
+                if h in reached and t in nodes and t not in reached:
+                    layer.setdefault(t, h)
+            chosen.update(layer)
+            reached |= layer.keys()
+        return chosen
+
+    def forest(nodes, directed):
+        return Admg(sorted(nodes), directed.items(),
+                    [(a, b) for a, b in g.bidirected if a in nodes and b in nodes])
+
+    inner = children(r, fprime)
+    return Hedge(root_set=r, forest_f=forest(f, {**inner, **children(fprime, f)}),
+                 forest_fprime=forest(fprime, inner), intersected_x=f & frozenset(x))
 
 
 def identified_by_fixed_point(nodes, directed, bidirected, x, y) -> bool:

@@ -290,6 +290,14 @@ def test_bad_sizes_is_input_error(capsys, command, sizes, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["expand", "simulate"])
+def test_negative_seed_is_input_error(capsys, command):
+    query = ["-x", "X", "-y", "Y"] if command == "simulate" else []
+    code, out, err = run_cli(capsys, command, path("backdoor.cdag"), *query, "--seed", "-1")
+    assert (code, out) == (3, "")
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
 def test_expand_deterministic(capsys):
     a = run_cli(capsys, "expand", path("confounded.cdag"), "--sizes", "Z=4",
                 "--seed", "9")

@@ -1,15 +1,18 @@
 """Hedges checked both ways: every hedge ``identify`` returns against the
 definition (``tests/conftest.py`` runs :func:`oracles.check_hedge` on each
 one made under test), and every verdict against a search over node sets
-and, at 10 to 160 nodes, against ID's fixed point.
+and, at 10 to 160 nodes, against ID's fixed point.  The paper's
+identification theorem is checked on expansions of the same graphs, and
+at 40 to 160 clusters.
 
 Every ADMG on four nodes is isomorphic to one whose directed edges follow
 one fixed order, so the 2^6 directed by 2^6 bidirected edge sets below
 cover them all, and each takes every query of disjoint nonempty x and y
 (50 of them).  The default run takes one graph of each 16 consecutive
-indices; ``tests/sweep_hedges.py`` takes all 4,096.  The definition leaves
-``identify`` a choice of forest, so a digest of every hedge description
-pins the one it makes (``cdag identify`` prints it).
+indices; ``tests/sweep_hedges.py`` and ``tests/sweep_theorem.py`` take
+all 4,096.  The definition leaves ``identify`` a choice of forest, so a
+digest of every hedge description pins the one it makes (``cdag
+identify`` prints it).
 """
 
 import dataclasses
@@ -20,8 +23,8 @@ import pytest
 
 from cdag import Admg, ClusterDag, Partition, hedge_expansion_witness, identify
 
-from oracles import (_cut_ancestors, check_hedge, has_hedge, identified_by_fixed_point,
-                     rooted_forests)
+from oracles import (_cut_ancestors, check_hedge, find_hedge, has_hedge,
+                     identified_by_fixed_point, rooted_forests)
 from randutil import random_expansion, rng_for, sparse_admg, sweep_query
 
 NODES = ("A", "B", "C", "D")
@@ -69,6 +72,41 @@ def test_identify_agrees_with_hedge_search_on_a_slice_of_four_node_admgs():
     assert_identify_agrees_with_hedge_search(
         [16 * i + i % 16 for i in range(256)], 3956,
         "bec2de64f601fb41b18cdc863253975da5f2c18ad3aa4f121f96085007cefff9")
+
+
+def assert_cluster_verdicts_hold_on_expansions(indices, identified, hedges):
+    """The paper's identification theorem, judged without ``identify``: the
+    search over node sets gives each query's verdict on the cluster graph,
+    an identified query gets a random expansion and a hedge its witness
+    (sizes 1 to 3), and ID's fixed point must give the expansion the same
+    verdict.  Pins the counts of ``identified`` and ``hedges`` queries."""
+    rng = rng_for(211)
+    queries = list(disjoint_queries(NODES))
+    counts = [0, 0]
+    for index in indices:
+        g = four_node_admg(index)
+        c, forests = ClusterDag(g), rooted_forests(g)
+        for x, y in queries:
+            hedge = find_hedge(g, x, y, forests)
+            if hedge is None:
+                graph, _ = random_expansion(rng, c)
+            else:
+                check_hedge(c, hedge, x, y)
+                sizes = {name: int(rng.integers(1, 4)) for name in NODES}
+                graph = hedge_expansion_witness(c, hedge, sizes)
+            # members are named <cluster> or <cluster>_<k>
+            xs, ys = ([v for v in graph.nodes if v.split("_")[0] in s] for s in (x, y))
+            verdict = identified_by_fixed_point(graph.nodes, graph.directed,
+                                                graph.bidirected, xs, ys)
+            assert verdict == (hedge is None), (index, x, y, graph)
+            counts[verdict] += 1
+    assert counts == [hedges, identified]
+
+
+def test_cluster_verdicts_hold_on_expansions_of_a_slice_of_four_node_admgs():
+    # the slice of the hedge search test above, with the same hedges
+    assert_cluster_verdicts_hold_on_expansions([16 * i + i % 16 for i in range(256)],
+                                               8844, 3956)
 
 
 def test_check_hedge_rejects_each_broken_condition(confounded_cdag):

@@ -181,11 +181,11 @@ def test_hedge_expansion_witness_sizes_one(confounded_cdag):
 
 
 def test_hedge_expansion_witness_chain(confounded_cdag):
+    # the default expansion: Z_1 carries every edge of Z, Z_2 and Z_3 none
     h = identify(confounded_cdag, ["X"], ["Y"]).hedge
     g = hedge_expansion_witness(confounded_cdag, h, {"X": 1, "Y": 1, "Z": 3})
-    assert len(g.nodes) == 5
-    assert ("Z_1", "Z_2") in g.directed and ("Z_2", "Z_3") in g.directed
-    assert ("Z_1", "Z_2") in g.bidirected
+    assert g == Admg(["X", "Y", "Z_1", "Z_2", "Z_3"], [("Z_1", "Y"), ("X", "Y")],
+                     [("X", "Z_1"), ("Y", "Z_1")])
     result = identify(singleton_cdag(g), ["X"], ["Y"])
     assert isinstance(result, NonIdentified)
 
@@ -194,6 +194,13 @@ def test_hedge_expansion_witness_validates_sizes(confounded_cdag):
     h = identify(confounded_cdag, ["X"], ["Y"]).hedge
     with pytest.raises(ValueError):
         hedge_expansion_witness(confounded_cdag, h, {"X": 1, "Y": 0, "Z": 1})
+
+
+def test_hedge_expansion_witness_rejects_a_foreign_hedge(confounded_cdag, bow_cdag):
+    # the confounded hedge's forest names Z, which the bow graph lacks
+    h = identify(confounded_cdag, ["X"], ["Y"]).hedge
+    with pytest.raises(ValueError, match="^hedge does not belong to this cluster DAG$"):
+        hedge_expansion_witness(bow_cdag, h, {"X": 1, "Y": 1, "Z": 1})
 
 
 # -- the pieces ---------------------------------------------------------------
