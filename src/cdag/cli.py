@@ -34,7 +34,7 @@ from .cluster import (ClusterDag, InadmissibleError, Partition, PartitionError,
 from .docalc import DoQuery, rule1, rule2, rule3
 from .formula import FormulaError, JointTable, _Plan, evaluate, parse_formula_json, render
 from .identify import Identified, identify
-from .oracle import (StateSpaceCapError, _check_state_space, empirical_table,
+from .oracle import (StateSpaceCapError, _check_state_space, draw_ahead, empirical_table,
                      joint_distribution, random_cbn, sample_dataset)
 from .sampler import (CrossPolicy, ExpansionSpec, InternalPolicy, _derive_seed, expand,
                       sample_batch)
@@ -375,17 +375,19 @@ def _cmd_simulate(args) -> int:
             # random_cbn's tables grow with the diagram as well: check first
             _check_state_space(cards.values(), "joint_distribution")
             model = random_cbn(graph, cards, seed=_derive_seed(args.seed, index, 1))
-            clusters = partition.to_cluster_map()
-            exact = joint_distribution(model)
-            # one plan per expression, run on the exact table and every dataset's
-            plan_c = _Plan(cdag_expr, exact.variables, exact.cards, clusters)
-            plan_g = _Plan(result.expr, exact.variables, exact.cards)
-            effect_c = _effect(plan_c, exact, var_x, var_y)
-            effect_g = _effect(plan_g, exact, var_x, var_y)
-            exact_diffs.append(abs(effect_c - effect_g))
-            for n_index, n in enumerate(ns):
-                for rep in range(args.datasets):
-                    seed = _derive_seed(args.seed, index, 2, n_index, rep)
+            jobs = [(n, _derive_seed(args.seed, index, 2, n_index, rep))
+                    for n_index, n in enumerate(ns) for rep in range(args.datasets)]
+            # the datasets' uniforms are filled ahead while the exact work runs
+            with draw_ahead(model, jobs):
+                clusters = partition.to_cluster_map()
+                exact = joint_distribution(model)
+                # one plan per expression, run on the exact table and every dataset's
+                plan_c = _Plan(cdag_expr, exact.variables, exact.cards, clusters)
+                plan_g = _Plan(result.expr, exact.variables, exact.cards)
+                effect_c = _effect(plan_c, exact, var_x, var_y)
+                effect_g = _effect(plan_g, exact, var_x, var_y)
+                exact_diffs.append(abs(effect_c - effect_g))
+                for n, seed in jobs:
                     data = sample_dataset(model, n, seed=seed)
                     emp = empirical_table(graph.nodes, exact.cards, data)
                     eff_c = _effect(plan_c, emp, var_x, var_y, lenient=True)

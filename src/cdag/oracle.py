@@ -17,13 +17,16 @@ the noise cardinality equal to the variable's own.
 
 Forward samples are drawn column by column into one narrow block, which
 ``sample_dataset`` returns as an (n, k) view that ``empirical_table``
-counts as is.
+counts as is.  Within a ``draw_ahead`` scope a worker thread fills the
+uniforms of the next draws while the caller works, with the same bytes.
 """
 
 import collections
+import contextlib
 import itertools
 import math
 import os
+import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -229,6 +232,7 @@ class DiscreteCbn:
         # interventional_distribution's tables, by intervened set
         self._posts: Dict[frozenset, Tuple[Tuple[str, ...], np.ndarray]] = {}
         self._draw = None    # sample_dataset's plan, built by the first draw
+        self._ahead = None   # the take of a draw_ahead scope open on the model
 
 
 def _exo_name(label: str, taken: set) -> str:
@@ -390,6 +394,61 @@ def _draw_plan(m: DiscreteCbn):
     return np.min_scalar_type(widest - 1), exo, endo
 
 
+@contextlib.contextmanager
+def draw_ahead(m: DiscreteCbn, jobs: Iterable[Tuple[int, int]]):
+    """A scope in which one worker thread fills the uniforms of the draws
+    ``sample_dataset(m, n, seed)`` of ``jobs`` up to 2**20 rows, in order,
+    at most 3 blocks of whole columns (2**20 doubles or fewer) ahead.  A draw
+    reads them if it is the next job and fills its own otherwise, with the
+    same bytes.  No thread starts without jobs; the worker is joined on exit."""
+    k, cap, done, stop = len(m.cards) + len(m.exo_cards), 2 ** 20, collections.deque(), []
+    jobs = [(n, seed, range(0, k, cap // n)) for n, seed in jobs if 0 < n <= cap]
+    pending, room, ready = collections.deque(jobs), threading.Semaphore(3), threading.Semaphore(0)
+
+    def work():
+        try:
+            for job in jobs:
+                n, seed, starts = job
+                rng = np.random.default_rng(seed)
+                for start in starts:
+                    room.acquire()
+                    if stop:
+                        return
+                    done.append((job, rng.random((min(starts.step, k - start), n))))
+                    ready.release()
+        except Exception as err:    # raised by the draw that waits for the block
+            done.append((None, err))
+            ready.release()
+
+    def blocks(job):
+        for _ in job[2]:
+            owner = None
+            while owner is not job:    # passing over the rest of a draw given up on
+                ready.acquire()
+                room.release()
+                owner, block = done.popleft()
+                if owner is None:
+                    raise block
+            yield block
+
+    def take(n, seed):    # the blocks of (n, seed) if it is the next job
+        if pending and pending[0][:2] == (n, seed):
+            return blocks(pending.popleft())
+
+    worker = threading.Thread(target=work)
+    if jobs:
+        worker.start()
+    outer, m._ahead = m._ahead, take
+    try:
+        yield
+    finally:
+        m._ahead = outer
+        stop.append(True)
+        room.release()    # a worker waiting for room sees the stop
+        if jobs:
+            worker.join()
+
+
 def sample_dataset(m: DiscreteCbn, n: int, seed: int) -> np.ndarray:
     """``n`` ancestral forward samples; rows are joint assignments in
     ``m.graph.nodes`` column order.
@@ -405,23 +464,27 @@ def sample_dataset(m: DiscreteCbn, n: int, seed: int) -> np.ndarray:
     (each CPT's cumulative levels and each exogenous CDF), so a table
     edited after that draw is not seen.  All columns share one block of the
     narrowest unsigned dtype that holds every value (uint8 up to 256
-    levels), each CPT row index is built in the narrowest one that holds
-    the row count, and one buffer takes every draw, filled as
-    ``rng.random(n)`` would be.  The result is that block's (n, k) view (one
-    contiguous column per variable), which ``empirical_table`` counts as is.
+    levels), and each CPT row index is built in the narrowest one that holds
+    the row count.  The uniforms come from a :func:`draw_ahead` scope when
+    this draw is its next job, in blocks of whole columns filled as
+    consecutive ``rng.random(n)`` calls would be, and are drawn here
+    otherwise.  The result is the block's (n, k) view (one contiguous column
+    per variable), which ``empirical_table`` counts as is.
     """
     if m._draw is None:
         m._draw = _draw_plan(m)
     dtype, exo, endo = m._draw
-    rng = np.random.default_rng(seed)
     columns = np.empty((len(exo) + len(endo), n), dtype=dtype)
-    u, index = np.empty(n), np.empty(n, dtype=np.intp)
+    index = np.empty(n, dtype=np.intp)
+    blocks = m._ahead and m._ahead(n, seed)
+    draws = itertools.chain.from_iterable(blocks) if blocks else \
+        map(np.random.default_rng(seed).random, [n] * len(columns))
     # A column's first comparison is written into it, so the block needs no
     # zeros, and the rest added.  A one-level column compares with its last
     # level: 1 for exogenous ones, above every draw, and undone by the
     # fallback for endogenous ones.
     for j, cdf in exo:
-        rng.random(out=u)
+        u = next(draws)
         value = np.less_equal(cdf[0], u, out=columns[j], casting="unsafe")
         for level in cdf[1:-1]:
             value += level <= u
@@ -431,7 +494,7 @@ def sample_dataset(m: DiscreteCbn, n: int, seed: int) -> np.ndarray:
             row *= dim
             row += columns[p]
         np.copyto(index, row)
-        rng.random(out=u)
+        u = next(draws)
         value = np.less_equal(levels[0].take(index), u, out=columns[j], casting="unsafe")
         for level in levels[1:-1]:
             value += level.take(index) <= u
@@ -444,15 +507,17 @@ def sample_dataset(m: DiscreteCbn, n: int, seed: int) -> np.ndarray:
 def empirical_table(m_nodes: Sequence[str], cards: Sequence[int],
                     data: np.ndarray) -> JointTable:
     """Empirical joint frequencies of an integer (n, k) dataset as a
-    JointTable; a state outside its variable's range is a ValueError.  Each
-    row's flat cell index is built by Horner's rule in the narrowest
-    unsigned dtype that holds the number of cells, then ``bincount``-ed."""
+    JointTable; no rows, or a state outside its variable's range, is a
+    ValueError.  Each row's flat cell index is built by Horner's rule in the
+    narrowest unsigned dtype that holds the number of cells, then ``bincount``-ed."""
     cards = tuple(cards)
     if data.ndim != 2 or data.shape[1] != len(cards):
         raise ValueError(f"dataset of shape {data.shape} needs one column per card {cards}")
     if not np.issubdtype(data.dtype, np.integer):
         raise ValueError(f"dataset states must be integers, not {data.dtype}")
-    if len(data) and ((data.min(axis=0) < 0) | (data.max(axis=0) >= cards)).any():
+    if not len(data):
+        raise ValueError(f"dataset of shape {data.shape} has no rows")
+    if ((data.min(axis=0) < 0) | (data.max(axis=0) >= cards)).any():
         raise ValueError(f"dataset holds a state outside 0..card-1 for cards {cards}")
     flat = np.zeros(len(data), dtype=np.min_scalar_type(math.prod(cards)))
     for j, card in enumerate(cards):

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 from cdag import CondProb, JointTable, random_cbn, joint_distribution, render
-from cdag import cli
+from cdag import cli, oracle
+from cdag.oracle import StateSpaceCapError
 from cdag.cli import ParseError, main, parse_graph, render_graph_file
 
 from oracles import to_csv
@@ -485,6 +487,47 @@ def test_simulate_refused_allocation_is_input_error(capsys, monkeypatch, error, 
     code, out, err = run_simulate_counts(capsys, "--diagrams", "1", "--datasets", "1",
                                          "--n", "1000000000000")
     assert (code, out, err) == (3, "", line)
+
+
+@pytest.fixture
+def draw_ahead_threads(monkeypatch):
+    # every worker thread that simulate's draw_ahead scopes start
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(oracle.threading, "Thread", Recorded)
+    return started
+
+
+def _raise(error):
+    def fail(*args, **kwargs):
+        raise error
+    return fail
+
+
+@pytest.mark.parametrize("site, error, line", [
+    (None, None, None),
+    ("joint_distribution", StateSpaceCapError("joint_distribution: over the cap"),
+     "error: joint_distribution: over the cap (diagram 0, x=X, y=Y)\n"),
+    ("sample_dataset", MemoryError(), "error: MemoryError\n"),
+])
+def test_simulate_leaves_no_thread_running(capsys, monkeypatch, draw_ahead_threads,
+                                           site, error, line):
+    threads = threading.active_count()
+    if site:
+        monkeypatch.setattr(cli, site, _raise(error))
+    code, out, err = run_simulate_counts(capsys, "--diagrams", "2", "--datasets", "2",
+                                         "--n", "100,5000")
+    assert draw_ahead_threads and not any(t.is_alive() for t in draw_ahead_threads)
+    assert threading.active_count() == threads
+    if site:
+        assert (code, out, err) == (3, "", line)
+    else:
+        assert code == 0 and out.startswith("metric,n,value,std_error\n")
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])

@@ -559,6 +559,13 @@ def test_empirical_table_rejects_out_of_range_states():
             empirical_table(["A", "B"], [2, 2], data)
 
 
+def test_empirical_table_rejects_a_dataset_without_rows():
+    # no frequency is defined: a ValueError, not a division by zero
+    for data in (np.zeros((0, 2), dtype=np.int64), np.zeros((0, 2), dtype=np.uint8)):
+        with pytest.raises(ValueError, match=r"dataset of shape \(0, 2\) has no rows"):
+            empirical_table(["A", "B"], [2, 2], data)
+
+
 def test_empirical_table_counts_the_narrow_view_as_the_int64_dataset():
     # 12 binary variables make 4096 cells, more than the uint8 columns hold
     names = [f"V{i}" for i in range(12)]

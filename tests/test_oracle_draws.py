@@ -4,17 +4,19 @@
 row-at-a-time algorithms (one Dirichlet draw per CPT row, one
 ``Generator.choice`` per exogenous variable and a gathered cumulative sum
 per row).  They live here only as oracles: the library's whole-column
-code must reproduce their output exactly for every seed.
+code must reproduce their output exactly for every seed, and so must the
+draws whose uniforms a ``draw_ahead`` scope fills in a worker thread.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from cdag import Admg, expand, random_cbn, sample_batch, sample_dataset
 from cdag.cli import parse_graph
-from cdag.oracle import DiscreteCbn, Mechanism
+from cdag.oracle import DiscreteCbn, Mechanism, draw_ahead
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy
 
 from randutil import random_cdag, rng_for
@@ -258,3 +260,83 @@ def test_a_last_level_below_one_falls_back_on_every_draw():
     data = sample_dataset(m, 4000, seed=5)
     assert np.array_equal(data, reference_sample_dataset(m, 4000, seed=5))
     assert np.bincount(data[:, 0])[0] > 1700
+
+
+# -- draws filled ahead by a draw_ahead scope --------------------------------
+
+def _small_model(seed=3):
+    # cards 2-4 and exogenous card 3: k = 3 endogenous, 3 private and 1 shared
+    # noise column
+    g = Admg(["A", "B", "C"], directed={("A", "B"), ("B", "C")}, bidirected={("A", "C")})
+    return random_cbn(g, {"A": 2, "B": 3, "C": 4}, seed=seed, exo_card=3)
+
+
+def _assert_same_dataset(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.strides == want.strides and got.tobytes() == want.tobytes()
+
+
+def _draw_within(m, jobs, asked):
+    # the datasets of ``asked`` drawn in that order inside a scope over ``jobs``,
+    # each checked against a fresh model's draw outside any scope, with no
+    # thread left behind
+    threads = threading.active_count()
+    with draw_ahead(m, jobs):
+        drawn = [sample_dataset(m, n, seed) for n, seed in asked]
+    assert threading.active_count() == threads and m._ahead is None
+    for (n, seed), data in zip(asked, drawn):
+        _assert_same_dataset(data, sample_dataset(_small_model(), n, seed))
+
+
+def test_draws_ahead_keep_their_bytes_across_block_sizes():
+    # one block below and two just above k * n = 2**20, one column per block
+    # at n = 2**20, and a job of 2**20 + 1 rows drawn inline
+    m = _small_model()
+    k = len(m.exo_cards) + len(m.cards)
+    below = 2 ** 20 // k
+    jobs = [(0, 1), (1, 2), (7, 3), (below, 4), (below + 1, 5), (2 ** 20, 6), (2 ** 20 + 1, 7)]
+    _draw_within(m, jobs, jobs)
+    for n, seed in jobs[:5]:
+        assert np.array_equal(sample_dataset(m, n, seed), reference_sample_dataset(m, n, seed))
+
+
+def test_repeated_skipped_and_reordered_draws_read_only_their_own_blocks():
+    m = _small_model()
+    _draw_within(m, [(7, 1), (7, 1), (500, 2)], [(7, 1), (7, 1), (500, 2)])
+    # asked out of order: (500, 2) is drawn inline, then each job in turn
+    _draw_within(m, [(7, 1), (500, 2), (7, 3)], [(500, 2), (7, 1), (500, 2), (7, 3)])
+    # the first job is never asked for, so every draw fills its own
+    _draw_within(m, [(7, 1), (500, 2), (7, 3)], [(500, 2), (7, 3)])
+    # the draw of the first job stops after one block of seven: the next job
+    # passes over the rest and reads its own
+    n = 2 ** 20
+    threads = threading.active_count()
+    with draw_ahead(m, [(n, 1), (500, 2)]):
+        next(m._ahead(n, 1))
+        _assert_same_dataset(sample_dataset(m, 500, 2), sample_dataset(_small_model(), 500, 2))
+    assert threading.active_count() == threads
+
+
+def test_a_scope_left_by_an_exception_joins_its_worker():
+    m = _small_model()
+    threads = threading.active_count()
+    with pytest.raises(KeyError), draw_ahead(m, [(2 ** 20, seed) for seed in range(4)]):
+        sample_dataset(m, 2 ** 20, 0)
+        raise KeyError("left")
+    assert threading.active_count() == threads and m._ahead is None
+    # a job the worker cannot draw fails in the draw as it does outside a scope
+    with draw_ahead(m, [(7, -1)]), pytest.raises(ValueError) as within:
+        sample_dataset(m, 7, -1)
+    with pytest.raises(ValueError) as outside:
+        sample_dataset(m, 7, -1)
+    assert str(within.value) == str(outside.value)
+    assert threading.active_count() == threads
+
+
+def test_no_thread_starts_without_jobs_to_draw_ahead():
+    m = _small_model()
+    threads = threading.active_count()
+    for jobs in ([], [(2 ** 20 + 1, 0)], [(0, 0)]):
+        with draw_ahead(m, jobs):
+            assert threading.active_count() == threads
+            sample_dataset(m, 1, 0)
