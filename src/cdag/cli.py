@@ -343,6 +343,9 @@ def _sample_sizes(text: str) -> List[int]:
         raise error from None
     if any(n < 1 for n in ns):
         raise error
+    for i, n in enumerate(ns):
+        if n in ns[:i]:
+            raise ValueError(f"--n names {n} twice")
     return ns
 
 

@@ -10,11 +10,6 @@ summation over the exogenous variables, eliminating them one at a time
 right after the last factor that uses it, with a hard cap on intermediate
 table sizes (override with the CDAG_STATE_CAP environment variable).
 
-``random_cbn`` also offers a deterministic mode, for counterfactual
-queries, where each table row encodes its conditional distribution
-through a per-row permutation of the variable's private noise, keeping
-the noise cardinality equal to the variable's own.
-
 Forward samples are drawn column by column into one narrow block, which
 ``sample_dataset`` returns as an (n, k) view that ``empirical_table``
 counts as is.  Within a ``draw_ahead`` scope a worker thread fills the
@@ -174,7 +169,15 @@ class DiscreteCbn:
 
     def __init__(self, graph: Admg, cards: Dict[str, int],
                  exo_cards: Dict[str, int], exo_dists: Dict[str, np.ndarray],
-                 mechanisms: Dict[str, Mechanism], deterministic: bool):
+                 mechanisms: Dict[str, Mechanism]):
+        # One card and a mechanism on the graph's parents per node, and a law per noise card.
+        for v in sorted({*graph.nodes, *cards, *mechanisms}):
+            if not (v in graph.nodes and v in cards and v in mechanisms) or \
+                    sorted(mechanisms[v].endo_parents) != sorted(graph.parents([v])):
+                raise GraphError(f"{v!r} needs to be a graph node with a card and a "
+                                 "mechanism whose endo_parents are its graph parents")
+        for name in sorted(exo_cards.keys() ^ exo_dists.keys()):
+            raise GraphError(f"exogenous {name!r} needs both a cardinality and a distribution")
         exo_dists = {k: np.asarray(v, dtype=float) for k, v in exo_dists.items()}
         # Each table in turn, raising for the first bad one.  A CPT's axes
         # are its parents', its noises' and its own states; a row sums to 1
@@ -196,7 +199,7 @@ class DiscreteCbn:
             if not (rows.min(initial=0.0) >= 0 and
                     np.abs(rows.sum(axis=1) - 1.0).max(initial=0.0) <= tol):
                 raise GraphError(f"CPT rows of {v!r} must be nonnegative and sum to 1")
-        self._link(graph, cards, exo_cards, exo_dists, mechanisms, deterministic)
+        self._link(graph, cards, exo_cards, exo_dists, mechanisms)
 
     @classmethod
     def _trusted(cls, *fields) -> "DiscreteCbn":
@@ -206,13 +209,12 @@ class DiscreteCbn:
         m._link(*fields)
         return m
 
-    def _link(self, graph, cards, exo_cards, exo_dists, mechanisms, deterministic):
+    def _link(self, graph, cards, exo_cards, exo_dists, mechanisms):
         self.graph = graph
         self.cards = dict(cards)
         self.exo_cards = dict(exo_cards)
         self.exo_dists = exo_dists
         self.mechanisms = mechanisms
-        self.deterministic = deterministic
         self.exo_names = tuple(sorted(exo_cards))
         # Each variable's table over its parents and shared noise, with its
         # private noise, which feeds no other mechanism, summed out by the
@@ -244,20 +246,16 @@ def _exo_name(label: str, taken: set) -> str:
     return name
 
 
-def random_cbn(g: Admg, cards: Dict[str, int], seed: int,
-               exo_card: int = 2, deterministic: bool = False) -> DiscreteCbn:
-    """A reproducible random model on ``g``.
+def random_cbn(g: Admg, cards: Dict[str, int], seed: int) -> DiscreteCbn:
+    """A reproducible random model on ``g`` with binary noise.
 
-    Stochastic mode draws every CPT row from a symmetric Dirichlet,
+    Every exogenous law and CPT row is drawn from a symmetric Dirichlet,
     clipped away from zero and renormalized, so the joint distribution
     has full support.  Each run of consecutive rows of equal width,
     exogenous laws and CPT rows alike, takes one batched draw, which
     consumes the generator exactly as row-by-row draws would, so a seed
     gives the same model bit for bit.  Every table is checked against the
-    state cap before anything is drawn.  Deterministic mode keeps the
-    same row distributions but realizes them as per-row permutations of
-    each variable's private noise, making every mechanism a function of
-    its parents and noise.
+    state cap before anything is drawn.
     """
     for v in g.nodes:
         if cards.get(v, 0) < 2:
@@ -268,9 +266,7 @@ def random_cbn(g: Admg, cards: Dict[str, int], seed: int,
     # keyed in sorted edge order, which every use below keeps
     edge_noise = {(a, b): _exo_name(f"{a}~{b}", taken) for a, b in sorted(g.bidirected)}
     private_noise = {v: _exo_name(v, taken) for v in g.nodes}
-    exo_cards = {name: exo_card for name in edge_noise.values()}
-    exo_cards.update((private_noise[v], cards[v] if deterministic else exo_card)
-                     for v in g.nodes)
+    exo_cards = dict.fromkeys([*edge_noise.values(), *private_noise.values()], 2)
 
     mechanisms: Dict[str, Mechanism] = {}
     shapes = {}
@@ -282,12 +278,11 @@ def random_cbn(g: Admg, cards: Dict[str, int], seed: int,
             tuple(exo_cards[u] for u in mech.exo_parents) + (cards[v],)
         _check_state_space(shapes[v], "random_cbn", f"{v!r} CPT", cap)
 
-    # Every Dirichlet row in stream order, the exogenous laws and then in
-    # stochastic mode each CPT's rows, with one draw per run of equal widths.
+    # Every Dirichlet row in stream order, the exogenous laws and then each
+    # CPT's rows, with one draw per run of equal widths.
     rng = np.random.default_rng(seed)
     rows = [(card, 1) for card in exo_cards.values()]
-    if not deterministic:
-        rows += [(shape[-1], math.prod(shape[:-1])) for shape in shapes.values()]
+    rows += [(shape[-1], math.prod(shape[:-1])) for shape in shapes.values()]
     draws = []
     for width, run in itertools.groupby(rows, key=lambda row: row[0]):
         counts = [count for _, count in run]
@@ -296,16 +291,7 @@ def random_cbn(g: Admg, cards: Dict[str, int], seed: int,
     exo_dists = {name: draw.reshape(-1) for name, draw in zip(exo_cards, draws)}
     for v, draw in zip(g.nodes, draws[len(exo_cards):]):
         mechanisms[v].cpt = draw.reshape(shapes[v])
-    for v, mech in mechanisms.items() if deterministic else ():
-        # One permutation of the private noise per row of the other parents;
-        # the induced conditional row is the permuted noise law.  Built with
-        # the private axis next to v's, then moved to its sorted place.
-        k = len(mech.endo_parents) + mech.exo_parents.index(private_noise[v])
-        others = shapes[v][:k] + shapes[v][k + 1:]
-        perms = [rng.permutation(cards[v]) for _ in range(math.prod(others[:-1]))]
-        mech.cpt = np.moveaxis(np.eye(cards[v])[perms].reshape(others + (cards[v],)), -2, k)
-
-    return DiscreteCbn._trusted(g, cards, exo_cards, exo_dists, mechanisms, deterministic)
+    return DiscreteCbn._trusted(g, cards, exo_cards, exo_dists, mechanisms)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,15 @@ They are deliberately naive and independent of the code they check:
   through :func:`solve`, which takes the argmax of each CPT row in
   topological order, or through :class:`MacroScm`, which substitutes each
   cluster's member mechanisms in cluster order.  They are the only copies:
-  the library keeps no counterfactual engine.
+  the library keeps no counterfactual engine.  Each takes a deterministic
+  model, one whose CPT entries are all 0 or 1, and reads that from the
+  tables.
+* :func:`reference_random_cbn` draws a random model one Dirichlet row at
+  a time and builds it through the checked constructor; the library's
+  :func:`cdag.random_cbn` batches the same draws and must match it bit
+  for bit.  It also builds the models the library does not: noise of any
+  cardinality, and the deterministic models the counterfactual oracles
+  need, each CPT row a permutation of its variable's private noise.
 * :func:`interventional_distribution` fixes the intervened values in
   every factor and contracts once per value, finding private noise by
   scanning every mechanism; the library builds each factor once per
@@ -78,7 +86,7 @@ from cdag.formula import (ONE, CondProb, Fraction, FormulaError, JointTable, Pro
 from cdag.graphs import Admg, GraphError
 from cdag.identify import Hedge
 from cdag.cluster import Partition, build_cdag
-from cdag.oracle import DiscreteCbn, StateSpaceCapError, _cap
+from cdag.oracle import DiscreteCbn, Mechanism, StateSpaceCapError, _cap
 
 
 def _resolver(table: JointTable, clusters: Optional[Dict[str, Sequence[str]]]):
@@ -622,7 +630,83 @@ def _render(node, style, prec=0):
     return left + out + right if prec >= 2 else out
 
 
+# -- random models, one row at a time -----------------------------------------
+
+def _reference_row(rng, size):
+    row = rng.dirichlet(np.ones(size))
+    row = np.clip(row, 1e-6, None)
+    return row / row.sum()
+
+
+def reference_random_cbn(g, cards, seed, exo_card=2, deterministic=False):
+    """A random model on ``g`` built row by row through the checked
+    constructor: one Dirichlet draw per exogenous law and CPT row, in
+    :func:`cdag.random_cbn`'s stream order, with noise of ``exo_card``
+    states.  A deterministic model keeps the exogenous laws, gives each
+    private noise its variable's cardinality, and makes each CPT row one
+    permutation of that noise, drawn row by row.  The library draws only
+    the binary stochastic models, the same bit for bit."""
+    rng = np.random.default_rng(seed)
+    taken = set(g.nodes)
+    edge_noise = {}
+    for a, b in sorted(g.bidirected):
+        name = f"U({a}~{b})"
+        while name in taken:
+            name += "'"
+        taken.add(name)
+        edge_noise[(a, b)] = name
+    private_noise = {}
+    for v in g.nodes:
+        name = f"U({v})"
+        while name in taken:
+            name += "'"
+        taken.add(name)
+        private_noise[v] = name
+
+    exo_cards, exo_dists = {}, {}
+    for _, name in sorted(edge_noise.items()):
+        exo_cards[name] = exo_card
+        exo_dists[name] = _reference_row(rng, exo_card)
+    for v in g.nodes:
+        name = private_noise[v]
+        exo_cards[name] = cards[v] if deterministic else exo_card
+        exo_dists[name] = _reference_row(rng, exo_cards[name])
+
+    mechanisms = {}
+    for v in g.nodes:
+        endo = tuple(sorted(g.parents([v])))
+        incident = [edge_noise[e] for e in sorted(edge_noise) if v in e]
+        exo = tuple(sorted(incident + [private_noise[v]]))
+        m = cards[v]
+        if deterministic:
+            shared = tuple(u for u in exo if u != private_noise[v])
+            cpt = np.zeros(tuple(cards[p] for p in endo) +
+                           tuple(exo_cards[u] for u in shared) + (m, m))
+            for row in cpt.reshape(-1, m, m):
+                perm = rng.permutation(m)
+                for u_val in range(m):
+                    row[u_val, perm[u_val]] = 1.0
+            axes_order = endo + shared + (private_noise[v], v)
+            cpt = np.transpose(cpt, [axes_order.index(a) for a in endo + exo + (v,)])
+        else:
+            cpt = np.zeros(tuple(cards[p] for p in endo) +
+                           tuple(exo_cards[u] for u in exo) + (m,))
+            flat = cpt.reshape(-1, m)
+            for i in range(flat.shape[0]):
+                flat[i] = _reference_row(rng, m)
+        mechanisms[v] = Mechanism(endo, exo, cpt)
+    return DiscreteCbn(g, cards, exo_cards, exo_dists, mechanisms)
+
+
 # -- potential responses and the macro-variable model ----------------------
+
+def _require_deterministic(model: DiscreteCbn, what: str) -> None:
+    # Deterministic means every CPT entry is 0 or 1: each variable is then
+    # a function of its parents and noise.
+    if not all(np.isin(mech.cpt, (0.0, 1.0)).all() for mech in model.mechanisms.values()):
+        raise GraphError(f"{what} need deterministic mechanisms, every CPT entry 0 or 1; "
+                         "build the model with reference_random_cbn(..., deterministic=True)")
+
 
 def check_assignment(x: Dict, cards: Dict[str, int],
                      members: Optional[Dict[str, Sequence[str]]] = None,
@@ -657,10 +741,12 @@ def solve(model: DiscreteCbn, exo: Dict[str, int],
           interventions: Optional[Dict[str, int]] = None) -> Dict[str, int]:
     """Potential response of every variable of a deterministic model at one
     exogenous state, under ``interventions``."""
-    if not model.deterministic:
-        raise GraphError("potential responses need deterministic mechanisms; "
-                         "build the model in deterministic mode")
-    interventions = interventions or {}
+    _require_deterministic(model, "potential responses")
+    return _solve(model, exo, interventions or {})
+
+
+def _solve(model: DiscreteCbn, exo: Dict[str, int], interventions: Dict[str, int]) -> Dict:
+    # solve once the model is known to be deterministic
     check_assignment(interventions, model.cards)
     return _respond(model, [v for v in model.graph.topological_order() if v not in interventions],
                     {v: int(val) for v, val in interventions.items()}, exo)
@@ -673,8 +759,7 @@ class MacroScm:
     distribution, and its induced cluster diagram is the quotient."""
 
     def __init__(self, base: DiscreteCbn, partition: Partition):
-        if not base.deterministic:
-            raise GraphError("macro construction needs deterministic mechanisms")
+        _require_deterministic(base, "macro models")
         self.base = base
         self.partition = partition
         self.cdag = build_cdag(base.graph, partition)
@@ -748,8 +833,7 @@ def counterfactual_prob(model, events: Sequence[Tuple[Dict, Dict]]) -> float:
     """
     macro = isinstance(model, MacroScm)
     base = model.base if macro else model
-    if not base.deterministic:
-        raise GraphError("counterfactual queries need deterministic mechanisms")
+    _require_deterministic(base, "counterfactual queries")
     members = model.members if macro else None
     for targets, interventions in events:
         check_assignment(targets, base.cards, members, "event target")
@@ -765,7 +849,7 @@ def counterfactual_prob(model, events: Sequence[Tuple[Dict, Dict]]) -> float:
         raise StateSpaceCapError(f"counterfactual_prob: exogenous state space of {size} "
                                  f"entries exceeds the cap ({_cap()})")
 
-    respond = model.solve if macro else functools.partial(solve, model)
+    respond = model.solve if macro else functools.partial(_solve, model)
     total = 0.0
     for state in itertools.product(*(range(base.exo_cards[n]) for n in names)):
         exo = dict(zip(names, state))

@@ -6,6 +6,7 @@ is reproducible.
 """
 
 import functools
+import hashlib
 import itertools
 
 import numpy as np
@@ -21,7 +22,7 @@ from cdag.formula import tabulate
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy, expand
 
 from oracles import (MacroScm, cluster_factorization_check, counterfactual_prob, equivalent_on,
-                     m_separated_brute_force)
+                     m_separated_brute_force, reference_random_cbn)
 from randutil import (licensed_equality_deviation, random_admg, random_cdag,
                       random_disjoint_sets, random_query, rng_for)
 
@@ -324,11 +325,23 @@ def random_event_sets(rng, clusters, members, count):
     return sets
 
 
+# sha256 over the tables of every model criterion 9 checks, in check order
+CRITERION_09_MODELS = "085b2699d97f58bcf04603717dd35fb909cff42c39c2aa36beb431c3f11a71b1"
+
+
+def hash_model(digest, model):
+    # each exogenous law, then each CPT, as C-ordered float64 bytes
+    for table in [*map(model.exo_dists.get, model.exo_names),
+                  *(model.mechanisms[v].cpt for v in model.graph.nodes)]:
+        digest.update(np.ascontiguousarray(table, dtype=np.float64).tobytes())
+
+
 @criterion(9, "macro-variable counterfactuals equal base counterfactuals "
               "exactly on 50 deterministic models")
 def test_criterion_09_macro_counterfactuals():
     rng = rng_for(131)
     done = 0
+    digest = hashlib.sha256()
     while done < 50:
         c = random_cdag(rng, int(rng.integers(2, 4)), p_dir=0.5, p_bi=0.25)
         names = list(c.graph.nodes)
@@ -340,13 +353,14 @@ def test_criterion_09_macro_counterfactuals():
         graph, partition = expand(c, ExpansionSpec(
             sizes=sizes, internal=InternalPolicy("random", 0.5, 0.25),
             cross=CrossPolicy("random", 0.3), seed=int(rng.integers(10 ** 6))))
-        model = random_cbn(graph, binary(graph), seed=int(rng.integers(10 ** 6)),
-                           deterministic=True)
+        model = reference_random_cbn(graph, binary(graph), int(rng.integers(10 ** 6)),
+                                     deterministic=True)
         exo_size = 1
         for name in model.exo_names:
             exo_size *= model.exo_cards[name]
         if exo_size > 2 ** 13:
             continue
+        hash_model(digest, model)
         macro = MacroScm(model, partition)
         members = partition.to_cluster_map()
         for events in random_event_sets(rng, names, members, 5):
@@ -369,7 +383,9 @@ def test_criterion_09_macro_counterfactuals():
     graph, partition = expand(backdoor, ExpansionSpec(
         sizes={"Z": 2, "X": 1, "Y": 1}, internal=InternalPolicy("random", 0.5, 0.5),
         cross=CrossPolicy("random", 0.5), seed=3))
-    model = random_cbn(graph, binary(graph), seed=24, deterministic=True)
+    model = reference_random_cbn(graph, binary(graph), 24, deterministic=True)
+    hash_model(digest, model)
+    assert digest.hexdigest() == CRITERION_09_MODELS
     table = joint_distribution(model)
     z_vars = partition.members("Z")
     lhs = counterfactual_prob(model, [({"Y": 1}, {"X": 0}), ({"X": 1}, {})]) \

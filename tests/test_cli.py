@@ -457,6 +457,16 @@ def test_simulate_bad_sample_size_is_input_error(capsys, value):
                    f"got '{value}'\n")
 
 
+@pytest.mark.parametrize("value, repeated", [("500,500", 500), ("500,1000,0500", 500),
+                                             ("7,8,8,7", 8)])
+def test_simulate_repeated_sample_size_is_input_error(capsys, value, repeated):
+    # each size's row pools the datasets drawn at it, so a repeat would
+    # print one row twice over both sizes' datasets; the first repeat is named
+    code, out, err = run_simulate_counts(capsys, "--n", value)
+    assert (code, out) == (3, "")
+    assert err == f"error: --n names {repeated} twice\n"
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_simulate_bad_diagram_count_is_input_error(capsys, value):
     code, out, err = run_simulate_counts(capsys, "--diagrams", value)

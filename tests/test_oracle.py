@@ -11,7 +11,8 @@ from cdag.oracle import DiscreteCbn, Mechanism, empirical_table
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy, expand
 
 import oracles
-from oracles import MacroScm, cluster_factorization_check, counterfactual_prob, solve
+from oracles import (MacroScm, cluster_factorization_check, counterfactual_prob,
+                     reference_random_cbn, solve)
 from randutil import random_cdag, rng_for
 
 
@@ -135,10 +136,10 @@ CAP_PHASES = {
     "interventional_distribution": (64, lambda m, p: interventional_distribution(m, {"X": 1})),
     "cluster_factorization_check": (128, lambda m, p: cluster_factorization_check(m, p, ["X"])),
     "counterfactual_prob": (128, lambda m, p: counterfactual_prob(m, [({"Y": 1}, {"X": 0})])),
-    # Y's table over three binary parents, one shared noise and its own
-    # ternary private noise holds 16 * 3 * 3 = 144 entries
-    "random_cbn": (128, lambda m, p: random_cbn(m.graph, {**binary_cards(m.graph), "Y": 3},
-                                                seed=0, deterministic=True)),
+    # Y's table over three binary parents, one shared and one private binary
+    # noise holds 8 * 2 * 2 * 5 = 160 entries at five states
+    "random_cbn": (128, lambda m, p: random_cbn(m.graph, {**binary_cards(m.graph), "Y": 5},
+                                                seed=0)),
 }
 
 
@@ -146,7 +147,7 @@ CAP_PHASES = {
 def test_state_space_cap_names_the_function(monkeypatch, med_admg, med_partition, phase):
     cap, call = CAP_PHASES[phase]
     monkeypatch.setenv("CDAG_STATE_CAP", str(cap))
-    m = random_cbn(med_admg, binary_cards(med_admg), seed=16, deterministic=True)
+    m = reference_random_cbn(med_admg, binary_cards(med_admg), 16, deterministic=True)
     with pytest.raises(StateSpaceCapError, match=f"^{phase}: "):
         call(m, med_partition)
 
@@ -175,7 +176,7 @@ def test_sample_dataset_reproducible(med_admg):
     assert sample_dataset(m, 0, seed=21).shape == (0, 7)
 
 
-# -- deterministic mode and counterfactuals --------------------------------
+# -- deterministic models and counterfactuals ------------------------------
 
 def xor_model():
     """W -> A -> B with K = {A, B}; every mechanism an XOR of its inputs."""
@@ -197,17 +198,17 @@ def xor_model():
         "A": Mechanism(("W",), ("U(A)",), xor_cpt(2)),
         "B": Mechanism(("A",), ("U(B)",), xor_cpt(2)),
     }
-    return DiscreteCbn(g, cards, exo_cards, exo_dists, mechanisms, deterministic=True)
+    return DiscreteCbn(g, cards, exo_cards, exo_dists, mechanisms)
 
 
 def test_model_rejects_negative_cpt_entries_and_unnormalized_noise():
     g = Admg(["V"])
     mech = {"V": Mechanism((), ("U",), np.array([[1.5, -0.5], [0.5, 0.5]]))}
     with pytest.raises(GraphError, match="nonnegative"):
-        DiscreteCbn(g, {"V": 2}, {"U": 2}, {"U": np.array([0.5, 0.5])}, mech, False)
+        DiscreteCbn(g, {"V": 2}, {"U": 2}, {"U": np.array([0.5, 0.5])}, mech)
     mech = {"V": Mechanism((), ("U",), np.full((2, 2), 0.5))}
     with pytest.raises(GraphError, match="summing to 1"):
-        DiscreteCbn(g, {"V": 2}, {"U": 2}, {"U": np.array([0.5, 0.6])}, mech, False)
+        DiscreteCbn(g, {"V": 2}, {"U": 2}, {"U": np.array([0.5, 0.6])}, mech)
 
 
 def test_model_rejects_a_cpt_of_the_wrong_shape():
@@ -220,7 +221,27 @@ def test_model_rejects_a_cpt_of_the_wrong_shape():
         mechs = dict(m.mechanisms)
         mechs["B"] = Mechanism(("A", "C"), m.mechanisms["B"].exo_parents, bad)
         with pytest.raises(GraphError, match=r"^CPT of 'B' has shape \(\d"):
-            DiscreteCbn(g, m.cards, m.exo_cards, m.exo_dists, mechs, False)
+            DiscreteCbn(g, m.cards, m.exo_cards, m.exo_dists, mechs)
+
+
+def test_model_rejects_wiring_that_is_not_the_graph():
+    # A and B with no edge, each a copy of its own noise
+    g = Admg(["A", "B"])
+    cards, exo_cards = {"A": 2, "B": 2}, {"U(A)": 2, "U(B)": 2}
+    laws = {u: np.array([0.5, 0.5]) for u in exo_cards}
+    own = {v: Mechanism((), (f"U({v})",), np.eye(2)) for v in "AB"}
+    for mechs, name in [({"A": Mechanism(("B",), (), np.eye(2)), "B": own["B"]}, "A"),
+                        ({"B": own["B"]}, "A"),
+                        ({**own, "C": own["B"]}, "C")]:
+        with pytest.raises(GraphError, match=f"^'{name}' needs to be a graph node"):
+            DiscreteCbn(g, cards, exo_cards, laws, mechs)
+    with pytest.raises(GraphError, match="^'B' needs to be a graph node"):
+        DiscreteCbn(g, {"A": 2}, exo_cards, laws, own)
+    for cards_of, laws_of in [({**exo_cards, "W": 2}, laws), (exo_cards, {"U(A)": laws["U(A)"]})]:
+        with pytest.raises(GraphError, match="^exogenous '(W|U\\(B\\))' needs both"):
+            DiscreteCbn(g, cards, cards_of, laws_of, own)
+    m = DiscreteCbn(g, cards, exo_cards, laws, own)
+    assert np.array_equal(joint_distribution(m).probs, np.full((2, 2), 0.25))
 
 
 def test_solve_requires_deterministic(med_admg):
@@ -230,7 +251,7 @@ def test_solve_requires_deterministic(med_admg):
 
 
 def test_deterministic_mode_rows_one_hot(med_admg):
-    m = random_cbn(med_admg, binary_cards(med_admg), seed=23, deterministic=True)
+    m = reference_random_cbn(med_admg, binary_cards(med_admg), 23, deterministic=True)
     for v in med_admg.nodes:
         rows = m.mechanisms[v].cpt.reshape(-1, 2)
         assert np.all(np.isin(rows, [0.0, 1.0]))
@@ -357,7 +378,7 @@ def test_counterfactual_drug_response_identity(backdoor_cdag):
                          internal=InternalPolicy("random", 0.5, 0.5),
                          cross=CrossPolicy("random", 0.5), seed=3)
     graph, partition = expand(backdoor_cdag, spec)
-    m = random_cbn(graph, {v: 2 for v in graph.nodes}, seed=24, deterministic=True)
+    m = reference_random_cbn(graph, {v: 2 for v in graph.nodes}, 24, deterministic=True)
     t = joint_distribution(m)
     z_vars = partition.members("Z")
 
@@ -384,8 +405,8 @@ def deterministic_model(rng, low, high):
         graph, partition = expand(c, ExpansionSpec(
             sizes=sizes, internal=InternalPolicy("random", 0.5, 0.25),
             cross=CrossPolicy("random", 0.3), seed=int(rng.integers(10 ** 6))))
-        model = random_cbn(graph, binary_cards(graph), seed=int(rng.integers(10 ** 6)),
-                           deterministic=True)
+        model = reference_random_cbn(graph, binary_cards(graph), int(rng.integers(10 ** 6)),
+                                     deterministic=True)
         if low <= math.prod(model.exo_cards.values()) <= high:
             return model, partition
 
@@ -422,7 +443,8 @@ def assert_same_table(got, want):
 
 def model_on_expansion(rng, deterministic):
     """A random model with cards 2-3 and ternary edge noise on an expanded
-    2-4 cluster DAG of at most 8 variables."""
+    2-4 cluster DAG of at most 8 variables, from the reference builder:
+    ``random_cbn`` draws binary noise only."""
     while True:
         c = random_cdag(rng, int(rng.integers(2, 5)), p_dir=0.5, p_bi=0.3)
         sizes = {name: int(rng.integers(1, 3)) for name in c.graph.nodes}
@@ -432,8 +454,8 @@ def model_on_expansion(rng, deterministic):
         if len(graph.nodes) <= 8:
             break
     cards = {v: int(rng.integers(2, 4)) for v in graph.nodes}
-    return random_cbn(graph, cards, seed=int(rng.integers(10 ** 6)), exo_card=3,
-                      deterministic=deterministic), partition
+    return reference_random_cbn(graph, cards, int(rng.integers(10 ** 6)), exo_card=3,
+                                deterministic=deterministic), partition
 
 
 def assert_same_factor(got, want):
@@ -526,10 +548,10 @@ def test_batched_model_checks_raise_as_the_per_table_loop(deterministic):
                 mechs[name].cpt = corrupt(rng, mechs[name].cpt, law=False)
         want = oracles.model_table_error(m.cards, m.exo_cards, dists, mechs)
         if want is None:    # a zero CPT entry, its row still summing to 1, is fine
-            DiscreteCbn(m.graph, m.cards, m.exo_cards, dists, mechs, deterministic)
+            DiscreteCbn(m.graph, m.cards, m.exo_cards, dists, mechs)
             continue
         with pytest.raises(type(want)) as err:
-            DiscreteCbn(m.graph, m.cards, m.exo_cards, dists, mechs, deterministic)
+            DiscreteCbn(m.graph, m.cards, m.exo_cards, dists, mechs)
         assert str(err.value) == str(want)
         seen.add((str(want).split()[0], "shape" in str(want)))
     assert seen == {("exogenous", False), ("CPT", False), ("CPT", True)}

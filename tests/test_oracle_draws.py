@@ -1,11 +1,13 @@
 """Bit-identity of the vectorized draws against row-wise reference samplers.
 
-``reference_random_cbn`` and ``reference_sample_dataset`` keep the original
-row-at-a-time algorithms (one Dirichlet draw per CPT row, one
-``Generator.choice`` per exogenous variable and a gathered cumulative sum
-per row).  They live here only as oracles: the library's whole-column
-code must reproduce their output exactly for every seed, and so must the
-draws whose uniforms a ``draw_ahead`` scope fills in a worker thread.
+``reference_sample_dataset`` here and ``oracles.reference_random_cbn`` keep
+the original row-at-a-time algorithms (one ``Generator.choice`` per
+exogenous variable and a gathered cumulative sum per row, and one
+Dirichlet draw per CPT row).  They are oracles only: the library's
+whole-column code must reproduce their output exactly for every seed, and
+so must the draws whose uniforms a ``draw_ahead`` scope fills in a worker
+thread.  Models with ternary noise or one-hot CPTs, which ``random_cbn``
+does not draw, come from the reference builder.
 """
 
 import os
@@ -19,68 +21,10 @@ from cdag.cli import parse_graph
 from cdag.oracle import DiscreteCbn, Mechanism, draw_ahead
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy
 
+from oracles import reference_random_cbn
 from randutil import random_cdag, rng_for
 
 GRAPHS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "graphs")
-
-
-def _reference_row(rng, size):
-    row = rng.dirichlet(np.ones(size))
-    row = np.clip(row, 1e-6, None)
-    return row / row.sum()
-
-
-def reference_random_cbn(g, cards, seed, exo_card=2, deterministic=False):
-    rng = np.random.default_rng(seed)
-    taken = set(g.nodes)
-    edge_noise = {}
-    for a, b in sorted(g.bidirected):
-        name = f"U({a}~{b})"
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        edge_noise[(a, b)] = name
-    private_noise = {}
-    for v in g.nodes:
-        name = f"U({v})"
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        private_noise[v] = name
-
-    exo_cards, exo_dists = {}, {}
-    for _, name in sorted(edge_noise.items()):
-        exo_cards[name] = exo_card
-        exo_dists[name] = _reference_row(rng, exo_card)
-    for v in g.nodes:
-        name = private_noise[v]
-        exo_cards[name] = cards[v] if deterministic else exo_card
-        exo_dists[name] = _reference_row(rng, exo_cards[name])
-
-    mechanisms = {}
-    for v in g.nodes:
-        endo = tuple(sorted(g.parents([v])))
-        incident = [edge_noise[e] for e in sorted(edge_noise) if v in e]
-        exo = tuple(sorted(incident + [private_noise[v]]))
-        m = cards[v]
-        if deterministic:
-            shared = tuple(u for u in exo if u != private_noise[v])
-            cpt = np.zeros(tuple(cards[p] for p in endo) +
-                           tuple(exo_cards[u] for u in shared) + (m, m))
-            for row in cpt.reshape(-1, m, m):
-                perm = rng.permutation(m)
-                for u_val in range(m):
-                    row[u_val, perm[u_val]] = 1.0
-            axes_order = endo + shared + (private_noise[v], v)
-            cpt = np.transpose(cpt, [axes_order.index(a) for a in endo + exo + (v,)])
-        else:
-            cpt = np.zeros(tuple(cards[p] for p in endo) +
-                           tuple(exo_cards[u] for u in exo) + (m,))
-            flat = cpt.reshape(-1, m)
-            for i in range(flat.shape[0]):
-                flat[i] = _reference_row(rng, m)
-        mechanisms[v] = Mechanism(endo, exo, cpt)
-    return DiscreteCbn(g, cards, exo_cards, exo_dists, mechanisms, deterministic)
 
 
 def reference_sample_dataset(m, n, seed):
@@ -120,8 +64,10 @@ def test_draws_match_row_wise_reference(deterministic, exo_card):
         graph, cards = _random_expansion(1000 * exo_card + 100 * deterministic + case)
         seen_cards |= set(cards.values())
         model_seed = 7919 * case + exo_card
-        got = random_cbn(graph, cards, model_seed, exo_card, deterministic)
         want = reference_random_cbn(graph, cards, model_seed, exo_card, deterministic)
+        # the library draws binary stochastic models; the rest are drawn from as built
+        got = random_cbn(graph, cards, model_seed) if (exo_card, deterministic) == (2, False) \
+            else want
         assert got.exo_names == want.exo_names
         for name in want.exo_names:
             assert np.array_equal(got.exo_dists[name], want.exo_dists[name])
@@ -140,8 +86,7 @@ def test_sample_dataset_edge_cases_match_reference():
     # uniform draws above it hit the all-False case and take value 0.
     g = Admg(["V"])
     m = DiscreteCbn(g, {"V": 3}, {"U": 2}, {"U": np.array([0.3, 0.7])},
-                    {"V": Mechanism((), (), np.array([0.25, 0.25, 0.5]))},
-                    deterministic=False)
+                    {"V": Mechanism((), (), np.array([0.25, 0.25, 0.5]))})
     m.mechanisms["V"].cpt = np.array([0.25, 0.25, 0.25])
     for n in (0, 1, 7, 3000):
         data = sample_dataset(m, n, seed=n)
@@ -181,8 +126,7 @@ def test_axis_as_long_as_the_table_matches_reference():
     rng = np.random.default_rng(0)
     m = DiscreteCbn(g, {"A": 256, "B": 2}, {}, {},
                     {"A": Mechanism((), (), rng.dirichlet(np.ones(256))),
-                     "B": Mechanism(("A",), (), rng.dirichlet(np.ones(2), size=256))},
-                    deterministic=False)
+                     "B": Mechanism(("A",), (), rng.dirichlet(np.ones(2), size=256))})
     for n in (0, 7, 3000):
         _assert_matches_reference(m, n, seed=n)
 
@@ -208,7 +152,8 @@ def test_narrow_columns_hold_the_dataset(cards, dtype, deterministic):
     # the (n, k) view that simulate counts from: the dataset's values in
     # the narrowest dtype that holds every level, one column per variable
     g = Admg(["A", "B", "C"], directed={("A", "B"), ("B", "C")}, bidirected={("A", "C")})
-    m = random_cbn(g, cards, seed=9, deterministic=deterministic)
+    m = reference_random_cbn(g, cards, 9, deterministic=True) if deterministic else \
+        random_cbn(g, cards, seed=9)
     for n in (1, 2000):
         columns = sample_dataset(m, n, seed=n)
         assert columns.dtype == dtype and columns.shape == (n, 3)
@@ -237,7 +182,7 @@ def test_a_model_keeps_one_plan_for_every_draw(deterministic):
         graph, cards = _random_expansion(500 + 10 * deterministic + case)
         seen_cards |= set(cards.values())
         _assert_draws_do_not_depend_on_earlier_ones(
-            lambda: random_cbn(graph, cards, case, 3, deterministic), case)
+            lambda: reference_random_cbn(graph, cards, case, 3, deterministic), case)
     assert seen_cards == {2, 3, 4}
 
 
@@ -249,8 +194,7 @@ def test_a_last_level_below_one_falls_back_on_every_draw():
     def build():
         m = DiscreteCbn(g, {"V": 3, "W": 4}, {}, {},
                         {"V": Mechanism((), (), np.array([0.25, 0.25, 0.5])),
-                         "W": Mechanism(("V",), (), np.full((3, 4), 0.25))},
-                        deterministic=False)
+                         "W": Mechanism(("V",), (), np.full((3, 4), 0.25))})
         m.mechanisms["V"].cpt = np.array([0.25, 0.25, 0.25])
         return m
     _assert_draws_do_not_depend_on_earlier_ones(build, 3)
@@ -268,7 +212,7 @@ def _small_model(seed=3):
     # cards 2-4 and exogenous card 3: k = 3 endogenous, 3 private and 1 shared
     # noise column
     g = Admg(["A", "B", "C"], directed={("A", "B"), ("B", "C")}, bidirected={("A", "C")})
-    return random_cbn(g, {"A": 2, "B": 3, "C": 4}, seed=seed, exo_card=3)
+    return reference_random_cbn(g, {"A": 2, "B": 3, "C": 4}, seed, exo_card=3)
 
 
 def _assert_same_dataset(got, want):
