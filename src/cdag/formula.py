@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -391,6 +391,16 @@ class JointTable:
         total = float(probs.sum())
         if not abs(total - 1.0) <= 1e-12:    # NaN fails this test too
             raise FormulaError(f"probabilities sum to {total!r}, not 1")
+        self._link(variables, probs)
+
+    @classmethod
+    def _trusted(cls, variables: Tuple[str, ...], probs: np.ndarray) -> "JointTable":
+        # An exact oracle's table: finite, nonnegative and summing to 1, so no check runs.
+        t = object.__new__(cls)
+        t._link(variables, probs)
+        return t
+
+    def _link(self, variables, probs):
         self.variables = variables
         self.cards = tuple(probs.shape)
         self.probs = probs
@@ -459,7 +469,7 @@ class JointTable:
 class _Factor:
     """A named-axis array: axis ``i`` of ``values`` is ``names[i]``.
 
-    The exact oracle's factor, multiplied by :func:`_product`; a plan
+    The exact oracle's factor, multiplied by ``oracle._join``; a plan
     shares only that product's broadcast rule, :func:`_broadcast` and
     :func:`_line_up`, on bare arrays."""
 
@@ -505,11 +515,6 @@ def _line_up(values, view):
     # ``np.transpose(values, perm).reshape(shape)`` without numpy's wrapper
     perm, shape = view
     return values.transpose(perm).reshape(shape)
-
-
-def _product(a: _Factor, b: _Factor, lead=()) -> _Factor:
-    names, view_a, view_b = _broadcast(a.names, a.values.shape, b.names, b.values.shape, lead)
-    return _Factor(names, _line_up(a.values, view_a) * _line_up(b.values, view_b))
 
 
 def _divide(num, den, zero, shape):

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .graphs import Admg, GraphError
-from .formula import JointTable, _Factor, _product
+from .formula import JointTable, _Factor, _broadcast
 
 
 class StateSpaceCapError(ValueError):
@@ -67,9 +67,12 @@ def _check_cap(size: int, axes: int, cap: int, phase: str) -> None:
 
 
 def _join(a: _Factor, b: _Factor, cap: int, phase: str, lead=()) -> _Factor:
-    new_dims = [d for n, d in zip(b.names, b.values.shape) if n not in a.names]
-    _check_cap(a.values.size * math.prod(new_dims), len(a.names) + len(new_dims), cap, phase)
-    return _product(a, b, lead)
+    # checked first: the product's length on each axis is the larger of the two views'
+    names, (a_perm, a_dims), (b_perm, b_dims) = _broadcast(
+        a.names, a.values.shape, b.names, b.values.shape, lead)
+    _check_cap(math.prod(map(max, a_dims, b_dims)), len(names), cap, phase)
+    return _Factor(names, a.values.transpose(a_perm).reshape(a_dims) *
+                   b.values.transpose(b_perm).reshape(b_dims))
 
 
 def _contract(factors: List[_Factor], priors: Dict[str, np.ndarray],
@@ -178,6 +181,17 @@ class DiscreteCbn:
                                  "mechanism whose endo_parents are its graph parents")
         for name in sorted(exo_cards.keys() ^ exo_dists.keys()):
             raise GraphError(f"exogenous {name!r} needs both a cardinality and a distribution")
+        # Each noise read is known; two variables share one only across a bidirected edge
+        readers = collections.defaultdict(list)
+        for v in sorted(mechanisms):
+            for u in mechanisms[v].exo_parents:
+                if u not in exo_cards:
+                    raise GraphError(f"{v!r} reads exogenous {u!r}, which has no cardinality")
+                readers[u].append(v)
+        for u in sorted(readers):
+            for a, b in itertools.combinations(readers[u], 2):
+                if (a, b) not in graph.bidirected:
+                    raise GraphError(f"{a!r} and {b!r} read exogenous {u!r} without a <-> edge")
         exo_dists = {k: np.asarray(v, dtype=float) for k, v in exo_dists.items()}
         # Each table in turn, raising for the first bad one.  A CPT's axes
         # are its parents', its noises' and its own states; a row sums to 1
@@ -268,12 +282,15 @@ def random_cbn(g: Admg, cards: Dict[str, int], seed: int) -> DiscreteCbn:
     private_noise = {v: _exo_name(v, taken) for v in g.nodes}
     exo_cards = dict.fromkeys([*edge_noise.values(), *private_noise.values()], 2)
 
+    noises = {v: [name] for v, name in private_noise.items()}
+    for (a, b), name in edge_noise.items():
+        noises[a].append(name)
+        noises[b].append(name)
     mechanisms: Dict[str, Mechanism] = {}
     shapes = {}
     for v in g.nodes:
-        incident = [name for e, name in edge_noise.items() if v in e]
-        mechanisms[v] = mech = Mechanism(tuple(sorted(g.parents([v]))),
-                                         tuple(sorted(incident + [private_noise[v]])), None)
+        mechanisms[v] = mech = Mechanism(tuple(sorted(g._parents[v])),
+                                         tuple(sorted(noises[v])), None)
         shapes[v] = tuple(cards[p] for p in mech.endo_parents) + \
             tuple(exo_cards[u] for u in mech.exo_parents) + (cards[v],)
         _check_state_space(shapes[v], "random_cbn", f"{v!r} CPT", cap)
@@ -312,7 +329,7 @@ def joint_distribution(m: DiscreteCbn) -> JointTable:
     _check_state_space((m.cards[v] for v in keep), "joint_distribution")
     factors = [m._factors[v] for v in m.graph.topological_order()]
     probs = _contract(factors, m.exo_dists, keep, "joint_distribution")
-    return JointTable(keep, probs)
+    return JointTable._trusted(keep, probs)
 
 
 def _contract_free(factors: List[_Factor], x, priors: Dict[str, np.ndarray],
@@ -349,7 +366,7 @@ def interventional_distribution(m: DiscreteCbn, x: Dict[str, int]) -> JointTable
         table.flags.writeable = False
         m._posts[frozenset(x)] = free, table
     free, table = m._posts[frozenset(x)]
-    return JointTable(keep, table[(..., *(x[v] for v in free))])
+    return JointTable._trusted(keep, table[(..., *(x[v] for v in free))])
 
 
 def _draw_plan(m: DiscreteCbn):

@@ -8,6 +8,7 @@ order, so the variable graph is acyclic by construction and every output
 passes the exact compatibility check (the tests run it, not ``expand``).
 """
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
@@ -100,10 +101,10 @@ def expand(c: ClusterDag, spec: ExpansionSpec) -> Tuple[Admg, Partition]:
     size = {name: spec.size_of(name) for name in c.graph.nodes}
     # every member pair the policies walk, counted before any name is built
     kind = spec.internal.kind
-    pairs = sum(n - 1 if kind == "chain" else 0 if kind == "empty" else n * (n - 1) // 2
-                for n in size.values())
-    pairs += sum(size[a] * size[b] for edges in (c.graph.directed, c.graph.bidirected)
-                 for a, b in edges)
+    internal = sum(n - 1 if kind == "chain" else 0 if kind == "empty" else n * (n - 1) // 2
+                   for n in size.values())
+    pairs = internal + sum(size[a] * size[b] for edges in (c.graph.directed, c.graph.bidirected)
+                           for a, b in edges)
     cap = _cap()
     if pairs > cap:
         raise StateSpaceCapError(f"expand: {pairs} member pairs exceed the cap ({cap}); "
@@ -115,26 +116,21 @@ def expand(c: ClusterDag, spec: ExpansionSpec) -> Tuple[Admg, Partition]:
 
     directed: List[Tuple[str, str]] = []
     bidirected: List[Tuple[str, str]] = []
+    # every internal pair's (directed, bidirected) draws, as scalar draws give them
+    draws = iter(rng.random(2 * internal).tolist() if kind == "random" else ())
 
     for name in c.graph.nodes:
         mem = members[name]
-        kind = spec.internal.kind
-        if kind == "chain":
-            for a, b in zip(mem, mem[1:]):
-                directed.append((a, b))
-                bidirected.append((a, b))
-        elif kind == "full":
-            for i in range(len(mem)):
-                for j in range(i + 1, len(mem)):
-                    directed.append((mem[i], mem[j]))
-                    bidirected.append((mem[i], mem[j]))
-        elif kind == "random":
-            for i in range(len(mem)):
-                for j in range(i + 1, len(mem)):
-                    if rng.random() < spec.internal.edge_density:
-                        directed.append((mem[i], mem[j]))
-                    if rng.random() < spec.internal.bidirected_density:
-                        bidirected.append((mem[i], mem[j]))
+        if kind == "random":
+            for pair in itertools.combinations(mem, 2):
+                if next(draws) < spec.internal.edge_density:
+                    directed.append(pair)
+                if next(draws) < spec.internal.bidirected_density:
+                    bidirected.append(pair)
+        elif kind != "empty":
+            walk = list(zip(mem, mem[1:]) if kind == "chain" else itertools.combinations(mem, 2))
+            directed += walk
+            bidirected += walk
 
     def cross_pairs(tail_cluster, head_cluster):
         pairs = [(a, b) for a in members[tail_cluster] for b in members[head_cluster]]
@@ -143,8 +139,9 @@ def expand(c: ClusterDag, spec: ExpansionSpec) -> Tuple[Admg, Partition]:
         if spec.cross.kind == "full":
             return pairs
         witness = pairs[int(rng.integers(len(pairs)))]
-        return [witness] + [pair for pair in pairs
-                            if pair != witness and rng.random() < spec.cross.density]
+        rest = [pair for pair in pairs if pair != witness]
+        uniforms = rng.random(len(rest)).tolist() if rest else ()    # no call when none is drawn
+        return [witness] + [pair for pair, u in zip(rest, uniforms) if u < spec.cross.density]
 
     for tail, head in sorted(c.graph.directed):
         directed.extend(cross_pairs(tail, head))

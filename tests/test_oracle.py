@@ -7,6 +7,8 @@ import pytest
 from cdag import (Admg, Partition, StateSpaceCapError, interventional_distribution,
                   joint_distribution, random_cbn, sample_dataset)
 from cdag.graphs import GraphError
+from cdag import oracle
+from cdag.formula import _Factor
 from cdag.oracle import DiscreteCbn, Mechanism, empirical_table
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy, expand
 
@@ -242,6 +244,29 @@ def test_model_rejects_wiring_that_is_not_the_graph():
             DiscreteCbn(g, cards, cards_of, laws_of, own)
     m = DiscreteCbn(g, cards, exo_cards, laws, own)
     assert np.array_equal(joint_distribution(m).probs, np.full((2, 2), 0.25))
+
+
+def test_model_rejects_a_noise_shared_without_a_bidirected_edge():
+    # A and B, no edge, each a copy of one noise U: the model would make them
+    # equal, [[.5, 0], [0, .5]], on a graph that says they are independent
+    cards, exo_cards, laws = {"A": 2, "B": 2}, {"U": 2}, {"U": np.array([0.5, 0.5])}
+    copy = Mechanism((), ("U",), np.eye(2))
+    with pytest.raises(GraphError, match="^'A' and 'B' read exogenous 'U' without a <-> edge$"):
+        DiscreteCbn(Admg(["A", "B"]), cards, exo_cards, laws, {"A": copy, "B": copy})
+    m = DiscreteCbn(Admg(["A", "B"], bidirected=[("A", "B")]), cards, exo_cards, laws,
+                    {"A": copy, "B": copy})
+    assert np.array_equal(joint_distribution(m).probs, [[0.5, 0.0], [0.0, 0.5]])
+    # a third reader needs an edge to each of the others
+    g = Admg(["A", "B", "C"], bidirected=[("A", "B"), ("B", "C")])
+    with pytest.raises(GraphError, match="^'A' and 'C' read exogenous 'U' without"):
+        DiscreteCbn(g, {**cards, "C": 2}, exo_cards, laws, {"A": copy, "B": copy, "C": copy})
+
+
+def test_model_rejects_a_mechanism_reading_an_unknown_noise():
+    g = Admg(["V"])
+    mech = {"V": Mechanism((), ("U", "W"), np.full((2, 2, 2), 0.5))}
+    with pytest.raises(GraphError, match=r"^'V' reads exogenous 'W', which has no cardinality$"):
+        DiscreteCbn(g, {"V": 2}, {"U": 2}, {"U": np.array([0.5, 0.5])}, mech)
 
 
 def test_solve_requires_deterministic(med_admg):
@@ -555,6 +580,73 @@ def test_batched_model_checks_raise_as_the_per_table_loop(deterministic):
         assert str(err.value) == str(want)
         seen.add((str(want).split()[0], "shape" in str(want)))
     assert seen == {("exogenous", False), ("CPT", False), ("CPT", True)}
+
+
+def random_factor_pair(rng):
+    # two factors over random names in random order, a shared name of one
+    # length in both, some of them non-contiguous views
+    names = ["A", "B", "C", "D", "E", "F"]
+    dims = {n: int(rng.integers(1, 4)) for n in names}
+
+    def factor():
+        own = tuple(rng.permutation(names)[:int(rng.integers(0, 5))].tolist())
+        shape = [dims[n] for n in own]
+        if own and rng.random() < 0.5:
+            return _Factor(own, rng.random(shape[::-1]).T)
+        return _Factor(own, rng.random(shape))
+
+    a, b = factor(), factor()
+    union = sorted({*a.names, *b.names})
+    lead = tuple(rng.permutation(union)[:int(rng.integers(0, 3))].tolist()) \
+        if union and rng.random() < 0.5 else ()
+    return a, b, lead
+
+
+def test_join_is_the_broadcast_product_checked_against_the_cap():
+    rng = rng_for(990)
+    for _ in range(300):
+        a, b, lead = random_factor_pair(rng)
+        want = oracles.product(a, b, lead)
+        assert_same_factor(oracle._join(a, b, 2 ** 22, "phase", lead), want)
+        # the cap error at the size the test-side join refuses too
+        size = want.values.size
+        assert_same_factor(oracle._join(a, b, size, "phase", lead), want)
+        with pytest.raises(StateSpaceCapError) as got:
+            oracle._join(a, b, size - 1, "phase", lead)
+        with pytest.raises(StateSpaceCapError) as expected:
+            oracles._join(a, b, size - 1, "phase", lead)
+        assert str(got.value) == str(expected.value)
+
+
+def test_oracle_tables_are_laws():
+    # what the trusted tables skip: every entry finite and nonnegative, and
+    # the sum 1 within the public constructor's tolerance
+    rng = rng_for(995)
+    models = []
+    for _ in range(10):
+        c = random_cdag(rng, int(rng.integers(2, 6)), p_dir=0.5, p_bi=0.4)
+        graph, _ = expand(c, ExpansionSpec(
+            sizes={name: int(rng.integers(1, 4)) for name in c.graph.nodes},
+            internal=InternalPolicy("random", 0.5, 0.4), cross=CrossPolicy("random", 0.4),
+            seed=int(rng.integers(10 ** 6))))
+        if len(graph.nodes) <= 12 and len(graph.bidirected) <= 10:
+            models.append(random_cbn(graph, {v: int(rng.integers(2, 4)) for v in graph.nodes},
+                                     seed=int(rng.integers(10 ** 6))))
+        models.append(model_on_expansion(rng, deterministic=bool(rng.integers(2)))[0])
+    tables = 0
+    for m in models:
+        nodes = list(m.graph.nodes)
+        checked = [joint_distribution(m)]
+        for k in range(len(nodes) + 1):
+            xs = rng.permutation(nodes)[:k].tolist()
+            checked += [interventional_distribution(m, {v: int(rng.integers(m.cards[v]))
+                                                        for v in xs}) for _ in range(2)]
+        for t in checked:
+            assert t.probs.dtype == np.float64 and t.cards == t.probs.shape
+            assert np.isfinite(t.probs).all() and t.probs.min(initial=0.0) >= 0
+            assert abs(float(t.probs.sum()) - 1.0) <= 1e-12
+            tables += 1
+    assert len(models) >= 15 and tables >= 150
 
 
 def test_interventional_tables_are_read_only():

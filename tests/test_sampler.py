@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -152,3 +154,26 @@ def test_expand_checks_the_member_pairs_against_the_cap(monkeypatch, backdoor_cd
     with pytest.raises(StateSpaceCapError, match=f"^expand: {pairs} member pairs exceed "
                                                  r"the cap \(100\); raise CDAG_STATE_CAP$"):
         expand(backdoor_cdag, spec(refused))
+
+
+# Every expansion of a sweep of random C-DAGs under every internal and cross
+# policy, hashed: the random policies draw their internal pairs and each
+# cross edge's extra pairs in one call, as consecutive scalar draws would.
+SAMPLE_BATCH_DIGEST = "29d5b8be3106e717956dc1274870ba95205b0c38152d7423c15f75c7949bd276"
+
+
+def test_sample_batch_digest():
+    rng = rng_for(61)
+    digest = hashlib.sha256()
+    for _ in range(8):
+        c = random_cdag(rng, int(rng.integers(2, 6)))
+        sizes = {name: int(rng.integers(1, 5)) for name in c.graph.nodes}
+        for internal in ("random", "chain", "full", "empty"):
+            for cross in ("random", "minimal_witness", "full"):
+                spec = ExpansionSpec(sizes=sizes, internal=InternalPolicy(internal, *rng.random(2)),
+                                     cross=CrossPolicy(cross, rng.random()),
+                                     seed=int(rng.integers(10 ** 6)))
+                for graph, partition in sample_batch(c, spec, 3):
+                    digest.update(repr((graph.nodes, sorted(graph.directed),
+                                        sorted(graph.bidirected), partition.blocks)).encode())
+    assert digest.hexdigest() == SAMPLE_BATCH_DIGEST
