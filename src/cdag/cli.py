@@ -212,6 +212,7 @@ def _load(path: str) -> ParsedGraph:
 
 def _parse_sizes(text: Optional[str], parsed: ParsedGraph) -> Dict[str, int]:
     sizes = {name: len(members) for name, members in parsed.member_hints.items()}
+    given = {}
     for piece in text.split(",") if text else ():
         name, eq, count = piece.partition("=")
         name = name.strip()
@@ -220,12 +221,14 @@ def _parse_sizes(text: Optional[str], parsed: ParsedGraph) -> Dict[str, int]:
         if name not in sizes:
             raise FormulaError(f"--sizes names {name!r}, which is not a cluster "
                                "of the file")
+        if name in given:
+            raise FormulaError(f"--sizes names {name!r} twice")
         try:
-            sizes[name] = int(count)
+            given[name] = int(count)
         except ValueError:
             raise FormulaError(f"--sizes count for {name!r} must be an integer, "
                                f"got {count!r}") from None
-    return sizes
+    return sizes | given
 
 
 def _expansion_spec(args, parsed: ParsedGraph) -> ExpansionSpec:

@@ -35,7 +35,7 @@ class Admg:
     """An acyclic directed mixed graph over named nodes.
 
     Nodes are opaque strings kept in lexicographic order so that every
-    derived ordering (topological sorts, component listings, renderings)
+    derived ordering (topological sorts, renderings)
     is reproducible.  Directed edges are (tail, head) pairs; bidirected
     edges are stored as canonical sorted pairs.  Self loops are rejected
     in both edge sets and the directed part is checked for acyclicity at
@@ -163,42 +163,17 @@ class Admg:
 
     # -- kinship --------------------------------------------------------
 
-    def parents(self, s: Iterable[str]) -> FrozenSet[str]:
-        """Union of directed-edge tails into members of ``s``."""
-        s = self._check_members(s)
-        out = set()
-        for v in s:
-            out |= self._parents[v]
-        return frozenset(out)
-
-    def children(self, s: Iterable[str]) -> FrozenSet[str]:
-        s = self._check_members(s)
-        out = set()
-        for v in s:
-            out |= self._children[v]
-        return frozenset(out)
-
-    def ancestors(self, s: Iterable[str]) -> FrozenSet[str]:
-        """Transitive closure of parents, excluding ``s`` itself."""
-        s = self._check_members(s)
-        return self._reach(s, self._parents, self._node_set) - s
-
-    def descendants(self, s: Iterable[str]) -> FrozenSet[str]:
-        s = self._check_members(s)
-        return self._reach(s, self._children, self._node_set) - s
-
     def ancestral_closure(self, s: Iterable[str]) -> FrozenSet[str]:
         """``s`` together with all its ancestors (a closed set under ancestors)."""
         return self._reach(self._check_members(s), self._parents, self._node_set)
 
     @staticmethod
     def _reach(s: Iterable[str], links, within) -> FrozenSet[str]:
-        """``s`` and every node reached from it along ``links`` (one of the
-        adjacency maps ``_parents``, ``_children``, ``_siblings``) without
-        leaving ``within``, unchecked.  For ``s`` inside ``within`` this is
-        the ancestral closure, descendant closure or c-component union of
-        ``s`` in the subgraph ``within`` induces, found without building
-        that subgraph."""
+        """``s`` and every node reached from it along ``links`` (the adjacency
+        map ``_parents`` or ``_siblings``) without leaving ``within``,
+        unchecked.  For ``s`` inside ``within`` this is the ancestral closure
+        or c-component union of ``s`` in the subgraph ``within`` induces,
+        found without building that subgraph."""
         seen = set(s)
         frontier = list(seen)
         while frontier:
@@ -229,31 +204,6 @@ class Admg:
         directed = frozenset((t, h) for t, h in self.directed if h not in into and t not in out_of)
         bidirected = frozenset((a, b) for a, b in self.bidirected if a not in into and b not in into)
         return Admg._trusted(self.nodes, self._node_set, directed, bidirected)
-
-    def induced(self, keep: Iterable[str]) -> "Admg":
-        """Induced subgraph over ``keep``."""
-        keep = self._check_members(keep)
-        directed = frozenset((t, h) for t, h in self.directed if t in keep and h in keep)
-        bidirected = frozenset((a, b) for a, b in self.bidirected if a in keep and b in keep)
-        return Admg._trusted(tuple(sorted(keep)), keep, directed, bidirected)
-
-    # -- components -------------------------------------------------------
-
-    def c_components(self) -> Tuple[FrozenSet[str], ...]:
-        """Connected components of the bidirected-edge skeleton.
-
-        Nodes without bidirected edges form singleton components.  The
-        result is ordered by the smallest member of each component.
-        """
-        seen = set()
-        comps = []
-        for v in self.nodes:
-            if v not in seen:
-                comp = self._reach([v], self._siblings, self._node_set)
-                seen |= comp
-                comps.append(comp)
-        comps.sort(key=lambda c: min(c))
-        return tuple(comps)
 
     # -- separation -------------------------------------------------------
 

@@ -176,17 +176,21 @@ class DiscreteCbn:
         # One card and a mechanism on the graph's parents per node, and a law per noise card.
         for v in sorted({*graph.nodes, *cards, *mechanisms}):
             if not (v in graph.nodes and v in cards and v in mechanisms) or \
-                    sorted(mechanisms[v].endo_parents) != sorted(graph.parents([v])):
+                    sorted(mechanisms[v].endo_parents) != sorted(graph._parents[v]):
                 raise GraphError(f"{v!r} needs to be a graph node with a card and a "
                                  "mechanism whose endo_parents are its graph parents")
         for name in sorted(exo_cards.keys() ^ exo_dists.keys()):
             raise GraphError(f"exogenous {name!r} needs both a cardinality and a distribution")
+        for name in sorted(exo_cards.keys() & graph._node_set):
+            raise GraphError(f"exogenous {name!r} is named like a graph node")
         # Each noise read is known; two variables share one only across a bidirected edge
         readers = collections.defaultdict(list)
         for v in sorted(mechanisms):
             for u in mechanisms[v].exo_parents:
                 if u not in exo_cards:
                     raise GraphError(f"{v!r} reads exogenous {u!r}, which has no cardinality")
+                if v in readers[u]:
+                    raise GraphError(f"{v!r} reads exogenous {u!r} twice")
                 readers[u].append(v)
         for u in sorted(readers):
             for a, b in itertools.combinations(readers[u], 2):

@@ -9,12 +9,17 @@ They are deliberately naive and independent of the code they check:
   resolving names and working out every permutation and shape at each
   node; the library builds a plan once per expression and table layout
   and runs it on each table.  Both issue the same numpy operations.
-* :func:`m_separated_brute_force` enumerates every path, and
+* :func:`m_separated_brute_force` enumerates every path, with the
+  colliders opened by ``z`` read from the edge list, and
   :func:`m_separated_augmented` searches Richardson's (2003) augmented
   graph from the three edge collections alone, with no ``Admg`` method;
   the library's :meth:`cdag.graphs.Admg.m_separated` is Bayes-ball.
 * :func:`kahn_order` keeps Kahn's ready nodes in a list it sorts again
-  whenever nodes open; the library keeps them on a heap.
+  whenever nodes open, and scans the directed edge list for each placed
+  node; the library keeps them on a heap.
+* :func:`descendants` and :func:`c_components` rescan the edge lists
+  until nothing grows, as :func:`_cut_ancestors` does for ancestors; the
+  library walks its adjacency maps, and keeps neither set as a method.
 * :func:`simplify`, :func:`free_vars` and :func:`alpha_normalize` walk an
   expression as a tree, so a sub-expression shared by several parents is
   rewritten once per reference and free variables are recomputed at
@@ -285,7 +290,7 @@ def m_separated_brute_force(g: Admg, x, y, z=()) -> bool:
     z = g._check_members(z)
     if x & y or x & z or y & z:
         raise GraphError("query sets must be pairwise disjoint")
-    collider_open = z | g.ancestors(z)
+    collider_open = _cut_ancestors(g.directed, (), z)
 
     # Each step is (node, head_at_prev, head_at_node) for the edge walked.
     def edges_from(v):
@@ -384,22 +389,58 @@ def m_separated_augmented(nodes, directed, bidirected, x, y, z=()) -> bool:
 
 
 def kahn_order(g: Admg) -> Tuple[str, ...]:
-    """Kahn's algorithm with a lexicographic tie break, read through the
-    public kinship queries."""
-    in_degree = {v: len(g.parents([v])) for v in g.nodes}
+    """Kahn's algorithm with a lexicographic tie break, read from the
+    directed edge list by a scan per placed node."""
+    in_degree = {v: 0 for v in g.nodes}
+    for _, h in g.directed:
+        in_degree[h] += 1
     ready = sorted(v for v in g.nodes if in_degree[v] == 0)
     order = []
     while ready:
         v = ready.pop(0)
         order.append(v)
         opened = []
-        for ch in g.children([v]):
-            in_degree[ch] -= 1
-            if in_degree[ch] == 0:
-                opened.append(ch)
+        for t, ch in g.directed:
+            if t == v:
+                in_degree[ch] -= 1
+                if in_degree[ch] == 0:
+                    opened.append(ch)
         if opened:
             ready = sorted(ready + opened)
     return tuple(order)
+
+
+def descendants(g: Admg, s) -> set:
+    """The nodes outside ``s`` that a directed path from ``s`` reaches, by
+    rescanning the directed edge list until no edge adds a node."""
+    reached, grown = set(s), True
+    while grown:
+        grown = False
+        for t, h in g.directed:
+            if t in reached and h not in reached:
+                reached.add(h)
+                grown = True
+    return reached - set(s)
+
+
+def c_components(g: Admg) -> list:
+    """The bidirected-connected components of ``g``, each a frozenset,
+    ordered by their least node: each grown from its least node outside
+    the earlier ones by rescanning the bidirected edge list."""
+    comps, placed = [], set()
+    for v in g.nodes:
+        if v in placed:
+            continue
+        comp, grown = {v}, True
+        while grown:
+            grown = False
+            for a, b in g.bidirected:
+                if (a in comp) != (b in comp):
+                    comp |= {a, b}
+                    grown = True
+        comps.append(frozenset(comp))
+        placed |= comp
+    return comps
 
 
 # -- the tree-walking simplifier ----------------------------------------------
@@ -674,7 +715,7 @@ def reference_random_cbn(g, cards, seed, exo_card=2, deterministic=False):
 
     mechanisms = {}
     for v in g.nodes:
-        endo = tuple(sorted(g.parents([v])))
+        endo = tuple(sorted(t for t, h in g.directed if h == v))
         incident = [edge_noise[e] for e in sorted(edge_noise) if v in e]
         exo = tuple(sorted(incident + [private_noise[v]]))
         m = cards[v]

@@ -21,8 +21,8 @@ from cdag.cluster import Partition
 from cdag.formula import tabulate
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy, expand
 
-from oracles import (MacroScm, cluster_factorization_check, counterfactual_prob, equivalent_on,
-                     m_separated_brute_force, reference_random_cbn)
+from oracles import (MacroScm, _linked, cluster_factorization_check, counterfactual_prob,
+                     equivalent_on, m_separated_brute_force, reference_random_cbn)
 from randutil import (licensed_equality_deviation, random_admg, random_cdag,
                       random_disjoint_sets, random_query, rng_for)
 
@@ -122,7 +122,7 @@ def check_hedge(c, h, x, y):
         assert all(n <= 1 for n in child_count.values())
         roots = frozenset(v for v in forest.nodes if v not in child_count)
         assert roots == h.root_set
-        assert len(forest.c_components()) == 1
+        assert _linked(set(forest.nodes), forest.bidirected)
     assert set(h.forest_fprime.nodes) <= set(h.forest_f.nodes)
     assert h.forest_fprime.directed <= h.forest_f.directed
     assert h.forest_fprime.bidirected <= h.forest_f.bidirected

@@ -282,7 +282,8 @@ def test_renamed_singleton_cluster_golden_bytes(capsys, tmp_path):
     ("Nope=3", "--sizes names 'Nope', which is not a cluster of the file"),
     ("Z=abc", "--sizes count for 'Z' must be an integer, got 'abc'"),
     ("Z=2.5", "--sizes count for 'Z' must be an integer, got '2.5'"),
-], ids=["unknown_name", "not_a_number", "fraction"])
+    ("Z=3,Z=4", "--sizes names 'Z' twice"),
+], ids=["unknown_name", "not_a_number", "fraction", "repeated"])
 def test_bad_sizes_is_input_error(capsys, command, sizes, message):
     query = ["-x", "X", "-y", "Y", "--diagrams", "1", "--datasets", "0"] \
         if command == "simulate" else []

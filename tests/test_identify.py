@@ -10,9 +10,9 @@ from cdag import (Admg, ClusterDag, CondProb, Identified, NonIdentified, Product
                   joint_distribution, random_cbn, render, singleton_cdag)
 from cdag.cli import main
 from cdag.graphs import GraphError
-from cdag.identify import _ancestral_reduce, _chain_factor, _chain_table, _run
+from cdag.identify import _ancestral_reduce, _chain_factor, _chain_table, _district, _run
 
-from oracles import equivalent_on
+from oracles import _cut_ancestors, c_components, equivalent_on
 from randutil import random_admg, rng_for, sweep_query
 
 
@@ -268,7 +268,7 @@ def test_q_decomposition_identity(med_admg):
     m = random_cbn(med_admg, {v: 2 for v in med_admg.nodes}, seed=31)
     t = joint_distribution(m)
     table = _chain_table(c.graph.topological_order())
-    exprs = [_chain_factor(table, comp) for comp in c.graph.c_components()]
+    exprs = [_chain_factor(table, comp) for comp in c_components(c.graph)]
     for state in itertools.product(range(2), repeat=len(med_admg.nodes)):
         assignment = dict(zip(med_admg.nodes, state))
         prod = 1.0
@@ -291,6 +291,22 @@ def test_ancestral_reduce_drops_isolated():
 def test_ancestral_reduce_frontdoor(frontdoor_cdag):
     keep = frozenset(frontdoor_cdag.graph.nodes) - {"X"}
     assert _ancestral_reduce(frontdoor_cdag.graph, keep, frozenset({"Y"})) == {"S", "Y", "Z"}
+
+
+def test_reachability_matches_edge_list_oracles():
+    # the districts and ancestral reductions identify reads by walking the
+    # sibling and parent maps, against rescans of the edge lists
+    rng = rng_for(41)
+    for _ in range(200):
+        g = random_admg(rng, int(rng.integers(1, 9)), p_dir=rng.random(), p_bi=rng.random())
+        nodes = frozenset(g.nodes)
+        for comp in c_components(g):
+            for v in comp:
+                assert _district(g, {v}, nodes) == comp
+        keep = frozenset(v for v in g.nodes if rng.random() < 0.7)
+        y = frozenset(v for v in keep if rng.random() < 0.3)
+        inside = [(t, h) for t, h in g.directed if t in keep and h in keep]
+        assert _ancestral_reduce(g, keep, y) == _cut_ancestors(inside, (), y)
 
 
 def test_observational_marginal(backdoor_cdag):
@@ -329,7 +345,9 @@ def test_non_ancestors_do_not_change_identification(seed):
     rng = rng_for(seed)
     g = random_admg(rng, int(rng.integers(2, 7)), p_dir=0.5, p_bi=0.3)
     y = g.topological_order()[-1]
-    core = g.induced(g.ancestral_closure([y]))
+    an_y = g.ancestral_closure([y])
+    core = Admg(an_y, [(t, h) for t, h in g.directed if h in an_y],
+                [(a, b) for a, b in g.bidirected if a in an_y and b in an_y])
     candidates = [v for v in core.nodes if v != y]
     if not candidates:
         return

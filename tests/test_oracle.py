@@ -269,6 +269,28 @@ def test_model_rejects_a_mechanism_reading_an_unknown_noise():
         DiscreteCbn(g, {"V": 2}, {"U": 2}, {"U": np.array([0.5, 0.5])}, mech)
 
 
+def test_model_rejects_a_mechanism_reading_one_noise_twice():
+    g = Admg(["V"])
+    mech = {"V": Mechanism((), ("U", "U"), np.full((2, 2, 2), 0.5))}
+    with pytest.raises(GraphError, match=r"^'V' reads exogenous 'U' twice$"):
+        DiscreteCbn(g, {"V": 2}, {"U": 2}, {"U": np.array([0.5, 0.5])}, mech)
+
+
+def test_model_rejects_a_noise_named_like_a_node():
+    # A copies its noise U; B reads its parent A and copies a noise also
+    # named A, law [.9, .1].  The joint is [[.45, .05], [.45, .05]], but
+    # a table over the one name A would read [[.5, 0], [0, .5]].
+    g = Admg(["A", "B"], [("A", "B")])
+    mechs = {"A": Mechanism((), ("U",), np.eye(2)),
+             "B": Mechanism(("A",), ("A",), np.tile(np.eye(2), (2, 1, 1)))}
+    laws = {"U": np.array([0.5, 0.5]), "A": np.array([0.9, 0.1])}
+    with pytest.raises(GraphError, match=r"^exogenous 'A' is named like a graph node$"):
+        DiscreteCbn(g, {"A": 2, "B": 2}, {"U": 2, "A": 2}, laws, mechs)
+    m = DiscreteCbn(g, {"A": 2, "B": 2}, {"U": 2, "V": 2}, {"U": laws["U"], "V": laws["A"]},
+                    {**mechs, "B": Mechanism(("A",), ("V",), mechs["B"].cpt)})
+    assert np.allclose(joint_distribution(m).probs, [[0.45, 0.05], [0.45, 0.05]])
+
+
 def test_solve_requires_deterministic(med_admg):
     m = random_cbn(med_admg, binary_cards(med_admg), seed=22)
     with pytest.raises(GraphError):
@@ -501,7 +523,7 @@ def test_interventional_tables_match_per_value_reference(deterministic):
             assert_same_factor(m._factors[v], oracles._variable_factor(m, v))
         assert_same_table(joint_distribution(m), oracles.joint_distribution(m))
         nodes = list(m.graph.nodes)
-        sinks = [v for v in nodes if not m.graph.children([v])]
+        sinks = [v for v in nodes if not any(t == v for t, _ in m.graph.directed)]
         sets = [(), tuple(nodes), (sinks[0],)]
         sets += [tuple(rng.permutation(nodes)[:int(rng.integers(1, 4))]) for _ in range(3)]
         # every set twice, the rounds interleaved, values in a fresh order
