@@ -28,9 +28,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .graphs import Admg, GraphError
-from .cluster import (ClusterDag, InadmissibleError, Partition, PartitionError,
-                      build_cdag, cdag_d_separated, is_compatible, singleton_cdag)
+from .graphs import Admg
+from .cluster import (ClusterDag, InadmissibleError, Partition, build_cdag,
+                      cdag_d_separated, is_compatible, singleton_cdag)
 from .docalc import DoQuery, rule1, rule2, rule3
 from .formula import FormulaError, JointTable, _Plan, evaluate, parse_formula_json, render
 from .identify import Identified, identify
@@ -83,6 +83,8 @@ def _tokenize(line: str, line_no: int) -> List[str]:
 
 def _name_of(token: str, line_no: int) -> str:
     if token.startswith('"'):
+        if token.endswith("'"):    # the formulas keep a trailing prime for renamed names
+            raise ParseError(line_no, f"name {token[1:]!r} must not end in a prime")
         return token[1:]
     if not _BARE_NAME.fullmatch(token):
         raise ParseError(line_no, f"invalid name {token!r}")
@@ -119,10 +121,9 @@ def parse_graph(text: str) -> ParsedGraph:
             if len(tokens) < 6 or tokens[2] != "=" or tokens[3] != "{" or tokens[-1] != "}":
                 raise ParseError(line_no, "expected: cluster NAME = { NAME+ }")
             name = _name_of(tokens[1], line_no)
-            members = tuple(_name_of(t, line_no) for t in tokens[4:-1])
-            if not members:
-                raise ParseError(line_no, f"cluster {name!r} has no members")
-            clusters.append((name, members))
+            if name in dict(clusters):
+                raise ParseError(line_no, f"cluster {name!r} is declared twice")
+            clusters.append((name, tuple(_name_of(t, line_no) for t in tokens[4:-1])))
         elif head == "edge":
             if len(tokens) != 4 or tokens[2] not in ("->", "<->"):
                 raise ParseError(line_no, "expected: edge A -> B or edge A <-> B")
@@ -264,11 +265,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dsep(args) -> int:
-    parsed = _load(args.file)
-    if parsed.kind == "admg":
-        separated = parsed.admg.m_separated(args.x, args.y, args.z or ())
-    else:
-        separated = cdag_d_separated(parsed.cdag, args.x, args.y, args.z or ())
+    separated = cdag_d_separated(_load(args.file).cdag, args.x, args.y, args.z or ())
     print("separated" if separated else "connected")
     return 0 if separated else 1
 
@@ -319,7 +316,11 @@ def _cmd_eval(args) -> int:
         name = name.strip()
         if name in assignment:
             raise FormulaError(f"--at names {name!r} twice")
-        assignment[name] = int(value)
+        try:
+            assignment[name] = int(value)
+        except ValueError:
+            raise FormulaError(f"--at value for {name!r} must be an integer, "
+                               f"got {value!r}") from None
     print(repr(evaluate(expr, table, assignment)))
     return 0
 
@@ -330,8 +331,6 @@ def _effect(plan, table, x_vars, y_vars, lenient=False):
 
     def at(x_value):
         assign = {v: x_value for v in x_vars} | {v: 1 for v in y_vars}
-        if not variables:
-            return float(arr)
         return float(arr[tuple(assign[v] for v in variables)])
 
     return at(1) - at(0)
@@ -498,8 +497,7 @@ def main(argv=None) -> int:
         # looked up per call, not bound into the cached parser, so a
         # rebound ``_cmd_*`` name takes effect
         return globals()[f"_cmd_{args.command}"](args)
-    except (ParseError, OSError, GraphError, PartitionError, FormulaError,
-            StateSpaceCapError, ValueError, MemoryError) as err:
+    except (OSError, ValueError, MemoryError) as err:    # every cdag error is a ValueError
         print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 3
 

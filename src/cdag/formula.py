@@ -441,6 +441,8 @@ class JointTable:
         if len(rows) == 1:
             raise FormulaError("CSV has a header but no rows")
         variables = tuple(header[:-1])
+        for name in (v for v in variables if v.endswith("'")):    # kept for renamed names
+            raise FormulaError(f"CSV column {name!r} must not end in a prime")
         states = []
         values = []
         for line in rows[1:]:
@@ -465,28 +467,6 @@ class JointTable:
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-class _Factor:
-    """A named-axis array: axis ``i`` of ``values`` is ``names[i]``.
-
-    The exact oracle's factor, multiplied by ``oracle._join``; a plan
-    shares only that product's broadcast rule, :func:`_broadcast` and
-    :func:`_line_up`, on bare arrays."""
-
-    __slots__ = ("names", "values")
-
-    def __init__(self, names: Sequence, values: np.ndarray):
-        self.names = tuple(names)
-        self.values = values
-
-    def sum_out(self, drop) -> "_Factor":
-        """Sum over the axes named in ``drop``, in one ``sum`` call."""
-        axes = tuple(i for i, n in enumerate(self.names) if n in drop)
-        if not axes:
-            return self
-        return _Factor([n for n in self.names if n not in drop],
-                       self.values.sum(axis=axes))
-
 
 def _broadcast(a_names, a_shape, b_names, b_shape, lead=()):
     # The broadcast rule of a product over the union of the axes: those of

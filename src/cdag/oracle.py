@@ -27,7 +27,17 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .graphs import Admg, GraphError
-from .formula import JointTable, _Factor, _broadcast
+from .formula import JointTable, _broadcast
+
+
+class _Factor:
+    """A named-axis array: axis ``i`` of ``values`` is ``names[i]``."""
+
+    __slots__ = ("names", "values")
+
+    def __init__(self, names: Sequence, values: np.ndarray):
+        self.names = tuple(names)
+        self.values = values
 
 
 class StateSpaceCapError(ValueError):
@@ -75,26 +85,39 @@ def _join(a: _Factor, b: _Factor, cap: int, phase: str, lead=()) -> _Factor:
                    b.values.transpose(b_perm).reshape(b_dims))
 
 
-def _contract(factors: List[_Factor], priors: Dict[str, np.ndarray],
-              keep: Sequence[str], phase: str, lead: Sequence[str] = ()) -> np.ndarray:
-    """Sum the product of the factors over every prior-weighted axis,
-    returning a dense array over ``keep`` in that exact order.
+def _contract(factors: List[_Factor], priors: Dict[str, np.ndarray], keep: Dict[str, int],
+              x, phase: str) -> Tuple[Tuple[str, ...], np.ndarray]:
+    """Sum the product of the factors over every prior-weighted axis.
+    Returns the variables of ``x`` that the factors hold, sorted, which stay
+    free, and a dense array over ``keep`` (names and their lengths) then
+    them, in that exact order.
 
     Factors are grouped by shared prior axes and accumulated in their
     given order (callers pass them topologically), folding in each prior
     and summing its axis out as soon as the last factor referencing it
     has been absorbed.  This keeps intermediates near the size of the
-    output times the live noise frontier.  The ``lead`` axes, which the
-    factors hold first and outermost, stay first in every product, so each
-    of their slices is laid out and summed as if they were absent.
+    output times the live noise frontier.  Each factor is copied with the
+    free axes leading, each slice laid out as ``np.take`` would fix it, and
+    they stay first in every product, so each slice is computed exactly as
+    the contraction at that one value.
     """
+    held, dims = [], {}
+    for f in factors:
+        fixed = [n for n in f.names if n in x]
+        if fixed:
+            moved = np.moveaxis(f.values, [f.names.index(n) for n in fixed], range(len(fixed)))
+            f = _Factor(fixed + [n for n in f.names if n not in x], np.ascontiguousarray(moved))
+            dims.update(zip(fixed, f.values.shape))
+        held.append(f)
+    free = tuple(sorted(dims))
+    _check_state_space([*keep.values(), *(dims[n] for n in free)], phase)
     cap = _cap()
-    sum_axes = {n for f in factors for n in f.names if n in priors and n not in keep}
+    sum_axes = {n for f in held for n in f.names if n in priors}
 
     # Union-find grouping of factors over shared summed axes.
     groups: List[List[_Factor]] = []
     axis_group: Dict[str, int] = {}
-    for f in factors:
+    for f in held:
         shared = sorted({axis_group[n] for n in f.names if n in axis_group})
         if shared:
             target = shared[0]
@@ -124,7 +147,7 @@ def _contract(factors: List[_Factor], priors: Dict[str, np.ndarray],
         acc = group[0]
         for i, names in enumerate(folds):
             if i:
-                acc = _join(acc, group[i], cap, phase, lead)
+                acc = _join(acc, group[i], cap, phase, free)
             for name in names:
                 # acc times the prior along its axis, as the product of
                 # acc and a factor over that axis alone would line them up
@@ -136,11 +159,11 @@ def _contract(factors: List[_Factor], priors: Dict[str, np.ndarray],
                               (acc.values * priors[name].reshape(shape)).sum(axis=(axis,)))
         results.append(acc)
 
+    # every prior is folded in within its group, so only keep and free remain
     result = _Factor((), np.array(1.0))
     for f in results:
-        result = _join(result, f, cap, phase, lead)
-    result = result.sum_out([n for n in result.names if n not in keep])
-    return np.transpose(result.values, [result.names.index(n) for n in keep])
+        result = _join(result, f, cap, phase, free)
+    return free, np.transpose(result.values, [result.names.index(n) for n in [*keep, *free]])
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +272,7 @@ class DiscreteCbn:
                 factor = _Factor(factor.names[:axis] + factor.names[axis + 1:],
                                  np.dot(at, dist.reshape((dist.shape[0], 1))).reshape(kept))
             self._factors[v] = factor
-        # interventional_distribution's tables, by intervened set
+        # the exact tables, by intervened set; the joint's is the empty set's
         self._posts: Dict[frozenset, Tuple[Tuple[str, ...], np.ndarray]] = {}
         self._draw = None    # sample_dataset's plan, built by the first draw
         self._ahead = None   # the take of a draw_ahead scope open on the model
@@ -327,50 +350,31 @@ def _check_state_space(cards: Iterable[int], phase: str, space: str = "joint",
                                  f"the cap ({cap}); raise CDAG_STATE_CAP")
 
 
+def _exact(m: DiscreteCbn, x: Dict[str, int], phase: str) -> JointTable:
+    # The table after forcing ``x``: each intervened set is contracted once
+    # per model with its values held free, kept read-only, and sliced per call.
+    keep = tuple(v for v in m.graph.nodes if v not in x)
+    if frozenset(x) not in m._posts:
+        factors = [m._factors[v] for v in m.graph.topological_order() if v not in x]
+        free, table = _contract(factors, m.exo_dists, {v: m.cards[v] for v in keep}, x, phase)
+        table.flags.writeable = False
+        m._posts[frozenset(x)] = free, table
+    free, table = m._posts[frozenset(x)]
+    return JointTable._trusted(keep, table[(..., *(x[v] for v in free))])
+
+
 def joint_distribution(m: DiscreteCbn) -> JointTable:
-    """Exact observational distribution over the endogenous variables."""
-    keep = m.graph.nodes
-    _check_state_space((m.cards[v] for v in keep), "joint_distribution")
-    factors = [m._factors[v] for v in m.graph.topological_order()]
-    probs = _contract(factors, m.exo_dists, keep, "joint_distribution")
-    return JointTable._trusted(keep, probs)
-
-
-def _contract_free(factors: List[_Factor], x, priors: Dict[str, np.ndarray],
-                   keep: Tuple[str, ...], phase: str) -> Tuple[Tuple[str, ...], np.ndarray]:
-    """:func:`_contract` with the variables of ``x`` that the factors hold
-    free, not fixed: returns them, sorted, and the table over ``keep`` then
-    them.  Each factor is copied with their axes leading, each slice laid
-    out as ``np.take`` would fix it, so each slice is computed exactly as
-    the contraction at that one value."""
-    held = []
-    for f in factors:
-        fixed = [n for n in f.names if n in x]
-        if fixed:
-            moved = np.moveaxis(f.values, [f.names.index(n) for n in fixed], range(len(fixed)))
-            f = _Factor(fixed + [n for n in f.names if n not in x], np.ascontiguousarray(moved))
-        held.append(f)
-    free = tuple(sorted({n for f in held for n in f.names if n in x}))
-    dims = {n: d for f in held for n, d in zip(f.names, f.values.shape)}
-    _check_state_space((dims[n] for n in keep + free), phase)
-    return free, _contract(held, priors, keep + free, phase, lead=free)
+    """Exact observational distribution over the endogenous variables: the
+    empty intervention's table, kept read-only on the model."""
+    return _exact(m, {}, "joint_distribution")
 
 
 def interventional_distribution(m: DiscreteCbn, x: Dict[str, int]) -> JointTable:
     """Exact distribution after forcing ``x``, by truncated factorization:
     the intervened variables' factors are dropped and their values fixed
-    wherever they appear as parents.  Each intervened set is contracted
-    once per model with its values held free; a call slices that table.
-    """
+    wherever they appear as parents."""
     _check_intervention(x, m.cards)
-    keep = tuple(v for v in m.graph.nodes if v not in x)
-    if frozenset(x) not in m._posts:
-        factors = [m._factors[v] for v in m.graph.topological_order() if v not in x]
-        free, table = _contract_free(factors, x, m.exo_dists, keep, "interventional_distribution")
-        table.flags.writeable = False
-        m._posts[frozenset(x)] = free, table
-    free, table = m._posts[frozenset(x)]
-    return JointTable._trusted(keep, table[(..., *(x[v] for v in free))])
+    return _exact(m, x, "interventional_distribution")
 
 
 def _draw_plan(m: DiscreteCbn):

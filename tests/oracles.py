@@ -86,12 +86,31 @@ import numpy as np
 
 from cdag.formula import (ONE, CondProb, Fraction, FormulaError, JointTable, ProbExpr,
                           Product, Sum, UnknownVariableError, ZeroConditioningMass,
-                          _LATEX, _TEXT, _base_name, _Factor, _One, product_of, render,
+                          _LATEX, _TEXT, _base_name, _One, product_of, render,
                           tabulate)
 from cdag.graphs import Admg, GraphError
 from cdag.identify import Hedge
 from cdag.cluster import Partition, build_cdag
 from cdag.oracle import DiscreteCbn, Mechanism, StateSpaceCapError, _cap
+
+
+class _Factor:
+    """A named-axis array: axis ``i`` of ``values`` is ``names[i]``.  The
+    reference walker and the reference contraction use this one, not the
+    library's, so they stay independent of the code they check."""
+
+    __slots__ = ("names", "values")
+
+    def __init__(self, names: Sequence, values: np.ndarray):
+        self.names = tuple(names)
+        self.values = values
+
+    def sum_out(self, drop) -> "_Factor":
+        """Sum over the axes named in ``drop``, in one ``sum`` call."""
+        axes = tuple(i for i, n in enumerate(self.names) if n in drop)
+        if not axes:
+            return self
+        return _Factor([n for n in self.names if n not in drop], self.values.sum(axis=axes))
 
 
 def _resolver(table: JointTable, clusters: Optional[Dict[str, Sequence[str]]]):

@@ -277,6 +277,109 @@ def test_renamed_singleton_cluster_golden_bytes(capsys, tmp_path):
         "edge W_2 -> C\nedge W_1 <-> W_2\nedge W_1 <-> Y\nedge W_2 <-> Y\n"), "")
 
 
+def test_dsep_answers_at_cluster_level_on_a_variable_level_file(capsys):
+    # as every command does: clusters name the sets, and member names are unknown
+    code, out, _ = run_cli(capsys, "dsep", path("med.admg"), "-x", "Z", "-y", "S", "-z", "X")
+    assert (code, out) == (0, "separated\n")
+    code, out, _ = run_cli(capsys, "dsep", path("med.admg"), "-x", "Z", "-y", "Y")
+    assert (code, out) == (1, "connected\n")
+    code, out, err = run_cli(capsys, "dsep", path("med.admg"), "-x", "A", "-y", "Y")
+    assert (code, out, err) == (3, "", "error: unknown node(s): ['A']\n")
+
+
+PRIMED = """node X
+node "Y'"
+node Y
+edge X -> Y
+edge X -> "Y'"
+edge "Y'" -> Y
+"""
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    (PRIMED, ["simulate", "-x", "X", "-y", "Y'", "--diagrams", "2", "--datasets", "1",
+              "--n", "100"], "line 2: name \"Y'\" must not end in a prime"),
+    ("cluster Z = { A B }\ncluster Z = { C D E }\nnode X\nedge Z -> X\n", ["check"],
+     "line 2: cluster 'Z' is declared twice"),
+    ("cluster Z = { A B }\ncluster Z = { C D E }\nnode X\nedge A -> X\n", ["check"],
+     "line 2: cluster 'Z' is declared twice"),
+], ids=["primed_name", "cluster_twice", "cluster_twice_variable_level"])
+def test_graph_file_that_formulas_misread_is_input_error(capsys, tmp_path, text, argv,
+                                                          message):
+    f = tmp_path / "g.admg"
+    f.write_text(text)
+    code, out, err = run_cli(capsys, argv[0], str(f), *argv[1:])
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_eval_rejects_a_primed_column(capsys, tmp_path):
+    # P(Y=1 | X=1) is .8 and P(Y'=1 | X=1) is .36: a primed column would
+    # be read through its base name
+    formula_file = tmp_path / "f.json"
+    formula_file.write_text(render(CondProb(["Y'"], ["X"]), "json"))
+    table_file = tmp_path / "t.csv"
+    table_file.write_text("X,Y,Y',p\n0,0,0,.05\n0,0,1,.1\n0,1,0,.15\n0,1,1,.2\n"
+                          "1,0,0,.02\n1,0,1,.08\n1,1,0,.3\n1,1,1,.1\n")
+    code, out, err = run_cli(capsys, "eval", str(formula_file), str(table_file),
+                             "--at", "X=1,Y=1")
+    assert (code, out, err) == (3, "", "error: CSV column \"Y'\" must not end in a prime\n")
+
+
+INADMISSIBLE = "cluster A = { a1 a2 }\nnode b1\nedge a1 -> b1\nedge b1 -> a2\n"
+
+
+@pytest.mark.parametrize("text, argv, code, line", [
+    ("node A B\n", ["check"], 3, "line 1: expected: node NAME"),
+    ("cluster Z = A\n", ["check"], 3, "line 1: expected: cluster NAME = { NAME+ }"),
+    ("foo X\n", ["check"], 3, "line 1: unknown declaration 'foo'"),
+    ("node =\n", ["check"], 3, "line 1: invalid name '='"),
+    ("cluster A = { a }\ncluster B = { a b }\n", ["check"], 3,
+     "line 1: variable 'a' appears in two clusters"),
+    ("cluster A = { a b }\nnode A\n", ["check"], 3,
+     "line 1: name(s) used as both cluster and variable: ['A']"),
+    (INADMISSIBLE, ["check"], 1, "inadmissible: cluster cycle A -> b1 -> A"),
+    (None, ["check", "--cdag", path("frontdoor.cdag")], 3,
+     "--cdag comparison needs a variable-level file"),
+    (None, ["expand", "--sizes", "Z"], 3, "bad --sizes entry 'Z'; expected NAME=COUNT"),
+    (None, ["expand", "--sizes", "Z=0"], 3, "size for cluster 'Z' must be >= 1"),
+    (None, ["expand", "--cross-density", "2"], 3, "density 2.0 outside [0, 1]"),
+    (None, ["eval", "--at", "X"], 3, "bad --at entry 'X'; expected NAME=VALUE"),
+    (None, ["eval", "--at", "X=x"], 3, "--at value for 'X' must be an integer, got 'x'"),
+], ids=["node_arity", "cluster_braces", "unknown_declaration", "invalid_name",
+        "two_clusters", "cluster_and_variable", "inadmissible", "cdag_on_cluster_level",
+        "sizes_without_count", "sizes_zero", "cross_density", "at_without_value",
+        "at_not_a_number"])
+def test_input_branches_end_with_one_line(capsys, tmp_path, text, argv, code, line):
+    # eval reads a formula and a table; the rest read ``text``, or frontdoor.cdag
+    if argv[0] == "eval":
+        files = [tmp_path / "f.json", tmp_path / "t.csv"]
+        files[0].write_text(render(CondProb(["Y"], ["X"]), "json"))
+        files[1].write_text(to_csv(JointTable(("X", "Y"), np.full((2, 2), 0.25))))
+    elif text is None:
+        files = [path("frontdoor.cdag")]
+    else:
+        files = [tmp_path / "g.admg"]
+        files[0].write_text(text)
+    got, out, err = run_cli(capsys, argv[0], *map(str, files), *argv[1:])
+    if code == 3:
+        assert (got, out, err) == (3, "", f"error: {line}\n")
+    else:
+        assert (got, out, err) == (code, f"{line}\n", "")
+
+
+def test_every_error_class_is_a_value_error():
+    # main answers each public one with exit 3 through its ValueError clause;
+    # identify's private _HedgeFound never leaves it
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "cdag"]
+    errors = [obj for module in modules for name, obj in vars(module).items()
+              if isinstance(obj, type) and issubclass(obj, Exception) and name[0] != "_"]
+    assert {e.__name__ for e in errors} >= {
+        "CycleError", "FormulaError", "GraphError", "InadmissibleError", "ParseError",
+        "PartitionError", "StateSpaceCapError", "UnknownNodeError", "UnknownVariableError",
+        "ZeroConditioningMass"}
+    assert all(issubclass(e, ValueError) for e in errors)
+
+
 @pytest.mark.parametrize("command", ["expand", "simulate"])
 @pytest.mark.parametrize("sizes, message", [
     ("Nope=3", "--sizes names 'Nope', which is not a cluster of the file"),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -8,14 +9,13 @@ from cdag import (Admg, Partition, StateSpaceCapError, interventional_distributi
                   joint_distribution, random_cbn, sample_dataset)
 from cdag.graphs import GraphError
 from cdag import oracle
-from cdag.formula import _Factor
-from cdag.oracle import DiscreteCbn, Mechanism, empirical_table
+from cdag.oracle import DiscreteCbn, Mechanism, _Factor, empirical_table
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy, expand
 
 import oracles
 from oracles import (MacroScm, cluster_factorization_check, counterfactual_prob,
                      reference_random_cbn, solve)
-from randutil import random_cdag, rng_for
+from randutil import random_admg, random_cdag, rng_for
 
 
 def empirical_counts_loop(cards, data):
@@ -108,8 +108,9 @@ def test_interventional_all_variables_is_point_mass():
 
 def test_interventional_empty_equals_joint(med_admg):
     m = random_cbn(med_admg, binary_cards(med_admg), seed=14)
-    assert np.allclose(interventional_distribution(m, {}).probs,
-                       joint_distribution(m).probs, atol=1e-14)
+    post = interventional_distribution(m, {}).probs
+    joint = joint_distribution(m).probs
+    assert post.strides == joint.strides and post.tobytes() == joint.tobytes()
 
 
 def test_confounding_breaks_conditional(confounded_diagram_d):
@@ -676,6 +677,36 @@ def test_interventional_tables_are_read_only():
     post = interventional_distribution(m, {"A": 1})
     with pytest.raises(ValueError):
         post.probs[0, 0] = 0.5
+
+
+def test_joint_is_cached_and_read_only(med_admg):
+    m = random_cbn(med_admg, binary_cards(med_admg), seed=15)
+    joint = joint_distribution(m)
+    assert np.shares_memory(joint.probs, joint_distribution(m).probs)
+    with pytest.raises(ValueError):
+        joint.probs[(0,) * len(med_admg.nodes)] = 0.5
+
+
+EXACT_TABLES_DIGEST = "decfa449054ef47603a6e231eb395f6f2c846cfd15d99d27d02cf26e1398bb74"
+
+
+def test_exact_tables_keep_their_bytes():
+    # the joint and every single-variable intervention at both values, on
+    # 60 random models of 6-10 nodes: their values, shapes and strides
+    rng = rng_for(1201)
+    digest, tables = hashlib.sha256(), 0
+    for _ in range(60):
+        g = random_admg(rng, int(rng.integers(6, 11)))
+        m = random_cbn(g, binary_cards(g), seed=int(rng.integers(10 ** 6)))
+        checked = [joint_distribution(m)]
+        checked += [interventional_distribution(m, {v: value})
+                    for v in g.nodes for value in (0, 1)]
+        for t in checked:
+            digest.update(repr((t.variables, t.probs.shape, t.probs.strides)).encode())
+            digest.update(t.probs.tobytes())
+            tables += 1
+    assert tables >= 60 * 13    # a joint and two tables per node, 6 nodes or more
+    assert digest.hexdigest() == EXACT_TABLES_DIGEST
 
 
 def test_empirical_table_matches_column_loop():
