@@ -1,14 +1,14 @@
 """Causal effect identification over cluster DAGs.
 
-The package is organised around a small number of immutable values:
+The package is organised around a small number of values:
 
 * :class:`~cdag.graphs.Admg` - directed acyclic mixed graphs,
-* :class:`~cdag.cluster.ClusterDag` - quotients of ADMGs under an
-  admissible partition of their variables,
+* :class:`~cdag.cluster.ClusterDag` - a cluster graph, standing for every
+  ADMG whose quotient it is under an admissible partition,
 * :class:`~cdag.formula.ProbExpr` - symbolic probability expressions
   produced by identification,
 * :class:`~cdag.oracle.DiscreteCbn` - exact discrete causal models used
-  as ground truth.
+  as ground truth, mutable but not to be edited once sampled or tabulated.
 """
 
 from .graphs import Admg, CycleError, GraphError, UnknownNodeError

@@ -104,9 +104,16 @@ class ParsedGraph:
 
 
 def parse_graph(text: str) -> ParsedGraph:
-    nodes: List[str] = []
-    clusters: List[Tuple[str, Tuple[str, ...]]] = []
+    node_set = set()
+    clusters: Dict[str, Tuple[str, ...]] = {}
+    member_map: Dict[str, str] = {}          # member variable -> its cluster
     edges: List[Tuple[str, str, str, int]] = []
+
+    def unambiguous(names, line_no):
+        # cluster names and variable names must not meet
+        if names:
+            raise ParseError(line_no, "name(s) used as both cluster and variable: "
+                                      f"{sorted(names)}")
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(raw, line_no)
@@ -116,14 +123,24 @@ def parse_graph(text: str) -> ParsedGraph:
         if head == "node":
             if len(tokens) != 2:
                 raise ParseError(line_no, "expected: node NAME")
-            nodes.append(_name_of(tokens[1], line_no))
+            name = _name_of(tokens[1], line_no)
+            unambiguous({name} & clusters.keys(), line_no)
+            node_set.add(name)
         elif head == "cluster":
             if len(tokens) < 6 or tokens[2] != "=" or tokens[3] != "{" or tokens[-1] != "}":
                 raise ParseError(line_no, "expected: cluster NAME = { NAME+ }")
             name = _name_of(tokens[1], line_no)
-            if name in dict(clusters):
+            if name in clusters:
                 raise ParseError(line_no, f"cluster {name!r} is declared twice")
-            clusters.append((name, tuple(_name_of(t, line_no) for t in tokens[4:-1])))
+            clusters[name] = tuple(_name_of(t, line_no) for t in tokens[4:-1])
+            for v in clusters[name]:
+                if v in member_map:
+                    where = (f"twice in cluster {name!r}" if member_map[v] == name
+                             else "in two clusters")
+                    raise ParseError(line_no, f"variable {v!r} appears {where}")
+                member_map[v] = name
+            unambiguous({name} & (node_set | member_map.keys())
+                        | clusters.keys() & set(clusters[name]), line_no)
         elif head == "edge":
             if len(tokens) != 4 or tokens[2] not in ("->", "<->"):
                 raise ParseError(line_no, "expected: edge A -> B or edge A <-> B")
@@ -132,18 +149,6 @@ def parse_graph(text: str) -> ParsedGraph:
             edges.append((a, tokens[2], b, line_no))
         else:
             raise ParseError(line_no, f"unknown declaration {head!r}")
-
-    node_set = set(nodes)
-    cluster_set = {name for name, _ in clusters}
-    member_map: Dict[str, str] = {}
-    for name, members in clusters:
-        for v in members:
-            if v in member_map:
-                raise ParseError(1, f"variable {v!r} appears in two clusters")
-            member_map[v] = name
-    ambiguous = cluster_set & (node_set | set(member_map))
-    if ambiguous:
-        raise ParseError(1, f"name(s) used as both cluster and variable: {sorted(ambiguous)}")
 
     def collect_edges(allowed, level):
         directed, bidirected, seen = [], [], set()
@@ -168,10 +173,10 @@ def parse_graph(text: str) -> ParsedGraph:
     cluster_level = not (endpoints & set(member_map))
 
     if cluster_level:
-        names = sorted(cluster_set | node_set)
+        names = sorted(clusters.keys() | node_set)
         directed, bidirected = collect_edges(set(names), "cluster")
         graph = Admg(names, directed, bidirected)
-        hints = {name: members for name, members in clusters}
+        hints = dict(clusters)
         for n in sorted(node_set):
             hints.setdefault(n, (n,))
         return ParsedGraph(kind="cdag", cdag=ClusterDag(graph), member_hints=hints)
@@ -179,7 +184,7 @@ def parse_graph(text: str) -> ParsedGraph:
     variables = node_set | set(member_map)
     directed, bidirected = collect_edges(variables, "variable")
     admg = Admg(sorted(variables), directed, bidirected)
-    blocks = list(clusters) + [(v, (v,)) for v in sorted(variables - set(member_map))]
+    blocks = list(clusters.items()) + [(v, (v,)) for v in sorted(variables - set(member_map))]
     partition = Partition(blocks)
     cdag = build_cdag(admg, partition)
     return ParsedGraph(kind="admg", cdag=cdag, admg=admg, partition=partition,
@@ -297,8 +302,9 @@ def _cmd_identify(args) -> int:
 def _cmd_expand(args) -> int:
     parsed = _load(args.file)
     graph, partition = expand(parsed.cdag, _expansion_spec(args, parsed))
-    print(render_graph_file(ParsedGraph(kind="admg", cdag=build_cdag(graph, partition),
-                                        admg=graph, partition=partition,
+    # expand guarantees the quotient of its result is the file's cluster DAG
+    print(render_graph_file(ParsedGraph(kind="admg", cdag=parsed.cdag, admg=graph,
+                                        partition=partition,
                                         member_hints=partition.to_cluster_map())), end="")
     return 0
 

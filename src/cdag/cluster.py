@@ -9,9 +9,10 @@ whole class of ADMGs with that exact quotient; conditioning on a cluster
 means conditioning on all of its variables.
 """
 
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
 
-from .graphs import Admg, CycleError, GraphError
+from .graphs import Admg, CycleError
 
 
 class PartitionError(ValueError):
@@ -115,31 +116,16 @@ class Partition:
             raise PartitionError("partition does not match the graph: " + "; ".join(parts))
 
 
+@dataclass(frozen=True)
 class ClusterDag:
-    """A cluster-level ADMG, optionally carrying the partition it came from.
+    """A cluster-level ADMG: the graph over clusters is the whole value.
 
-    The partition is absent when the cluster DAG is written down directly
-    as domain knowledge about an unknown underlying graph.
+    It stands for every variable-level graph whose quotient it is, so it
+    carries no partition, whether it was built from one or written down
+    directly as domain knowledge about an unknown underlying graph.
     """
 
-    __slots__ = ("graph", "partition")
-
-    def __init__(self, graph: Admg, partition: Optional[Partition] = None):
-        if partition is not None and set(partition.cluster_names) != set(graph.nodes):
-            raise PartitionError("partition cluster names do not match the cluster graph nodes")
-        self.graph = graph
-        self.partition = partition
-
-    def __eq__(self, other):
-        if not isinstance(other, ClusterDag):
-            return NotImplemented
-        return self.graph == other.graph and self.partition == other.partition
-
-    def __hash__(self):
-        return hash((self.graph, self.partition))
-
-    def __repr__(self):
-        return f"ClusterDag(graph={self.graph!r}, partition={self.partition!r})"
+    graph: Admg
 
 
 def _quotient_edges(g: Admg, p: Partition):
@@ -168,7 +154,7 @@ def build_cdag(g: Admg, p: Partition) -> ClusterDag:
         graph = Admg(p.cluster_names, directed, bidirected)
     except CycleError as err:
         raise InadmissibleError(err.cycle) from None
-    return ClusterDag(graph, p)
+    return ClusterDag(graph)
 
 
 def is_compatible(g: Admg, c: ClusterDag, p: Partition) -> bool:
@@ -189,7 +175,7 @@ def is_compatible(g: Admg, c: ClusterDag, p: Partition) -> bool:
 
 def singleton_cdag(g: Admg) -> ClusterDag:
     """Wrap an Admg as the cluster DAG with one variable per cluster."""
-    return ClusterDag(g, Partition.singletons(g.nodes))
+    return ClusterDag(g)
 
 
 def mutilate_cdag(c: ClusterDag, cut_into: Iterable[str] = (),
@@ -199,7 +185,7 @@ def mutilate_cdag(c: ClusterDag, cut_into: Iterable[str] = (),
     The result is the cluster DAG of the equally mutilated underlying
     graph, so cluster-level surgery commutes with the quotient.
     """
-    return ClusterDag(c.graph.mutilate(cut_into, cut_out_of), c.partition)
+    return ClusterDag(c.graph.mutilate(cut_into, cut_out_of))
 
 
 def cdag_d_separated(c: ClusterDag, x: Iterable[str], y: Iterable[str],

@@ -382,6 +382,8 @@ class JointTable:
 
     def __init__(self, variables: Sequence[str], probs: np.ndarray):
         variables = tuple(variables)
+        for name in (v for v in variables if v.endswith("'")):    # kept for renamed names
+            raise FormulaError(f"table variable {name!r} must not end in a prime")
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != len(variables):
             raise FormulaError(f"array rank {probs.ndim} does not match "

@@ -48,6 +48,8 @@ class Admg:
     def __init__(self, nodes: Iterable[str], directed: Iterable[Tuple[str, str]] = (),
                  bidirected: Iterable[Tuple[str, str]] = ()):
         nodes = tuple(sorted(set(nodes)))
+        for name in (v for v in nodes if v.endswith("'")):    # kept for renamed names
+            raise GraphError(f"node name {name!r} must not end in a prime")
         node_set = frozenset(nodes)
 
         dir_edges = set()

@@ -29,6 +29,7 @@ from .graphs import Admg, GraphError
 from .cluster import ClusterDag
 from .formula import (CondProb, Fraction, ProbExpr, _free_vars, _simplify_with, product_of,
                       sum_over)
+from .sampler import ExpansionSpec, expand
 
 
 @dataclass(frozen=True)
@@ -264,5 +265,4 @@ def hedge_expansion_witness(c: ClusterDag, h: Hedge,
     for name in c.graph.nodes:
         if sizes.get(name, 0) < 1:
             raise ValueError(f"size for cluster {name!r} must be a positive integer")
-    from .sampler import ExpansionSpec, expand
     return expand(c, ExpansionSpec(sizes=dict(sizes)))[0]

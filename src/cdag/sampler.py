@@ -85,12 +85,6 @@ def _member_names(cluster: str, size: int) -> Tuple[str, ...]:
     return tuple(f"{cluster}_{k}" for k in range(1, size + 1))
 
 
-def _item_rng(seed: int, index: int) -> np.random.Generator:
-    # Counter-based derivation: item seeds are independent streams keyed
-    # by (seed, index), so batches parallelize deterministically.
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-
-
 def expand(c: ClusterDag, spec: ExpansionSpec) -> Tuple[Admg, Partition]:
     """A variable-level graph and partition with quotient exactly ``c``.
 
@@ -110,7 +104,8 @@ def expand(c: ClusterDag, spec: ExpansionSpec) -> Tuple[Admg, Partition]:
         raise StateSpaceCapError(f"expand: {pairs} member pairs exceed the cap ({cap}); "
                                  "raise CDAG_STATE_CAP")
 
-    rng = _item_rng(spec.seed, 0)
+    # the stream keyed by (seed, 0), which the pinned expansions were drawn from
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(0,)))
     members = {name: _member_names(name, size[name]) for name in c.graph.nodes}
     partition = Partition([(name, members[name]) for name in c.graph.nodes])
 

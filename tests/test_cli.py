@@ -334,9 +334,11 @@ INADMISSIBLE = "cluster A = { a1 a2 }\nnode b1\nedge a1 -> b1\nedge b1 -> a2\n"
     ("foo X\n", ["check"], 3, "line 1: unknown declaration 'foo'"),
     ("node =\n", ["check"], 3, "line 1: invalid name '='"),
     ("cluster A = { a }\ncluster B = { a b }\n", ["check"], 3,
-     "line 1: variable 'a' appears in two clusters"),
+     "line 2: variable 'a' appears in two clusters"),
+    ("node b\ncluster A = { a a }\n", ["check"], 3,
+     "line 2: variable 'a' appears twice in cluster 'A'"),
     ("cluster A = { a b }\nnode A\n", ["check"], 3,
-     "line 1: name(s) used as both cluster and variable: ['A']"),
+     "line 2: name(s) used as both cluster and variable: ['A']"),
     (INADMISSIBLE, ["check"], 1, "inadmissible: cluster cycle A -> b1 -> A"),
     (None, ["check", "--cdag", path("frontdoor.cdag")], 3,
      "--cdag comparison needs a variable-level file"),
@@ -346,9 +348,9 @@ INADMISSIBLE = "cluster A = { a1 a2 }\nnode b1\nedge a1 -> b1\nedge b1 -> a2\n"
     (None, ["eval", "--at", "X"], 3, "bad --at entry 'X'; expected NAME=VALUE"),
     (None, ["eval", "--at", "X=x"], 3, "--at value for 'X' must be an integer, got 'x'"),
 ], ids=["node_arity", "cluster_braces", "unknown_declaration", "invalid_name",
-        "two_clusters", "cluster_and_variable", "inadmissible", "cdag_on_cluster_level",
-        "sizes_without_count", "sizes_zero", "cross_density", "at_without_value",
-        "at_not_a_number"])
+        "two_clusters", "twice_in_one_cluster", "cluster_and_variable", "inadmissible",
+        "cdag_on_cluster_level", "sizes_without_count", "sizes_zero", "cross_density",
+        "at_without_value", "at_not_a_number"])
 def test_input_branches_end_with_one_line(capsys, tmp_path, text, argv, code, line):
     # eval reads a formula and a table; the rest read ``text``, or frontdoor.cdag
     if argv[0] == "eval":

@@ -167,4 +167,3 @@ def test_directed_path_preservation(med_admg, med_partition, frontdoor_cdag):
 def test_singleton_cdag_wraps(med_admg):
     c = singleton_cdag(med_admg)
     assert c.graph == med_admg
-    assert c.partition == Partition.singletons(med_admg.nodes)

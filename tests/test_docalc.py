@@ -1,13 +1,15 @@
 import hashlib
+import itertools
 from collections import Counter
 
 import pytest
 
-from cdag import (Admg, ClusterDag, DoQuery, Partition, random_cbn, rule1,
-                  rule2, rule3)
+from cdag import (Admg, ClusterDag, DoQuery, random_cbn, rule1, rule2, rule3,
+                  singleton_cdag)
 from cdag.graphs import GraphError
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy, expand
 
+from oracles import _cut_ancestors, m_separated_brute_force
 from randutil import licensed_equality_deviation, random_cdag, random_disjoint_sets, rng_for
 
 
@@ -115,16 +117,30 @@ def test_rules_deterministic(confounded_cdag):
 
 def test_singleton_verdicts_match_variable_level():
     # On an all-singleton cluster DAG the rules reduce to the classical
-    # checks on the variable-level graph itself.
+    # checks on the variable-level graph itself: path enumeration on the
+    # graph cut from its edge lists as each classical rule cuts it.  Every
+    # query of single (or, for x and w, no) nodes is asked on each graph.
+    def cut(g, into, out_of=()):
+        return Admg(g.nodes, [(t, h) for t, h in g.directed if h not in into and t not in out_of],
+                    [(a, b) for a, b in g.bidirected if a not in into and b not in into])
+
     rng = rng_for(61)
-    for _ in range(20):
-        c = random_cdag(rng, 4)
-        nodes = list(c.graph.nodes)
-        q = DoQuery(x=[nodes[0]], y=[nodes[1]], z=[nodes[2]], w=[nodes[3]])
-        bare = ClusterDag(c.graph)
-        wrapped = ClusterDag(c.graph, Partition.singletons(c.graph.nodes))
-        for rule in RULES.values():
-            assert rule(bare, q) == rule(wrapped, q)
+    seen = Counter()
+    for _ in range(12):
+        g = random_cdag(rng, 5).graph
+        for y, z in itertools.permutations(g.nodes, 2):
+            rest = [()] + [(v,) for v in g.nodes if v not in (y, z)]
+            for x, w in itertools.product(rest, rest):
+                if x and x == w:
+                    continue
+                q = DoQuery(x=x, y=[y], z=[z], w=w)
+                z_of_w = {z} - _cut_ancestors(g.directed, x, w)
+                want = {"1": cut(g, x), "2": cut(g, x, [z]), "3": cut(g, set(x) | z_of_w)}
+                for name, rule in RULES.items():
+                    applies = m_separated_brute_force(want[name], [y], [z], set(x) | set(w))
+                    assert rule(singleton_cdag(g), q).applies == applies
+                    seen[name, applies] += 1
+    assert min(seen[name, applies] for name in RULES for applies in (True, False)) >= 100
 
 
 def test_applied_rules_hold_numerically():

@@ -525,6 +525,8 @@ def test_joint_table_validates():
         JointTable(("X",), np.array([1.5, -0.5]))
     with pytest.raises(FormulaError, match="sum to nan"):
         JointTable(("X",), np.array([np.nan, 1.0]))
+    with pytest.raises(FormulaError, match=r"^table variable \"Y'\" must not end in a prime$"):
+        JointTable(("X", "Y'"), np.full((2, 2), 0.25))
 
 
 def test_marginal_rejects_unknown_names():

@@ -14,6 +14,13 @@ def test_construction_rejects_self_loops():
         Admg(["A"], [], [("A", "A")])
 
 
+def test_construction_rejects_a_primed_name():
+    # The formulas keep a trailing prime for renamed bound variables: on
+    # this graph, identify's P(y'|x) was evaluated as P(y|x).
+    with pytest.raises(GraphError, match=r"^node name \"Y'\" must not end in a prime$"):
+        Admg(["X", "Y'", "Y"], [("X", "Y"), ("X", "Y'"), ("Y'", "Y")])
+
+
 def test_construction_rejects_unknown_endpoints():
     with pytest.raises(UnknownNodeError):
         Admg(["A"], [("A", "B")])
