@@ -8,11 +8,11 @@ Graph file grammar (one declaration per line, ``#`` starts a comment)::
     edge A <-> B
 
 Names are bare words (letters, digits, ``_ . -``) or double-quoted
-strings.  A file whose edges connect member variables parses as a
-variable-level graph plus a partition (undeclared variables become
-singleton clusters); a file whose edges connect only cluster names and
-bare nodes parses as a cluster DAG directly, with bare nodes as implicit
-singleton clusters.
+strings.  A file is variable-level when some edge touches a cluster
+member; otherwise it is a cluster DAG directly, whose bare nodes are
+clusters and so no members.  It parses to a ``ParsedGraph``: the cluster
+DAG, the partition (the declared clusters plus a singleton per bare node
+that is no member) and, for a variable-level file, the mixed graph.
 
 Exit codes: 0 success, 1 negative verdict (not identifiable, not
 separated, rule does not apply, inadmissible), 2 usage error, 3 input
@@ -93,18 +93,15 @@ def _name_of(token: str, line_no: int) -> str:
 
 @dataclass
 class ParsedGraph:
-    """Result of parsing a graph file: either a variable-level graph with
-    its partition (and the induced cluster DAG), or a direct cluster DAG."""
+    """A parsed graph file; ``admg`` is None for a cluster-level file."""
 
-    kind: str                      # "admg" or "cdag"
     cdag: ClusterDag
-    member_hints: Dict[str, Tuple[str, ...]]   # cluster -> member variables
+    partition: Partition
     admg: Optional[Admg] = None
-    partition: Optional[Partition] = None
 
 
 def parse_graph(text: str) -> ParsedGraph:
-    node_set = set()
+    node_lines: Dict[str, int] = {}          # bare node -> the line declaring it
     clusters: Dict[str, Tuple[str, ...]] = {}
     member_map: Dict[str, str] = {}          # member variable -> its cluster
     edges: List[Tuple[str, str, str, int]] = []
@@ -125,7 +122,7 @@ def parse_graph(text: str) -> ParsedGraph:
                 raise ParseError(line_no, "expected: node NAME")
             name = _name_of(tokens[1], line_no)
             unambiguous({name} & clusters.keys(), line_no)
-            node_set.add(name)
+            node_lines.setdefault(name, line_no)
         elif head == "cluster":
             if len(tokens) < 6 or tokens[2] != "=" or tokens[3] != "{" or tokens[-1] != "}":
                 raise ParseError(line_no, "expected: cluster NAME = { NAME+ }")
@@ -139,7 +136,7 @@ def parse_graph(text: str) -> ParsedGraph:
                              else "in two clusters")
                     raise ParseError(line_no, f"variable {v!r} appears {where}")
                 member_map[v] = name
-            unambiguous({name} & (node_set | member_map.keys())
+            unambiguous({name} & (node_lines.keys() | member_map.keys())
                         | clusters.keys() & set(clusters[name]), line_no)
         elif head == "edge":
             if len(tokens) != 4 or tokens[2] not in ("->", "<->"):
@@ -166,40 +163,39 @@ def parse_graph(text: str) -> ParsedGraph:
         return directed, bidirected
 
     # A file is variable-level exactly when some edge touches a cluster
-    # member; its partition is the declared clusters plus singletons.
-    # Otherwise edges reference cluster names and bare nodes (implicit
-    # singleton clusters) and the file is a cluster DAG directly.
+    # member.  Otherwise it is a cluster DAG directly, whose bare nodes are
+    # clusters, so none may be a member.  Either way the partition is the
+    # declared clusters plus a singleton per bare node that is no member.
     endpoints = {end for a, _, b, _ in edges for end in (a, b)}
-    cluster_level = not (endpoints & set(member_map))
+    cluster_level = endpoints.isdisjoint(member_map)
+    if cluster_level:
+        clash = node_lines.keys() & member_map.keys()
+        if clash:
+            unambiguous(clash, min(node_lines[n] for n in clash))
+    bare = sorted(node_lines.keys() - member_map.keys())
+    partition = Partition(list(clusters.items()) + [(v, (v,)) for v in bare])
 
     if cluster_level:
-        names = sorted(clusters.keys() | node_set)
+        names = partition.cluster_names
         directed, bidirected = collect_edges(set(names), "cluster")
-        graph = Admg(names, directed, bidirected)
-        hints = dict(clusters)
-        for n in sorted(node_set):
-            hints.setdefault(n, (n,))
-        return ParsedGraph(kind="cdag", cdag=ClusterDag(graph), member_hints=hints)
+        return ParsedGraph(ClusterDag(Admg(names, directed, bidirected)), partition)
 
-    variables = node_set | set(member_map)
+    variables = node_lines.keys() | member_map.keys()
     directed, bidirected = collect_edges(variables, "variable")
     admg = Admg(sorted(variables), directed, bidirected)
-    blocks = list(clusters.items()) + [(v, (v,)) for v in sorted(variables - set(member_map))]
-    partition = Partition(blocks)
-    cdag = build_cdag(admg, partition)
-    return ParsedGraph(kind="admg", cdag=cdag, admg=admg, partition=partition,
-                       member_hints=partition.to_cluster_map())
+    return ParsedGraph(build_cdag(admg, partition), partition, admg)
 
 
 def render_graph_file(parsed: ParsedGraph) -> str:
     """Canonical text for a parsed graph; parsing it back is the identity."""
     graph = parsed.admg or parsed.cdag.graph
-    hints = parsed.member_hints
+    blocks = parsed.partition.blocks
     lines = [f"cluster {_quote(name)} = {{ " + " ".join(_quote(v) for v in members) + " }"
-             for name, members in sorted(hints.items()) if members != (name,)]
+             for name, members in blocks if members != (name,)]
     # a node line declares a variable (or a bare cluster) that is its own
     # singleton cluster; every other variable is declared by its cluster
-    lines += [f"node {_quote(v)}" for v in graph.nodes if hints.get(v) == (v,)]
+    singletons = {name for name, members in blocks if members == (name,)}
+    lines += [f"node {_quote(v)}" for v in graph.nodes if v in singletons]
     for t, h in sorted(graph.directed):
         lines.append(f"edge {_quote(t)} -> {_quote(h)}")
     for a, b in sorted(graph.bidirected):
@@ -217,7 +213,7 @@ def _load(path: str) -> ParsedGraph:
 
 
 def _parse_sizes(text: Optional[str], parsed: ParsedGraph) -> Dict[str, int]:
-    sizes = {name: len(members) for name, members in parsed.member_hints.items()}
+    sizes = {name: len(members) for name, members in parsed.partition.blocks}
     given = {}
     for piece in text.split(",") if text else ():
         name, eq, count = piece.partition("=")
@@ -258,7 +254,7 @@ def _cmd_check(args) -> int:
         return 1
     if args.cdag:
         against = _load(args.cdag)
-        if parsed.kind != "admg":
+        if parsed.admg is None:
             raise FormulaError("--cdag comparison needs a variable-level file")
         ok = is_compatible(parsed.admg, against.cdag, parsed.partition)
         print("compatible" if ok else "not compatible")
@@ -303,9 +299,7 @@ def _cmd_expand(args) -> int:
     parsed = _load(args.file)
     graph, partition = expand(parsed.cdag, _expansion_spec(args, parsed))
     # expand guarantees the quotient of its result is the file's cluster DAG
-    print(render_graph_file(ParsedGraph(kind="admg", cdag=parsed.cdag, admg=graph,
-                                        partition=partition,
-                                        member_hints=partition.to_cluster_map())), end="")
+    print(render_graph_file(ParsedGraph(parsed.cdag, partition, graph)), end="")
     return 0
 
 

@@ -9,8 +9,8 @@ whole class of ADMGs with that exact quotient; conditioning on a cluster
 means conditioning on all of its variables.
 """
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from .graphs import Admg, CycleError
 
@@ -28,55 +28,46 @@ class InadmissibleError(PartitionError):
                          + " -> ".join(self.cycle + (self.cycle[0],)))
 
 
+@dataclass(frozen=True)
 class Partition:
-    """An ordered list of named, disjoint, nonempty blocks of variables.
+    """Named, disjoint, nonempty blocks of variables, sorted by name.
 
     Cluster names and variable names live in separate namespaces; a
     variable may share its cluster's name (the usual singleton case).
     """
 
-    __slots__ = ("blocks", "_cluster_of")
+    blocks: Tuple[Tuple[str, Tuple[str, ...]], ...]
+    _members: Dict[str, Tuple[str, ...]] = field(repr=False, compare=False)
+    _cluster_of: Dict[str, str] = field(repr=False, compare=False)
 
-    def __init__(self, blocks: Sequence[Tuple[str, Iterable[str]]]):
-        seen_clusters = set()
-        seen_vars = set()
-        normalized = []
-        for name, members in blocks:
-            members = tuple(sorted(set(members)))
-            if not members:
+    def __init__(self, blocks: Iterable[Tuple[str, Iterable[str]]]):
+        members: Dict[str, Tuple[str, ...]] = {}
+        cluster_of: Dict[str, str] = {}
+        for name, mem in blocks:
+            mem = tuple(sorted(set(mem)))
+            if not mem:
                 raise PartitionError(f"cluster {name!r} is empty")
-            if name in seen_clusters:
+            if name in members:
                 raise PartitionError(f"duplicate cluster name {name!r}")
-            overlap = seen_vars & set(members)
-            if overlap:
-                raise PartitionError(f"variables assigned twice: {sorted(overlap)}")
-            seen_clusters.add(name)
-            seen_vars |= set(members)
-            normalized.append((name, members))
-        normalized.sort(key=lambda b: b[0])
-        self.blocks: Tuple[Tuple[str, Tuple[str, ...]], ...] = tuple(normalized)
-        self._cluster_of: Dict[str, str] = {}
-        for name, members in self.blocks:
-            for v in members:
-                self._cluster_of[v] = name
-
-    @classmethod
-    def singletons(cls, names: Iterable[str]) -> "Partition":
-        return cls([(n, (n,)) for n in names])
+            if not cluster_of.keys().isdisjoint(mem):
+                raise PartitionError("variables assigned twice: "
+                                     f"{sorted(cluster_of.keys() & mem)}")
+            members[name] = mem
+            for v in mem:
+                cluster_of[v] = name
+        object.__setattr__(self, "blocks", tuple(sorted(members.items())))
+        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_cluster_of", cluster_of)
 
     @property
     def cluster_names(self) -> Tuple[str, ...]:
         return tuple(name for name, _ in self.blocks)
 
-    @property
-    def variables(self) -> FrozenSet[str]:
-        return frozenset(self._cluster_of)
-
     def members(self, cluster: str) -> Tuple[str, ...]:
-        for name, mem in self.blocks:
-            if name == cluster:
-                return mem
-        raise PartitionError(f"unknown cluster {cluster!r}")
+        try:
+            return self._members[cluster]
+        except KeyError:
+            raise PartitionError(f"unknown cluster {cluster!r}") from None
 
     def cluster_of(self, variable: str) -> str:
         try:
@@ -85,29 +76,15 @@ class Partition:
             raise PartitionError(f"variable {variable!r} is not in the partition") from None
 
     def variables_of(self, clusters: Iterable[str]) -> FrozenSet[str]:
-        out = set()
-        for c in clusters:
-            out |= set(self.members(c))
-        return frozenset(out)
+        return frozenset(v for c in clusters for v in self.members(c))
 
     def to_cluster_map(self) -> Dict[str, Tuple[str, ...]]:
-        return {name: mem for name, mem in self.blocks}
+        return dict(self._members)
 
-    def __eq__(self, other):
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash(self.blocks)
-
-    def __repr__(self):
-        return f"Partition({list(self.blocks)})"
-
-    def check_partitions(self, g: Admg):
-        if self.variables != set(g.nodes):
-            missing = set(g.nodes) - self.variables
-            extra = self.variables - set(g.nodes)
+    def _check_covers(self, g: Admg):
+        if self._cluster_of.keys() != set(g.nodes):
+            missing = set(g.nodes) - self._cluster_of.keys()
+            extra = self._cluster_of.keys() - set(g.nodes)
             parts = []
             if missing:
                 parts.append(f"uncovered variables {sorted(missing)}")
@@ -148,7 +125,7 @@ def build_cdag(g: Admg, p: Partition) -> ClusterDag:
     Intra-cluster edges of ``g`` are discarded.  The error carries one
     shortest cluster cycle for diagnostics.
     """
-    p.check_partitions(g)
+    p._check_covers(g)
     directed, bidirected = _quotient_edges(g, p)
     try:
         graph = Admg(p.cluster_names, directed, bidirected)
@@ -163,7 +140,7 @@ def is_compatible(g: Admg, c: ClusterDag, p: Partition) -> bool:
     Compatibility is exact edge-set equality, not containment: the
     quotient construction produces all and only the witnessed edges.
     """
-    p.check_partitions(g)
+    p._check_covers(g)
     if set(p.cluster_names) != set(c.graph.nodes):
         raise PartitionError("partition cluster names do not match the cluster DAG")
     try:

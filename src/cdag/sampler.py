@@ -93,6 +93,8 @@ def expand(c: ClusterDag, spec: ExpansionSpec) -> Tuple[Admg, Partition]:
     when the policies would walk more member pairs than ``CDAG_STATE_CAP``.
     """
     size = {name: spec.size_of(name) for name in c.graph.nodes}
+    if not size.keys() >= spec.sizes.keys():
+        raise ValueError(f"sizes name unknown cluster(s) {sorted(spec.sizes.keys() - size.keys())}")
     # every member pair the policies walk, counted before any name is built
     kind = spec.internal.kind
     internal = sum(n - 1 if kind == "chain" else 0 if kind == "empty" else n * (n - 1) // 2

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -8,11 +9,12 @@ import numpy as np
 import pytest
 
 from cdag import CondProb, JointTable, random_cbn, joint_distribution, render
-from cdag import cli, oracle
+from cdag import Partition, cli, oracle
 from cdag.oracle import StateSpaceCapError
 from cdag.cli import ParseError, main, parse_graph, render_graph_file
 
 from oracles import to_csv
+from randutil import rng_for
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRAPHS = os.path.join(ROOT, "graphs")
@@ -26,17 +28,16 @@ def path(name):
 
 def test_parse_cluster_level_file():
     parsed = parse_graph(open(path("frontdoor.cdag")).read())
-    assert parsed.kind == "cdag"
+    assert parsed.admg is None
     g = parsed.cdag.graph
     assert g.nodes == ("S", "X", "Y", "Z")
     assert ("Z", "X") in g.directed
     assert ("X", "Z") in g.bidirected
-    assert parsed.member_hints["Z"] == ("A", "B", "C", "D")
+    assert parsed.partition.members("Z") == ("A", "B", "C", "D")
 
 
 def test_parse_variable_level_file():
     parsed = parse_graph(open(path("med.admg")).read())
-    assert parsed.kind == "admg"
     assert len(parsed.admg.nodes) == 7
     assert parsed.partition.members("Z") == ("A", "B", "C", "D")
     assert parsed.cdag.graph.directed == {("Z", "X"), ("Z", "Y"), ("X", "S"),
@@ -116,6 +117,60 @@ def test_round_trip_all_sample_files():
     for name in sorted(os.listdir(GRAPHS)):
         parsed = parse_graph(open(path(name)).read())
         assert parse_graph(render_graph_file(parsed)) == parsed, name
+
+
+def random_graph_file(rng):
+    """Text of a random graph file, its partition's blocks and its level.
+
+    Clusters of 1-3 members and bare nodes take a random order; directed
+    edges follow it (inside a cluster, the order members are listed in),
+    so the quotient is acyclic.  Names are bare or need quoting;
+    declarations are shuffled, and a variable-level file may repeat a
+    member in a ``node`` line.
+    """
+    fresh = iter(range(10 ** 6))
+
+    def name():
+        k = next(fresh)
+        return [f"v{k}", f"v {k}", f'q"{k}\\', f"é{k}"][int(rng.integers(4))]
+
+    clusters = [(name(), [name() for _ in range(int(rng.integers(1, 4)))])
+                for _ in range(int(rng.integers(0, 4)))]
+    bare = [name() for _ in range(int(rng.integers(1, 4)))]
+    units = clusters + [(v, [v]) for v in bare]
+    rng.shuffle(units)
+    variable_level = bool(clusters) and rng.random() < 0.5
+    ends = ([v for _, members in units for v in members] if variable_level
+            else [c for c, _ in units])
+    quoted = cli._quote
+    lines = [f"cluster {quoted(c)} = {{ {' '.join(map(quoted, m))} }}" for c, m in clusters]
+    lines += [f"node {quoted(v)}" for v in bare]
+    if variable_level and rng.random() < 0.3:
+        lines.append(f"node {quoted(clusters[0][1][0])}")
+    pairs = list(itertools.combinations(ends, 2))
+    picked = set(rng.permutation(len(pairs))[:int(rng.integers(0, 6))].tolist())
+    if variable_level:    # some edge touches a member
+        picked.add(next(i for i, pair in enumerate(pairs) if clusters[0][1][0] in pair))
+    for i in sorted(picked):
+        a, b = pairs[i]
+        lines.append(f"edge {quoted(a)} {'<->' if rng.random() < 0.3 else '->'} {quoted(b)}")
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n", [(c, tuple(m)) for c, m in units], variable_level
+
+
+def test_round_trip_random_graph_files():
+    rng = rng_for(271)
+    levels = {True: 0, False: 0}
+    for _ in range(500):
+        text, blocks, variable_level = random_graph_file(rng)
+        parsed = parse_graph(text)
+        assert parse_graph(render_graph_file(parsed)) == parsed, text
+        assert parsed.partition == Partition(blocks), text
+        assert parsed.partition.cluster_names == parsed.cdag.graph.nodes, text
+        assert cli._parse_sizes(None, parsed) == {c: len(m) for c, m in blocks}, text
+        assert (parsed.admg is not None) == variable_level, text
+        levels[variable_level] += 1
+    assert min(levels.values()) >= 100, levels
 
 
 def test_parse_inadmissible_partition_forwarded():
@@ -228,7 +283,7 @@ def test_expand_output_reparses(capsys):
                            "--sizes", "Z=3", "--seed", "4")
     assert code == 0
     parsed = parse_graph(out)
-    assert parsed.kind == "admg"
+    assert parsed.admg is not None
     assert parsed.partition.members("Z") == ("Z_1", "Z_2", "Z_3")
 
 
@@ -339,6 +394,10 @@ INADMISSIBLE = "cluster A = { a1 a2 }\nnode b1\nedge a1 -> b1\nedge b1 -> a2\n"
      "line 2: variable 'a' appears twice in cluster 'A'"),
     ("cluster A = { a b }\nnode A\n", ["check"], 3,
      "line 2: name(s) used as both cluster and variable: ['A']"),
+    ("node A\nnode C\ncluster Z = { A B }\nedge Z -> C\n", ["check"], 3,
+     "line 1: name(s) used as both cluster and variable: ['A']"),
+    ("node A\nnode C\ncluster Z = { A B }\nedge A -> C\n", ["check"], 0,
+     "admissible: 2 clusters, 1 directed, 0 bidirected edges"),
     (INADMISSIBLE, ["check"], 1, "inadmissible: cluster cycle A -> b1 -> A"),
     (None, ["check", "--cdag", path("frontdoor.cdag")], 3,
      "--cdag comparison needs a variable-level file"),
@@ -348,7 +407,8 @@ INADMISSIBLE = "cluster A = { a1 a2 }\nnode b1\nedge a1 -> b1\nedge b1 -> a2\n"
     (None, ["eval", "--at", "X"], 3, "bad --at entry 'X'; expected NAME=VALUE"),
     (None, ["eval", "--at", "X=x"], 3, "--at value for 'X' must be an integer, got 'x'"),
 ], ids=["node_arity", "cluster_braces", "unknown_declaration", "invalid_name",
-        "two_clusters", "twice_in_one_cluster", "cluster_and_variable", "inadmissible",
+        "two_clusters", "twice_in_one_cluster", "cluster_and_variable",
+        "bare_node_and_member", "member_node_variable_level", "inadmissible",
         "cdag_on_cluster_level", "sizes_without_count", "sizes_zero", "cross_density",
         "at_without_value", "at_not_a_number"])
 def test_input_branches_end_with_one_line(capsys, tmp_path, text, argv, code, line):

@@ -40,7 +40,7 @@ def test_build_cdag_inadmissible_reports_cycle(med_admg):
 
 
 def test_build_cdag_singletons_is_identity(med_admg):
-    c = build_cdag(med_admg, Partition.singletons(med_admg.nodes))
+    c = build_cdag(med_admg, Partition([(n, (n,)) for n in med_admg.nodes]))
     assert c.graph == med_admg
 
 
@@ -68,7 +68,7 @@ def test_compatibility_round_trip(med_admg, med_partition):
 
 def test_cluster_graph_is_self_compatible(frontdoor_cdag):
     g = frontdoor_cdag.graph
-    assert is_compatible(g, ClusterDag(g), Partition.singletons(g.nodes))
+    assert is_compatible(g, ClusterDag(g), Partition([(n, (n,)) for n in g.nodes]))
 
 
 def test_mutilate_cdag_cut_out_of(backdoor_cdag):

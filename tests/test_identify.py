@@ -9,6 +9,7 @@ from cdag import (Admg, ClusterDag, CondProb, Identified, NonIdentified, Product
                   evaluate, hedge_expansion_witness, identify, interventional_distribution,
                   joint_distribution, random_cbn, render, singleton_cdag)
 from cdag.cli import main
+from cdag.formula import tabulate
 from cdag.graphs import GraphError
 from cdag.identify import _ancestral_reduce, _chain_factor, _chain_table, _district, _run
 
@@ -410,6 +411,38 @@ def test_identified_formulas_sound_on_random_graphs():
         assert_matches_oracle(singleton_cdag(g), [x], [y], result.expr,
                               seed=int(rng.integers(10 ** 6)))
     assert hits >= 10
+
+
+def test_identified_sweep_queries_match_the_oracle_at_12_to_20_variables():
+    # Sweep queries whose An({x, y}) has 12-20 nodes, a width at which a
+    # chain factor that drops part of its prefix shows.  The model lives on
+    # G[An({x, y})], which is ancestral, so its interventional tables are
+    # those of a model of the whole graph.
+    rng = rng_for(4242)
+    counts = {"identified": 0, "hedge": 0, "skipped": 0}
+    for kind, n in [("dense", 16), ("dense", 20), ("sparse", 30), ("sparse", 40)]:
+        for _ in range(4):
+            c, x, y = sweep_query(rng, kind, n)
+            keep = c.graph.ancestral_closure({x, y})
+            if not 12 <= len(keep) <= 20:
+                counts["skipped"] += 1
+                continue
+            result = identify(c, [x], [y])
+            if not isinstance(result, Identified):
+                counts["hedge"] += 1
+                continue
+            counts["identified"] += 1
+            inside = [[e for e in edges if keep.issuperset(e)]
+                      for edges in (c.graph.directed, c.graph.bidirected)]
+            model = random_cbn(Admg(sorted(keep), *inside), dict.fromkeys(sorted(keep), 2),
+                               seed=int(rng.integers(10 ** 6)))
+            variables, values = tabulate(result.expr, joint_distribution(model))
+            for xv in (0, 1):
+                post = interventional_distribution(model, {x: xv})
+                for yv in (0, 1):
+                    got = float(values[tuple({x: xv, y: yv}[v] for v in variables)])
+                    assert got == pytest.approx(post.prob_of({y: yv}), abs=1e-9), (kind, n)
+    assert counts == {"identified": 9, "hedge": 5, "skipped": 2}
 
 
 SWEEP_DIGEST = "edd7a52f4594e79296f394c300549d42815dc94f0a7f144154b1b706bfac4f77"

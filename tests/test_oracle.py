@@ -157,7 +157,7 @@ def test_state_space_cap_names_the_function(monkeypatch, med_admg, med_partition
 
 def test_factorization_check_singleton_partition(med_admg):
     m = random_cbn(med_admg, binary_cards(med_admg), seed=17)
-    p = Partition.singletons(med_admg.nodes)
+    p = Partition([(n, (n,)) for n in med_admg.nodes])
     assert cluster_factorization_check(m, p, ["X"]) < 1e-10
 
 
@@ -388,7 +388,7 @@ def test_macro_scm_composes_chain():
 
 def test_macro_scm_singleton_matches_base():
     m = xor_model()
-    macro = MacroScm(m, Partition.singletons(m.graph.nodes))
+    macro = MacroScm(m, Partition([(n, (n,)) for n in m.graph.nodes]))
     for uw in range(2):
         for ua in range(2):
             u = {"U(W)": uw, "U(A)": ua, "U(B)": 1}

@@ -31,6 +31,12 @@ def test_all_sizes_one_is_identity(frontdoor_cdag):
         assert all(members == (name,) for name, members in partition.blocks)
 
 
+def test_size_for_an_unknown_cluster_is_refused(frontdoor_cdag):
+    # a misspelt cluster would otherwise keep its size of 1 without a word
+    with pytest.raises(ValueError, match=r"^sizes name unknown cluster\(s\) \['Q', 'z'\]$"):
+        expand(frontdoor_cdag, ExpansionSpec(sizes={"z": 4, "Q": 3, "Z": 2}))
+
+
 def test_full_policy_wires_every_cross_pair(confounded_cdag):
     spec = ExpansionSpec(sizes={"Z": 3}, internal=InternalPolicy("full"),
                          cross=CrossPolicy("full"), seed=0)
