@@ -8,9 +8,10 @@ Graph file grammar (one declaration per line, ``#`` starts a comment)::
     edge A <-> B
 
 Names are bare words (letters, digits, ``_ . -``) or double-quoted
-strings.  A file is variable-level when some edge touches a cluster
-member; otherwise it is a cluster DAG directly, whose bare nodes are
-clusters and so no members.  It parses to a ``ParsedGraph``: the cluster
+strings, and each is declared once: one ``cluster`` line per cluster
+and one ``node`` line per node.  A file is variable-level when some edge
+touches a cluster member; otherwise it is a cluster DAG directly, whose
+bare nodes are clusters and so no members.  It parses to a ``ParsedGraph``: the cluster
 DAG, the partition (the declared clusters plus a singleton per bare node
 that is no member) and, for a variable-level file, the mixed graph.
 
@@ -122,7 +123,9 @@ def parse_graph(text: str) -> ParsedGraph:
                 raise ParseError(line_no, "expected: node NAME")
             name = _name_of(tokens[1], line_no)
             unambiguous({name} & clusters.keys(), line_no)
-            node_lines.setdefault(name, line_no)
+            if name in node_lines:
+                raise ParseError(line_no, f"node {name!r} is declared twice")
+            node_lines[name] = line_no
         elif head == "cluster":
             if len(tokens) < 6 or tokens[2] != "=" or tokens[3] != "{" or tokens[-1] != "}":
                 raise ParseError(line_no, "expected: cluster NAME = { NAME+ }")
@@ -212,25 +215,30 @@ def _load(path: str) -> ParsedGraph:
         return parse_graph(fh.read())
 
 
-def _parse_sizes(text: Optional[str], parsed: ParsedGraph) -> Dict[str, int]:
-    sizes = {name: len(members) for name, members in parsed.partition.blocks}
-    given = {}
-    for piece in text.split(",") if text else ():
-        name, eq, count = piece.partition("=")
+def _name_ints(flag: str, text: str, unit: str, known=None) -> Dict[str, int]:
+    # the NAME=INT entries of --sizes (names in ``known``) and --at, each
+    # checked for its ``=``, its name, a repeat and then its integer
+    out: Dict[str, int] = {}
+    for piece in text.split(","):
+        name, eq, value = piece.partition("=")
         name = name.strip()
         if not eq:
-            raise FormulaError(f"bad --sizes entry {piece!r}; expected NAME=COUNT")
-        if name not in sizes:
-            raise FormulaError(f"--sizes names {name!r}, which is not a cluster "
-                               "of the file")
-        if name in given:
-            raise FormulaError(f"--sizes names {name!r} twice")
+            raise FormulaError(f"bad {flag} entry {piece!r}; expected NAME={unit}")
+        if known is not None and name not in known:
+            raise FormulaError(f"{flag} names {name!r}, which is not a cluster of the file")
+        if name in out:
+            raise FormulaError(f"{flag} names {name!r} twice")
         try:
-            given[name] = int(count)
+            out[name] = int(value)
         except ValueError:
-            raise FormulaError(f"--sizes count for {name!r} must be an integer, "
-                               f"got {count!r}") from None
-    return sizes | given
+            raise FormulaError(f"{flag} {unit.lower()} for {name!r} must be an integer, "
+                               f"got {value!r}") from None
+    return out
+
+
+def _parse_sizes(text: Optional[str], parsed: ParsedGraph) -> Dict[str, int]:
+    sizes = {name: len(members) for name, members in parsed.partition.blocks}
+    return sizes | (_name_ints("--sizes", text, "COUNT", sizes) if text else {})
 
 
 def _expansion_spec(args, parsed: ParsedGraph) -> ExpansionSpec:
@@ -308,19 +316,7 @@ def _cmd_eval(args) -> int:
         expr = parse_formula_json(fh.read())
     with open(args.table, "r", encoding="utf-8") as fh:
         table = JointTable.from_csv(fh.read())
-    assignment = {}
-    for piece in args.at.split(","):
-        if "=" not in piece:
-            raise FormulaError(f"bad --at entry {piece!r}; expected NAME=VALUE")
-        name, value = piece.split("=", 1)
-        name = name.strip()
-        if name in assignment:
-            raise FormulaError(f"--at names {name!r} twice")
-        try:
-            assignment[name] = int(value)
-        except ValueError:
-            raise FormulaError(f"--at value for {name!r} must be an integer, "
-                               f"got {value!r}") from None
+    assignment = _name_ints("--at", args.at, "VALUE")
     print(repr(evaluate(expr, table, assignment)))
     return 0
 

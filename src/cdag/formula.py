@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 from collections import Counter
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,33 +44,24 @@ class ZeroConditioningMass(FormulaError):
 class ProbExpr:
     __slots__ = ()
 
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash((type(self).__name__, self._key()))
-
     def __repr__(self):
         return render(self, "text")
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class _One(ProbExpr):
-    __slots__ = ()
-
-    def _key(self):
-        return ()
+    """The constant 1; :data:`ONE` is the node the library builds."""
 
 
 ONE = _One()
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class CondProb(ProbExpr):
     """P(target | given); the two variable tuples must be disjoint."""
 
-    __slots__ = ("target", "given")
+    target: Tuple[str, ...]
+    given: Tuple[str, ...]
 
     def __init__(self, target: Iterable[str], given: Iterable[str] = ()):
         target = tuple(sorted(set(target)))
@@ -90,24 +82,21 @@ class CondProb(ProbExpr):
         object.__setattr__(node, "given", given)
         return node
 
-    def _key(self):
-        return (self.target, self.given)
 
-
+@dataclass(frozen=True, slots=True, repr=False)
 class Product(ProbExpr):
-    __slots__ = ("factors",)
+    factors: Tuple[ProbExpr, ...]
 
     def __init__(self, factors: Sequence[ProbExpr]):
         object.__setattr__(self, "factors", tuple(factors))
 
-    def _key(self):
-        return self.factors
 
-
+@dataclass(frozen=True, slots=True, repr=False)
 class Sum(ProbExpr):
     """Sum of the body over all joint values of the bound variables."""
 
-    __slots__ = ("bound", "body")
+    bound: Tuple[str, ...]
+    body: ProbExpr
 
     def __init__(self, bound: Iterable[str], body: ProbExpr):
         bound = tuple(bound)
@@ -116,19 +105,11 @@ class Sum(ProbExpr):
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "body", body)
 
-    def _key(self):
-        return (self.bound, self.body)
 
-
+@dataclass(frozen=True, slots=True, repr=False)
 class Fraction(ProbExpr):
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: ProbExpr, denominator: ProbExpr):
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-
-    def _key(self):
-        return (self.numerator, self.denominator)
+    numerator: ProbExpr
+    denominator: ProbExpr
 
 
 def product_of(factors: Sequence[ProbExpr]) -> ProbExpr:

@@ -68,19 +68,13 @@ class Hedge:
 @dataclass(frozen=True)
 class Identified:
     expr: ProbExpr
-
-    @property
-    def identifiable(self) -> bool:
-        return True
+    identifiable = True
 
 
 @dataclass(frozen=True)
 class NonIdentified:
     hedge: Hedge
-
-    @property
-    def identifiable(self) -> bool:
-        return False
+    identifiable = False
 
 
 IdResult = Union[Identified, NonIdentified]

@@ -22,6 +22,7 @@ import itertools
 import math
 import os
 import threading
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,14 +31,12 @@ from .graphs import Admg, GraphError
 from .formula import JointTable, _broadcast
 
 
+@dataclass(eq=False, slots=True)
 class _Factor:
     """A named-axis array: axis ``i`` of ``values`` is ``names[i]``."""
 
-    __slots__ = ("names", "values")
-
-    def __init__(self, names: Sequence, values: np.ndarray):
-        self.names = tuple(names)
-        self.values = values
+    names: Tuple[str, ...]
+    values: np.ndarray
 
 
 class StateSpaceCapError(ValueError):
@@ -103,10 +102,10 @@ def _contract(factors: List[_Factor], priors: Dict[str, np.ndarray], keep: Dict[
     """
     held, dims = [], {}
     for f in factors:
-        fixed = [n for n in f.names if n in x]
+        fixed = tuple(n for n in f.names if n in x)
         if fixed:
             moved = np.moveaxis(f.values, [f.names.index(n) for n in fixed], range(len(fixed)))
-            f = _Factor(fixed + [n for n in f.names if n not in x], np.ascontiguousarray(moved))
+            f = _Factor(fixed + tuple(n for n in f.names if n not in x), np.ascontiguousarray(moved))
             dims.update(zip(fixed, f.values.shape))
         held.append(f)
     free = tuple(sorted(dims))
@@ -170,14 +169,11 @@ def _contract(factors: List[_Factor], priors: Dict[str, np.ndarray], keep: Dict[
 # the model
 # ---------------------------------------------------------------------------
 
+@dataclass(eq=False, slots=True)
 class Mechanism:
-    __slots__ = ("endo_parents", "exo_parents", "cpt")
-
-    def __init__(self, endo_parents: Tuple[str, ...], exo_parents: Tuple[str, ...],
-                 cpt: np.ndarray):
-        self.endo_parents = endo_parents
-        self.exo_parents = exo_parents
-        self.cpt = cpt
+    endo_parents: Tuple[str, ...]
+    exo_parents: Tuple[str, ...]
+    cpt: np.ndarray
 
 
 def _check_intervention(x: Dict, cards: Dict[str, int]) -> None:

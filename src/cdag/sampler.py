@@ -9,7 +9,7 @@ passes the exact compatibility check (the tests run it, not ``expand``).
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
@@ -152,12 +152,7 @@ def expand(c: ClusterDag, spec: ExpansionSpec) -> Tuple[Admg, Partition]:
 def sample_batch(c: ClusterDag, spec: ExpansionSpec, count: int) -> List[Tuple[Admg, Partition]]:
     """``count`` independent expansions with per-item seeds derived from
     ``spec.seed`` by the counter-based splitting rule."""
-    out = []
-    for i in range(count):
-        item = ExpansionSpec(sizes=spec.sizes, internal=spec.internal,
-                             cross=spec.cross, seed=_derive_seed(spec.seed, i))
-        out.append(expand(c, item))
-    return out
+    return [expand(c, replace(spec, seed=_derive_seed(spec.seed, i))) for i in range(count)]
 
 
 def _derive_seed(seed: int, *key: int) -> int:

@@ -163,6 +163,34 @@ def licensed_equality_deviation(model, partition, rule, q):
     return worst
 
 
+def oracle_deviation(x, y, expr, graph, partition, model_seed):
+    """Max absolute gap between ``tabulate`` of the cluster formula ``expr``
+    for P(y | do(x)) and the exact interventional distribution of a random
+    binary model of ``graph``, over every assignment of the members of the
+    cluster sets ``x`` and ``y``."""
+    import itertools
+    from cdag import interventional_distribution, joint_distribution, random_cbn
+    from cdag.formula import tabulate
+
+    model = random_cbn(graph, {v: 2 for v in graph.nodes}, seed=model_seed)
+    table = joint_distribution(model)
+    clusters = partition.to_cluster_map()
+    variables, values = tabulate(expr, table, clusters)
+    x_vars = sorted(partition.variables_of(x))
+    y_vars = sorted(partition.variables_of(y))
+    worst = 0.0
+    for x_state in itertools.product(*(range(2) for _ in x_vars)):
+        x_assign = dict(zip(x_vars, x_state))
+        post = interventional_distribution(model, x_assign)
+        for y_state in itertools.product(*(range(2) for _ in y_vars)):
+            assign = x_assign | dict(zip(y_vars, y_state))
+            got = float(values[tuple(assign[v] for v in variables)]) \
+                if variables else float(values)
+            want = post.prob_of(dict(zip(y_vars, y_state)))
+            worst = max(worst, abs(got - want))
+    return worst
+
+
 def random_table(rng, variables, cards):
     """A full-support joint table with Dirichlet-random entries."""
     from cdag import JointTable

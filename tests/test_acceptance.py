@@ -13,17 +13,15 @@ import numpy as np
 import pytest
 
 from cdag import (Admg, ClusterDag, CondProb, DoQuery, Identified, NonIdentified,
-                  Product, Sum, hedge_expansion_witness, identify,
-                  interventional_distribution, joint_distribution, random_cbn, rule1,
-                  rule2, rule3, sample_batch, singleton_cdag)
+                  Product, Sum, hedge_expansion_witness, identify, joint_distribution,
+                  random_cbn, rule1, rule2, rule3, sample_batch, singleton_cdag)
 from cdag.cli import main as cli_main
 from cdag.cluster import Partition
-from cdag.formula import tabulate
 from cdag.sampler import CrossPolicy, ExpansionSpec, InternalPolicy, expand
 
 from oracles import (MacroScm, _linked, cluster_factorization_check, counterfactual_prob,
                      equivalent_on, m_separated_brute_force, reference_random_cbn)
-from randutil import (licensed_equality_deviation, random_admg, random_cdag,
+from randutil import (licensed_equality_deviation, oracle_deviation, random_admg, random_cdag,
                       random_disjoint_sets, random_query, rng_for)
 
 
@@ -210,26 +208,6 @@ def test_criterion_05_docalc_soundness():
     assert sum(checked.values()) == 300
 
 
-def oracle_deviation(cdag, x, y, expr, graph, partition, model_seed):
-    model = random_cbn(graph, binary(graph), seed=model_seed)
-    table = joint_distribution(model)
-    clusters = partition.to_cluster_map()
-    variables, values = tabulate(expr, table, clusters)
-    x_vars = sorted(partition.variables_of(x))
-    y_vars = sorted(partition.variables_of(y))
-    worst = 0.0
-    for x_state in itertools.product(*(range(2) for _ in x_vars)):
-        x_assign = dict(zip(x_vars, x_state))
-        post = interventional_distribution(model, x_assign)
-        for y_state in itertools.product(*(range(2) for _ in y_vars)):
-            assign = x_assign | dict(zip(y_vars, y_state))
-            got = float(values[tuple(assign[v] for v in variables)]) \
-                if variables else float(values)
-            want = post.prob_of(dict(zip(y_vars, y_state)))
-            worst = max(worst, abs(got - want))
-    return worst
-
-
 @criterion(6, "200 identifiable queries x 3 expansions match the oracle "
               "at every assignment within 1e-9")
 def test_criterion_06_id_soundness():
@@ -250,7 +228,7 @@ def test_criterion_06_id_soundness():
         if any(len(g.nodes) > 9 for g, _ in batch):
             continue
         for graph, partition in batch:
-            dev = oracle_deviation(c, x, y, result.expr, graph, partition,
+            dev = oracle_deviation(x, y, result.expr, graph, partition,
                                    model_seed=int(rng.integers(10 ** 6)))
             assert dev < 1e-9, (c.graph, x, y, dev)
         done += 1

@@ -406,11 +406,20 @@ INADMISSIBLE = "cluster A = { a1 a2 }\nnode b1\nedge a1 -> b1\nedge b1 -> a2\n"
     (None, ["expand", "--cross-density", "2"], 3, "density 2.0 outside [0, 1]"),
     (None, ["eval", "--at", "X"], 3, "bad --at entry 'X'; expected NAME=VALUE"),
     (None, ["eval", "--at", "X=x"], 3, "--at value for 'X' must be an integer, got 'x'"),
+    ("node X\nnode X\nnode Y\nedge X -> Y\n", ["check"], 3,
+     "line 2: node 'X' is declared twice"),
+    ("node A\nnode C\nnode A\ncluster Z = { A B }\nedge A -> C\n", ["check"], 3,
+     "line 3: node 'A' is declared twice"),
+    (None, ["expand", "--sizes", "Q=1,Z"], 3,
+     "--sizes names 'Q', which is not a cluster of the file"),
+    (None, ["eval", "--at", "X=1,X=0"], 3, "--at names 'X' twice"),
+    (None, ["eval", "--at", ""], 3, "bad --at entry ''; expected NAME=VALUE"),
 ], ids=["node_arity", "cluster_braces", "unknown_declaration", "invalid_name",
         "two_clusters", "twice_in_one_cluster", "cluster_and_variable",
         "bare_node_and_member", "member_node_variable_level", "inadmissible",
         "cdag_on_cluster_level", "sizes_without_count", "sizes_zero", "cross_density",
-        "at_without_value", "at_not_a_number"])
+        "at_without_value", "at_not_a_number", "node_twice", "node_twice_variable_level",
+        "sizes_first_error", "at_twice", "at_empty"])
 def test_input_branches_end_with_one_line(capsys, tmp_path, text, argv, code, line):
     # eval reads a formula and a table; the rest read ``text``, or frontdoor.cdag
     if argv[0] == "eval":

@@ -619,6 +619,32 @@ def test_condprob_rejects_overlap():
         CondProb(["X"], ["X"])
 
 
+def test_nodes_are_immutable_values():
+    # simplify cancels factors by equality, so a node is its kind and its
+    # fields: equal when built apart, and never changed once built
+    a, b = frontdoor_expr(), frontdoor_expr()
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert Fraction(a, ONE) == Fraction(b, ONE) and Sum(["X"], a) != Sum(["Z"], a)
+    leaf = CondProb(["Y"], ["X"])
+    fields = {ONE: (), leaf: ("target", "given"), Product([leaf]): ("factors",),
+              Sum(["Y"], leaf): ("bound", "body"),
+              Fraction(leaf, leaf): ("numerator", "denominator")}
+    assert len(fields) == 5
+    for x, y in itertools.combinations(fields, 2):
+        assert x != y and y != x
+    trusted = CondProb._trusted(("A", "B"), ("C", "D"))
+    assert trusted == CondProb(["B", "A", "B"], ["D", "C"])
+    assert hash(trusted) == hash(CondProb(["A", "B"], ["C", "D"]))
+    for node, names in [*fields.items(), (a, ("bound", "body")), (trusted, ("target", "given"))]:
+        assert repr(node) == render(node, "text")
+        assert not hasattr(node, "__dict__")
+        before = [getattr(node, name) for name in names]
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(node, name, ONE)
+        assert [getattr(node, name) for name in names] == before
+
+
 def table_with_zeros(rng, variables):
     """A binary joint table with about half of its cells set to zero."""
     probs = rng.dirichlet(np.ones(2 ** len(variables)))

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import os
@@ -5,16 +6,18 @@ import os
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cdag import (Admg, ClusterDag, CondProb, Identified, NonIdentified, Product, Sum,
-                  evaluate, hedge_expansion_witness, identify, interventional_distribution,
-                  joint_distribution, random_cbn, render, singleton_cdag)
+from cdag import (Admg, ClusterDag, CondProb, Identified, NonIdentified, Product,
+                  StateSpaceCapError, Sum, evaluate, hedge_expansion_witness, identify,
+                  interventional_distribution, joint_distribution, random_cbn, render,
+                  singleton_cdag)
 from cdag.cli import main
 from cdag.formula import tabulate
 from cdag.graphs import GraphError
 from cdag.identify import _ancestral_reduce, _chain_factor, _chain_table, _district, _run
 
 from oracles import _cut_ancestors, c_components, equivalent_on
-from randutil import random_admg, rng_for, sweep_query
+from randutil import (oracle_deviation, random_admg, random_cdag, random_expansion, rng_for,
+                      sweep_query)
 
 
 def compatible_tables(c, count, start_seed=0):
@@ -443,6 +446,40 @@ def test_identified_sweep_queries_match_the_oracle_at_12_to_20_variables():
                     got = float(values[tuple({x: xv, y: yv}[v] for v in variables)])
                     assert got == pytest.approx(post.prob_of({y: yv}), abs=1e-9), (kind, n)
     assert counts == {"identified": 9, "hedge": 5, "skipped": 2}
+
+
+def test_identified_cluster_queries_match_the_oracle_at_12_to_20_variables():
+    # Queries of 1-2 clusters each on C-DAGs of 6-10 clusters, each checked
+    # on one expansion of 12-20 variables with the partition's cluster map.
+    # A model the state cap refuses is counted by the function that refused
+    # it: a full cross policy can give CPTs of more than 2^22 entries, and a
+    # wide noise frontier a joint contraction of more.
+    rng = rng_for(4343)
+    counts = collections.Counter()
+    for _ in range(75):
+        c = random_cdag(rng, int(rng.integers(6, 11)), p_dir=0.4, p_bi=0.15)
+        nodes = list(c.graph.nodes)
+        rng.shuffle(nodes)
+        kx, ky = rng.integers(1, 3, size=2)
+        x, y = nodes[:kx], nodes[kx:kx + ky]
+        result = identify(c, x, y)
+        if not isinstance(result, Identified):
+            counts["hedge"] += 1
+            continue
+        graph, partition = random_expansion(rng, c)
+        if not 12 <= len(graph.nodes) <= 20:
+            counts["skipped"] += 1
+            continue
+        try:
+            dev = oracle_deviation(x, y, result.expr, graph, partition,
+                                   model_seed=int(rng.integers(10 ** 6)))
+        except StateSpaceCapError as err:
+            counts[str(err).split(":")[0]] += 1
+            continue
+        assert dev < 1e-9, (c.graph, x, y, dev)
+        counts["identified"] += 1
+    assert counts == collections.Counter(identified=35, hedge=14, skipped=16,
+                                         random_cbn=0, joint_distribution=10)
 
 
 SWEEP_DIGEST = "edd7a52f4594e79296f394c300549d42815dc94f0a7f144154b1b706bfac4f77"
