@@ -20,7 +20,6 @@ from .cluster import (
     build_cdag,
     cdag_d_separated,
     is_compatible,
-    mutilate_cdag,
     singleton_cdag,
 )
 from .formula import (
@@ -60,8 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Admg", "CycleError", "GraphError", "UnknownNodeError",
     "ClusterDag", "InadmissibleError", "Partition", "PartitionError",
-    "build_cdag", "cdag_d_separated", "is_compatible", "mutilate_cdag",
-    "singleton_cdag",
+    "build_cdag", "cdag_d_separated", "is_compatible", "singleton_cdag",
     "CondProb", "Fraction", "JointTable", "ONE", "ProbExpr", "Product",
     "Sum", "ZeroConditioningMass", "evaluate", "parse_formula_json", "render",
     "simplify",

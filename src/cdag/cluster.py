@@ -106,17 +106,16 @@ class ClusterDag:
 
 
 def _quotient_edges(g: Admg, p: Partition):
-    directed = set()
-    for tail, head in g.directed:
-        ct, ch = p.cluster_of(tail), p.cluster_of(head)
-        if ct != ch:
-            directed.add((ct, ch))
-    bidirected = set()
-    for a, b in g.bidirected:
-        ca, cb = p.cluster_of(a), p.cluster_of(b)
-        if ca != cb:
-            bidirected.add(tuple(sorted((ca, cb))))
-    return directed, bidirected
+    # the cross-cluster edges of each kind; Admg sorts the bidirected pairs
+    kinds = []
+    for edges in (g.directed, g.bidirected):
+        pairs = set()
+        for a, b in edges:
+            ca, cb = p.cluster_of(a), p.cluster_of(b)
+            if ca != cb:
+                pairs.add((ca, cb))
+        kinds.append(pairs)
+    return kinds
 
 
 def build_cdag(g: Admg, p: Partition) -> ClusterDag:
@@ -153,16 +152,6 @@ def is_compatible(g: Admg, c: ClusterDag, p: Partition) -> bool:
 def singleton_cdag(g: Admg) -> ClusterDag:
     """Wrap an Admg as the cluster DAG with one variable per cluster."""
     return ClusterDag(g)
-
-
-def mutilate_cdag(c: ClusterDag, cut_into: Iterable[str] = (),
-                  cut_out_of: Iterable[str] = ()) -> ClusterDag:
-    """Cut cluster edges into ``cut_into`` and out of ``cut_out_of``.
-
-    The result is the cluster DAG of the equally mutilated underlying
-    graph, so cluster-level surgery commutes with the quotient.
-    """
-    return ClusterDag(c.graph.mutilate(cut_into, cut_out_of))
 
 
 def cdag_d_separated(c: ClusterDag, x: Iterable[str], y: Iterable[str],

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable
 
 from .graphs import GraphError
-from .cluster import ClusterDag, cdag_d_separated, mutilate_cdag
+from .cluster import ClusterDag, cdag_d_separated
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def _verdict(rule: str, c: ClusterDag, q: DoQuery, cut_into, cut_out_of, label: 
              lhs, rhs) -> RuleVerdict:
     # Cut the graph, test (Y _||_ Z | X, W) in it and, if that holds, spell
     # out the equality P(y | lhs) = P(y | rhs) that the rule grants.
-    cut = mutilate_cdag(c, cut_into=cut_into, cut_out_of=cut_out_of)
+    cut = ClusterDag(c.graph.mutilate(cut_into=cut_into, cut_out_of=cut_out_of))
     applies = cdag_d_separated(cut, q.y, q.z, q.x | q.w)
     tested = f"({_names(q.y)} _||_ {_names(q.z)} | {_names(q.x | q.w) or '∅'}) in {label}"
     return RuleVerdict(rule, applies, tested,
@@ -101,8 +101,7 @@ def rule3(c: ClusterDag, q: DoQuery) -> RuleVerdict:
     X and W after cutting edges into X and into Z(W), the Z-clusters that
     are not ancestors of any W-cluster once edges into X are cut."""
     q.validate_for(c)
-    x_cut = mutilate_cdag(c, cut_into=q.x)
-    w_ancestral = x_cut.graph.ancestral_closure(q.w) if q.w else frozenset()
+    w_ancestral = c.graph.mutilate(cut_into=q.x).ancestral_closure(q.w) if q.w else frozenset()
     z_of_w = frozenset(zc for zc in q.z if zc not in w_ancestral)
     return _verdict("R3", c, q, q.x | z_of_w, (),
                     f"G[cut into {_names(q.x | z_of_w) or '∅'}] with Z(W) = {{{_names(z_of_w)}}}",

@@ -27,10 +27,6 @@ class UnknownNodeError(GraphError):
     """Raised when a query mentions a node that is not in the graph."""
 
 
-def _canonical_pair(a, b):
-    return (a, b) if a <= b else (b, a)
-
-
 class Admg:
     """An acyclic directed mixed graph over named nodes.
 
@@ -43,7 +39,7 @@ class Admg:
     """
 
     __slots__ = ("nodes", "directed", "bidirected", "_node_set", "_parents",
-                 "_children", "_siblings", "_topo", "_hash")
+                 "_children", "_siblings", "_topo")
 
     def __init__(self, nodes: Iterable[str], directed: Iterable[Tuple[str, str]] = (),
                  bidirected: Iterable[Tuple[str, str]] = ()):
@@ -52,23 +48,19 @@ class Admg:
             raise GraphError(f"node name {name!r} must not end in a prime")
         node_set = frozenset(nodes)
 
-        dir_edges = set()
-        for tail, head in directed:
-            if tail not in node_set or head not in node_set:
-                raise UnknownNodeError(f"edge {tail} -> {head} has an endpoint outside the node set")
-            if tail == head:
-                raise GraphError(f"self loop {tail} -> {head}")
-            dir_edges.add((tail, head))
+        edge_sets = []
+        for arrow, edges in (("->", directed), ("<->", bidirected)):
+            checked = set()
+            for a, b in edges:
+                if a not in node_set or b not in node_set:
+                    raise UnknownNodeError(
+                        f"edge {a} {arrow} {b} has an endpoint outside the node set")
+                if a == b:
+                    raise GraphError(f"self loop {a} {arrow} {b}")
+                checked.add((a, b) if arrow == "->" or a <= b else (b, a))
+            edge_sets.append(frozenset(checked))
 
-        bi_edges = set()
-        for a, b in bidirected:
-            if a not in node_set or b not in node_set:
-                raise UnknownNodeError(f"edge {a} <-> {b} has an endpoint outside the node set")
-            if a == b:
-                raise GraphError(f"self loop {a} <-> {b}")
-            bi_edges.add(_canonical_pair(a, b))
-
-        self._link(nodes, node_set, frozenset(dir_edges), frozenset(bi_edges))
+        self._link(nodes, node_set, *edge_sets)
         self._topo = self._kahn_order()
 
     @classmethod
@@ -94,7 +86,7 @@ class Admg:
         for a, b in bidirected:
             self._siblings[a].add(b)
             self._siblings[b].add(a)
-        self._topo = self._hash = None
+        self._topo = None
 
     def _kahn_order(self):
         # Kahn's algorithm with a lexicographic tie break, the ready nodes
@@ -148,9 +140,7 @@ class Admg:
                 and self.bidirected == other.bidirected)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.nodes, self.directed, self.bidirected))
-        return self._hash
+        return hash((self.nodes, self.directed, self.bidirected))
 
     def __repr__(self):
         return (f"Admg(nodes={list(self.nodes)}, directed={sorted(self.directed)}, "

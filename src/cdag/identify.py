@@ -252,11 +252,9 @@ def hedge_expansion_witness(c: ClusterDag, h: Hedge,
     first members of its clusters, and every other member is isolated.
     The first members then carry a copy of the cluster graph and so of
     the hedge, so identification of the induced variable-level query
-    fails on the result for any choice of cluster sizes.
+    fails on the result for any choice of cluster sizes, which ``expand``
+    checks; a cluster that ``sizes`` leaves out has one member.
     """
     if not set(h.forest_f.nodes) <= set(c.graph.nodes):
         raise ValueError("hedge does not belong to this cluster DAG")
-    for name in c.graph.nodes:
-        if sizes.get(name, 0) < 1:
-            raise ValueError(f"size for cluster {name!r} must be a positive integer")
     return expand(c, ExpansionSpec(sizes=dict(sizes)))[0]

@@ -72,12 +72,6 @@ class ExpansionSpec:
     cross: CrossPolicy = CrossPolicy("minimal_witness")
     seed: int = 0
 
-    def size_of(self, cluster: str) -> int:
-        size = self.sizes.get(cluster, 1)
-        if size < 1:
-            raise ValueError(f"size for cluster {cluster!r} must be >= 1")
-        return size
-
 
 def _member_names(cluster: str, size: int) -> Tuple[str, ...]:
     if size == 1:
@@ -92,7 +86,9 @@ def expand(c: ClusterDag, spec: ExpansionSpec) -> Tuple[Admg, Partition]:
     itself under the singleton partition.  Raises ``StateSpaceCapError``
     when the policies would walk more member pairs than ``CDAG_STATE_CAP``.
     """
-    size = {name: spec.size_of(name) for name in c.graph.nodes}
+    size = {name: spec.sizes.get(name, 1) for name in c.graph.nodes}
+    for name in (name for name in c.graph.nodes if size[name] < 1):
+        raise ValueError(f"size for cluster {name!r} must be >= 1")
     if not size.keys() >= spec.sizes.keys():
         raise ValueError(f"sizes name unknown cluster(s) {sorted(spec.sizes.keys() - size.keys())}")
     # every member pair the policies walk, counted before any name is built

@@ -414,18 +414,25 @@ INADMISSIBLE = "cluster A = { a1 a2 }\nnode b1\nedge a1 -> b1\nedge b1 -> a2\n"
      "--sizes names 'Q', which is not a cluster of the file"),
     (None, ["eval", "--at", "X=1,X=0"], 3, "--at names 'X' twice"),
     (None, ["eval", "--at", ""], 3, "bad --at entry ''; expected NAME=VALUE"),
+    ("X,Y,q\n0,0,1\n", ["eval", "--at", "X=0,Y=0"], 3,
+     "last CSV column must be the probability column 'p'"),
+    ("X,Y,p\n0,0\n", ["eval", "--at", "X=0,Y=0"], 3, "bad CSV row: '0,0'"),
+    ("X,Y,p\n0,0,.25\n0,0,.25\n1,0,.25\n1,1,.25\n", ["eval", "--at", "X=0,Y=0"], 3,
+     "CSV must enumerate every joint state exactly once"),
 ], ids=["node_arity", "cluster_braces", "unknown_declaration", "invalid_name",
         "two_clusters", "twice_in_one_cluster", "cluster_and_variable",
         "bare_node_and_member", "member_node_variable_level", "inadmissible",
         "cdag_on_cluster_level", "sizes_without_count", "sizes_zero", "cross_density",
         "at_without_value", "at_not_a_number", "node_twice", "node_twice_variable_level",
-        "sizes_first_error", "at_twice", "at_empty"])
+        "sizes_first_error", "at_twice", "at_empty", "csv_without_p", "csv_short_row",
+        "csv_repeated_state"])
 def test_input_branches_end_with_one_line(capsys, tmp_path, text, argv, code, line):
-    # eval reads a formula and a table; the rest read ``text``, or frontdoor.cdag
+    # eval reads a formula and a table, ``text`` if given; the rest read
+    # ``text``, or frontdoor.cdag
     if argv[0] == "eval":
         files = [tmp_path / "f.json", tmp_path / "t.csv"]
         files[0].write_text(render(CondProb(["Y"], ["X"]), "json"))
-        files[1].write_text(to_csv(JointTable(("X", "Y"), np.full((2, 2), 0.25))))
+        files[1].write_text(text or to_csv(JointTable(("X", "Y"), np.full((2, 2), 0.25))))
     elif text is None:
         files = [path("frontdoor.cdag")]
     else:

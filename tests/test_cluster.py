@@ -1,8 +1,7 @@
 import pytest
 
 from cdag import (Admg, ClusterDag, InadmissibleError, Partition, PartitionError,
-                  build_cdag, cdag_d_separated, is_compatible, mutilate_cdag,
-                  singleton_cdag)
+                  build_cdag, cdag_d_separated, is_compatible, singleton_cdag)
 
 from oracles import descendants
 from randutil import random_admg, random_query, rng_for
@@ -37,6 +36,8 @@ def test_build_cdag_inadmissible_reports_cycle(med_admg):
     with pytest.raises(InadmissibleError) as err:
         build_cdag(med_admg, p)
     assert set(err.value.cycle) == {"X", "W", "Z"}
+    # a cyclic quotient is the quotient of no C-DAG on the same clusters
+    assert not is_compatible(med_admg, ClusterDag(Admg(p.cluster_names)), p)
 
 
 def test_build_cdag_singletons_is_identity(med_admg):
@@ -72,12 +73,12 @@ def test_cluster_graph_is_self_compatible(frontdoor_cdag):
 
 
 def test_mutilate_cdag_cut_out_of(backdoor_cdag):
-    cut = mutilate_cdag(backdoor_cdag, cut_out_of=["X"])
+    cut = ClusterDag(backdoor_cdag.graph.mutilate(cut_out_of=["X"]))
     assert cut.graph.directed == {("Z", "X"), ("Z", "Y")}
 
 
 def test_mutilate_cdag_cut_into(confounded_cdag):
-    cut = mutilate_cdag(confounded_cdag, cut_into=["X"])
+    cut = ClusterDag(confounded_cdag.graph.mutilate(cut_into=["X"]))
     assert cut.graph.directed == {("X", "Y"), ("Z", "Y")}
     assert cut.graph.bidirected == {("Y", "Z")}
 
@@ -104,7 +105,7 @@ def test_mutilation_commutes_with_quotient():
         var_x = p.variables_of(x)
         var_z = p.variables_of(z)
         lhs = build_cdag(g.mutilate(var_x, var_z), p)
-        rhs = mutilate_cdag(c, x, z)
+        rhs = ClusterDag(c.graph.mutilate(x, z))
         assert lhs.graph == rhs.graph
 
 

@@ -490,16 +490,21 @@ def test_json_rejects_garbage():
         parse_formula_json('{"kind": "mystery"}')
 
 
-@pytest.mark.parametrize("text", [
-    '{"kind": "condprob", "vars": {"target": 5}}',
-    '{"kind": "condprob", "vars": {"target": "XY"}}',
-    '{"kind": "condprob", "vars": {"target": ["X"], "given": [1]}}',
-    '{"kind": "product", "children": 5}',
-    '{"kind": "sum", "vars": {"bound": "X"}, "children": [{"kind": "one"}]}',
+@pytest.mark.parametrize("text, message", [
+    ('{"kind": "condprob", "vars": {"target": 5}}', "must be a list"),
+    ('{"kind": "condprob", "vars": {"target": "XY"}}', "must be a list"),
+    ('{"kind": "condprob", "vars": {"target": ["X"], "given": [1]}}', "must be a list"),
+    ('{"kind": "product", "children": 5}', "must be a list"),
+    ('{"kind": "sum", "vars": {"bound": "X"}, "children": [{"kind": "one"}]}',
+     "must be a list"),
+    ('{"kind": "sum", "vars": {"bound": ["X"]}, "children": [{"kind": "one"}, {"kind": "one"}]}',
+     "^sum node needs exactly one child$"),
+    ('{"kind": "fraction", "children": [{"kind": "one"}]}',
+     "^fraction node needs exactly two children$"),
 ], ids=["target_number", "target_string", "given_number", "children_number",
-        "bound_string"])
-def test_json_rejects_bad_shapes(text):
-    with pytest.raises(FormulaError, match="must be a list"):
+        "bound_string", "sum_two_children", "fraction_one_child"])
+def test_json_rejects_bad_shapes(text, message):
+    with pytest.raises(FormulaError, match=message):
         parse_formula_json(text)
 
 
@@ -527,6 +532,8 @@ def test_joint_table_validates():
         JointTable(("X",), np.array([np.nan, 1.0]))
     with pytest.raises(FormulaError, match=r"^table variable \"Y'\" must not end in a prime$"):
         JointTable(("X", "Y'"), np.full((2, 2), 0.25))
+    with pytest.raises(FormulaError, match="^array rank 1 does not match 2 variables$"):
+        JointTable(("X", "Y"), np.array([0.5, 0.5]))
 
 
 def test_marginal_rejects_unknown_names():
@@ -617,6 +624,13 @@ def test_sum_over_empty_is_identity():
 def test_condprob_rejects_overlap():
     with pytest.raises(FormulaError):
         CondProb(["X"], ["X"])
+
+
+def test_nodes_reject_a_missing_target_and_a_repeated_bound_name():
+    with pytest.raises(FormulaError, match="^conditional probability needs at least one target"):
+        CondProb([], ["X"])
+    with pytest.raises(FormulaError, match=r"^duplicate bound variables: \('X', 'X'\)$"):
+        Sum(["X", "X"], CondProb(["X"]))
 
 
 def test_nodes_are_immutable_values():

@@ -22,8 +22,10 @@ def test_construction_rejects_a_primed_name():
 
 
 def test_construction_rejects_unknown_endpoints():
-    with pytest.raises(UnknownNodeError):
+    with pytest.raises(UnknownNodeError, match="^edge A -> B has an endpoint outside"):
         Admg(["A"], [("A", "B")])
+    with pytest.raises(UnknownNodeError, match="^edge B <-> A has an endpoint outside"):
+        Admg(["A"], [], [("B", "A")])
 
 
 def test_construction_rejects_cycles():

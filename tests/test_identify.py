@@ -182,6 +182,8 @@ def test_hedge_expansion_witness_sizes_one(confounded_cdag):
     g = hedge_expansion_witness(confounded_cdag, h, {"X": 1, "Y": 1, "Z": 1})
     assert g == confounded_cdag.graph
     assert isinstance(identify(singleton_cdag(g), ["X"], ["Y"]), NonIdentified)
+    # a cluster with no size has one member, as in ``expand``
+    assert hedge_expansion_witness(confounded_cdag, h, {}) == g
 
 
 def test_hedge_expansion_witness_chain(confounded_cdag):
@@ -196,7 +198,7 @@ def test_hedge_expansion_witness_chain(confounded_cdag):
 
 def test_hedge_expansion_witness_validates_sizes(confounded_cdag):
     h = identify(confounded_cdag, ["X"], ["Y"]).hedge
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^size for cluster 'Y' must be >= 1$"):
         hedge_expansion_witness(confounded_cdag, h, {"X": 1, "Y": 0, "Z": 1})
 
 

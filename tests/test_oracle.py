@@ -52,6 +52,15 @@ def test_random_cbn_rejects_bad_cards():
         random_cbn(g, {"A": 1}, seed=0)
 
 
+def test_random_cbn_primes_a_noise_name_a_node_holds():
+    # the private noise of A would be U(A), which names a node here
+    g = Admg(["A", "U(A)"], [("A", "U(A)")])
+    m = random_cbn(g, binary_cards(g), seed=0)
+    assert sorted(m.exo_names) == ["U(A)'", "U(U(A))"]
+    assert m.mechanisms["A"].exo_parents == ("U(A)'",)
+    assert joint_distribution(m).probs.min() > 0
+
+
 def test_joint_full_support(med_admg):
     m = random_cbn(med_admg, binary_cards(med_admg), seed=7)
     t = joint_distribution(m)
