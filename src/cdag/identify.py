@@ -252,8 +252,8 @@ def hedge_expansion_witness(c: ClusterDag, h: Hedge,
     first members of its clusters, and every other member is isolated.
     The first members then carry a copy of the cluster graph and so of
     the hedge, so identification of the induced variable-level query
-    fails on the result for any choice of cluster sizes, which ``expand``
-    checks; a cluster that ``sizes`` leaves out has one member.
+    fails on the result for any choice of cluster sizes.  ``expand``
+    checks the sizes; a cluster that ``sizes`` leaves out has one member.
     """
     if not set(h.forest_f.nodes) <= set(c.graph.nodes):
         raise ValueError("hedge does not belong to this cluster DAG")

@@ -87,8 +87,9 @@ def expand(c: ClusterDag, spec: ExpansionSpec) -> Tuple[Admg, Partition]:
     when the policies would walk more member pairs than ``CDAG_STATE_CAP``.
     """
     size = {name: spec.sizes.get(name, 1) for name in c.graph.nodes}
-    for name in (name for name in c.graph.nodes if size[name] < 1):
-        raise ValueError(f"size for cluster {name!r} must be >= 1")
+    for name, n in size.items():
+        if n < 1:
+            raise ValueError(f"size for cluster {name!r} must be >= 1")
     if not size.keys() >= spec.sizes.keys():
         raise ValueError(f"sizes name unknown cluster(s) {sorted(spec.sizes.keys() - size.keys())}")
     # every member pair the policies walk, counted before any name is built
