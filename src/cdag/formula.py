@@ -15,10 +15,11 @@ every free-variable assignment at once.  :func:`tabulate` builds one
 and runs it, and :func:`evaluate` reads one cell of the array.
 """
 
+import functools
 import itertools
 import json
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -130,27 +131,51 @@ def sum_over(bound: Iterable[str], body: ProbExpr) -> ProbExpr:
 
 
 def _free_vars(node, cache):
-    # Bottom-up, free(Σ_B body) = free(body) - B.  ``cache`` maps id(node)
-    # to (node, free set); holding the node keeps its id from being reused
-    # while the cache lives.
+    # A free-variable cache maps id(node) to (node, mask), where the mask
+    # holds one bit per free name; holding the node keeps its id from being
+    # reused while the cache lives.  The bits are numbered by first sight
+    # in the name -> bit map the cache keeps under the key None.
+    index = cache.setdefault(None, {})
+    mask = _mask(node, cache, index)
+    return frozenset([v for v, bit in index.items() if mask & bit])
+
+
+def _bits(names, index):
+    out = 0
+    for v in names:
+        out |= index.setdefault(v, 1 << len(index))
+    return out
+
+
+def _mask(node, cache, index):
+    # Bottom-up, free(Σ_B body) = free(body) - B.
     hit = cache.get(id(node))
     if hit is not None:
         return hit[1]
     kind = type(node)
     if kind is CondProb:
-        out = frozenset(node.target + node.given)
+        out = _bits(node.target + node.given, index)
     elif kind is Product:
-        out = frozenset().union(*[_free_vars(f, cache) for f in node.factors])
+        out = functools.reduce(operator.or_, [_mask(f, cache, index) for f in node.factors], 0)
     elif kind is Sum:
-        out = _free_vars(node.body, cache).difference(node.bound)
+        out = _mask(node.body, cache, index) & ~_bits(node.bound, index)
     elif kind is Fraction:
-        out = _free_vars(node.numerator, cache) | _free_vars(node.denominator, cache)
+        out = _mask(node.numerator, cache, index) | _mask(node.denominator, cache, index)
     elif kind is _One:
-        out = frozenset()
+        out = 0
     else:
         raise TypeError(f"not a ProbExpr: {node!r}")
     cache[id(node)] = (node, out)
     return out
+
+
+def _seed_chain(chain, cache):
+    # Masks of P(v1), P(v2|v1), P(v3|v1,v2), ...: each factor conditions on
+    # every earlier target, so its mask is the last one's with its own bits.
+    index, mask = cache.setdefault(None, {}), 0
+    for p in chain:
+        mask |= _bits(p.target, index)
+        cache[id(p)] = (p, mask)
 
 
 def _base_name(name: str) -> str:
@@ -297,31 +322,34 @@ def _sum_rules(bound, body, fv):
         bound += body.bound
         body = body.body
     # Normalization: a factor P(t|g) whose targets are bound here and
-    # occur nowhere else in the body sums to one and can be dropped.
-    # Only the bound variables' counts are read, so only they are kept.
+    # occur nowhere else in the body sums to one and can be dropped.  Such
+    # a factor's target mask is kept; every other factor's is 0.
     factors = list(body.factors) if type(body) is Product else [body]
-    bound_set = frozenset(bound)
-    fvs = [_free_vars(f, fv) & bound_set for f in factors]
-    uses = Counter(itertools.chain.from_iterable(fvs))
-    # Sweep from the last factor to the first until a sweep drops nothing.
-    # Counts only fall, so a droppable factor stays droppable, and a
-    # dropped factor's targets are no other factor's: every drop order
-    # keeps the same factors, in the same order, and the same bound names.
-    gone, dropped = set(), True
+    index = fv.setdefault(None, {})
+    bound_mask = _bits(bound, index)
+    targets = [_bits(f.target, index) if type(f) is CondProb else 0 for f in factors]
+    targets = [0 if t & ~bound_mask else t for t in targets]
+    masks = [_mask(f, fv, index) for f in factors]
+    # Sweep from the last factor to the first until a sweep drops nothing;
+    # a factor drops when neither the factors before it nor those kept
+    # after it hold one of its targets.  Dropping only takes names away, so
+    # a droppable factor stays droppable, and a dropped factor's targets
+    # are no other factor's: every drop order keeps the same factors, in
+    # the same order, and the same bound names.
+    gone, dropped = 0, any(targets)
     while dropped:
         dropped = False
+        before = list(itertools.accumulate(masks, operator.or_, initial=0))
+        after = 0
         for i in range(len(factors) - 1, -1, -1):
-            f = factors[i]
-            # f holds each of its targets once, so a count above one
-            # means the target occurs in a sibling.
-            if type(f) is CondProb and bound_set.issuperset(f.target) and \
-                    all(uses[t] == 1 for t in f.target):
-                del factors[i]
-                uses.subtract(fvs.pop(i))
-                gone.update(f.target)
+            if targets[i] and not targets[i] & (before[i] | after):
+                gone |= targets[i]
+                del factors[i], masks[i], targets[i]
                 dropped = True
+            else:
+                after |= masks[i]
     if gone:
-        bound = [v for v in bound if v not in gone]
+        bound = [v for v in bound if not index[v] & gone]
     body = product_of(factors)
     if not bound:
         return body

@@ -27,8 +27,8 @@ from typing import Dict, FrozenSet, Iterable, Tuple, Union
 
 from .graphs import Admg, GraphError
 from .cluster import ClusterDag
-from .formula import (CondProb, Fraction, ProbExpr, _free_vars, _simplify_with, product_of,
-                      sum_over)
+from .formula import (CondProb, Fraction, ProbExpr, _free_vars, _seed_chain, _simplify_with,
+                      product_of, sum_over)
 from .sampler import ExpansionSpec, expand
 
 
@@ -175,11 +175,18 @@ def _run(c: ClusterDag, x: FrozenSet[str], y: FrozenSet[str]) -> Tuple[ProbExpr,
     order = tuple(v for v in graph.topological_order() if v in nodes)
     reduced = _ancestral_reduce(graph, nodes - x, y)
     table = _chain_table(order)
+    fv = {}
+    _seed_chain(table.values(), fv)
 
-    # One factor per c-component of G[reduced], by smallest member.
+    # One factor per c-component of G[reduced], by smallest member.  A node
+    # with no sibling in An(Y) is its own c-component and district, whose
+    # c-factor is its chain factor.
     factors, seen = [], set()
     for v in sorted(reduced):
         if v in seen:
+            continue
+        if graph._siblings[v].isdisjoint(nodes):
+            factors.append(table[v])
             continue
         comp = _district(graph, [v], reduced)
         seen |= comp
@@ -194,7 +201,6 @@ def _run(c: ClusterDag, x: FrozenSet[str], y: FrozenSet[str]) -> Tuple[ProbExpr,
     # observed weight leaves a formula over the query variables alone.
     # Returns the expression and the free-variable cache this filled, which
     # simplify's pass goes on to use.
-    fv = {}
     extra = _free_vars(expr, fv) - x - y
     if extra:
         expr = sum_over(sorted(extra), product_of([CondProb(sorted(extra)), expr]))

@@ -369,6 +369,44 @@ def test_sum_rules_match_the_restarting_reference(seed):
         assert render(got, fmt) == render(want, fmt)
 
 
+def assert_cache_holds_the_free_sets(fv):
+    # every node entry of a free-variable cache (None keys its name index)
+    # decodes to the free set a tree walk finds
+    nodes = [entry[0] for key, entry in fv.items() if key is not None]
+    assert nodes
+    for node in nodes:
+        assert _free_vars(node, fv) == oracles.free_vars(node)
+
+
+@pytest.mark.parametrize("kind, n", [("sparse", 160), ("dense", 80)])
+def test_cache_entries_are_the_free_sets_on_identification(kind, n):
+    # An(y) holds 80 names here, so the masks span two machine words.
+    rng = rng_for(n + (1000 if kind == "dense" else 0) + 5)
+    checked = 0
+    for _ in range(3):
+        c, x, y = sweep_query(rng, kind, n)
+        assert len(c.graph.ancestral_closure([y])) > 64
+        try:
+            e, fv = _run(c, frozenset([x]), frozenset([y]))
+        except _HedgeFound:
+            continue
+        assert_cache_holds_the_free_sets(fv)
+        _simplify(e, {}, fv)
+        assert_cache_holds_the_free_sets(fv)
+        checked += 1
+    assert checked >= 2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_cache_entries_are_the_free_sets_on_random_expressions(seed):
+    e, fv = random_expression(rng_for(seed)), {}
+    _free_vars(e, fv)
+    assert_cache_holds_the_free_sets(fv)
+    _free_vars(_simplify(e, {}, fv), fv)
+    assert_cache_holds_the_free_sets(fv)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_one_pass_is_a_fixpoint(seed):

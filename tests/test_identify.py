@@ -484,21 +484,13 @@ def test_identified_cluster_queries_match_the_oracle_at_12_to_20_variables():
                                          random_cbn=0, joint_distribution=10)
 
 
-SWEEP_DIGEST = "edd7a52f4594e79296f394c300549d42815dc94f0a7f144154b1b706bfac4f77"
-
-
-def test_sweep_renderings_keep_their_bytes():
+def sweep_renderings(points, offset):
     # SHA-256 over the text, LaTeX and JSON renderings and the hedge
-    # descriptions of four queries at every sweep point up to n = 60.  It
-    # guards the exact output of identification and simplification, which
-    # the golden formulas cover only on a few small graphs.  The digest
-    # was taken with the earlier simplify that repeated its pass until
-    # nothing changed.
+    # descriptions of four queries at every sweep point, and the outcomes.
     digest = hashlib.sha256()
     outcomes = set()
-    for kind, n in [("sparse", 10), ("sparse", 20), ("sparse", 40), ("sparse", 60),
-                    ("dense", 20), ("dense", 40), ("dense", 60)]:
-        rng = rng_for(n + (1000 if kind == "dense" else 0) + 77)
+    for kind, n in points:
+        rng = rng_for(n + (1000 if kind == "dense" else 0) + offset)
         for _ in range(4):
             c, x, y = sweep_query(rng, kind, n)
             result = identify(c, [x], [y])
@@ -506,5 +498,27 @@ def test_sweep_renderings_keep_their_bytes():
             texts = ([render(result.expr, fmt) for fmt in ("text", "latex", "json")]
                      if result.identifiable else [result.hedge.describe()])
             digest.update("\0".join([kind, str(n), x, y] + texts).encode() + b"\1")
-    assert outcomes == {True, False}
-    assert digest.hexdigest() == SWEEP_DIGEST
+    return digest.hexdigest(), outcomes
+
+
+SWEEP_DIGEST = "edd7a52f4594e79296f394c300549d42815dc94f0a7f144154b1b706bfac4f77"
+
+
+def test_sweep_renderings_keep_their_bytes():
+    # Every sweep point up to n = 60.  The digest guards the exact output of
+    # identification and simplification, which the golden formulas cover
+    # only on a few small graphs.  It was taken with the earlier simplify
+    # that repeated its pass until nothing changed.
+    points = [("sparse", 10), ("sparse", 20), ("sparse", 40), ("sparse", 60),
+              ("dense", 20), ("dense", 40), ("dense", 60)]
+    assert sweep_renderings(points, 77) == (SWEEP_DIGEST, {True, False})
+
+
+LARGE_SWEEP_DIGEST = "338cb8ce3fab264b10ca9bbb06a5e93c3ef5f7aacc4e05fe2b34b87ef89f4c00"
+
+
+def test_sweep_renderings_past_n_60_keep_their_bytes():
+    # The benchmark's larger sweep points, where An(y) holds up to 160
+    # names; these seeds give two hedges among the 16 queries.
+    points = [("sparse", 80), ("sparse", 160), ("sparse", 320), ("dense", 80)]
+    assert sweep_renderings(points, 81) == (LARGE_SWEEP_DIGEST, {True, False})
